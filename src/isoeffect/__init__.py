@@ -50,7 +50,6 @@ from .nuisance import (
     ModelSpec,
     cv_select,
     default_grid,
-    fit_gbt,
     fit_outcome_model,
     fit_propensity_model,
 )
@@ -94,7 +93,7 @@ __all__ = [
     "featurize_texts", "load_lexicon", "mask_terms", "restrict_dims",
     "select_intervention",
     "ClipPolicy", "Family", "FittedModel", "ModelSpec",
-    "cv_select", "default_grid", "fit_gbt", "fit_outcome_model",
+    "cv_select", "default_grid", "fit_outcome_model",
     "fit_propensity_model",
     "CalibrationResult", "ContourGrid", "SensitivityParams", "SensitivityReport",
     "audit", "calibrate_cy_cd", "calibrate_detail", "contour_grid",

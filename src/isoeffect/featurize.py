@@ -125,7 +125,8 @@ def featurize_texts(
     """Category matrix of shape (n_texts, n_categories), column order = lexicon order.
 
     ``binary`` marks presence of any matching token; ``count`` counts matching
-    tokens. Unknown tokens contribute nothing.
+    tokens. Unknown tokens and the ``[MASK]`` placeholder that
+    :func:`mask_terms` writes contribute nothing.
     """
     if mode not in ("binary", "count"):
         raise ValueError(f"mode must be 'binary' or 'count', got {mode!r}")
@@ -135,7 +136,7 @@ def featurize_texts(
     matchers = list(lexicon.matchers().values())
     out = np.zeros((len(texts), len(matchers)), dtype=np.float64)
     for i, text in enumerate(texts):
-        tokens = tokenize(text)
+        tokens = tokenize(text.replace(MASK_TOKEN, " "))
         if not tokens:
             continue
         for j, match in enumerate(matchers):

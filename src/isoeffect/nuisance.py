@@ -30,7 +30,6 @@ __all__ = [
     "cv_select",
     "fit_outcome_model",
     "fit_propensity_model",
-    "fit_gbt",
 ]
 
 
@@ -196,12 +195,42 @@ def _fit_one(family: str, X, target, cand: Mapping, subsample: float, seed: int)
     )
 
 
-def _loss(family: str, model, X, target) -> float:
+def _loss(family: str, model, X, target, stages=None):
+    """Mean held-out loss; with ``stages``, one per boosting tree count."""
+    staged = {} if stages is None else {"stages": stages}
     if family in Family.CLASSIFIERS:
-        p = np.clip(model.predict_proba(X), 1e-12, 1.0 - 1e-12)
-        return float(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean())
-    resid = target - model.predict(X)
-    return float(np.mean(resid * resid))
+        p = np.clip(model.predict_proba(X, **staged), 1e-12, 1.0 - 1e-12)
+        return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean(axis=-1)
+    resid = target - model.predict(X, **staged)
+    return np.mean(resid * resid, axis=-1)
+
+
+def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> np.ndarray:
+    """Held-out loss of every candidate on every inner fold.
+
+    Boosting candidates that differ only in ``n_trees`` share one fit per
+    fold at their largest count, seeded as the first of them, and each
+    count is scored from the staged predictions of that fit.
+    """
+    staged = spec.family in (Family.GBT_REG, Family.GBT_CLF)
+    groups: dict = {}
+    for ci, cand in enumerate(cands):
+        key = tuple((k, v) for k, v in cand.items() if k != "n_trees") if staged else ci
+        groups.setdefault(key, []).append(ci)
+    losses = np.empty((len(cands), plan.k))
+    for members in groups.values():
+        fit_cand, stages = cands[members[0]], None
+        if staged:
+            stages = [int(cands[ci]["n_trees"]) for ci in members]
+            fit_cand = dict(fit_cand, n_trees=max(stages))
+        for f in range(plan.k):
+            tr, te = plan.train_rows(f), plan.test_rows(f)
+            model = _fit_one(
+                spec.family, X[tr], target[tr], fit_cand, spec.subsample,
+                derive_seed(spec.seed, f"inner-{members[0]}-{f}"),
+            )
+            losses[members, f] = _loss(spec.family, model, X[te], target[te], stages)
+    return losses
 
 
 def _inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict, dict]:
@@ -216,17 +245,7 @@ def _inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict
         return dict(choice), {"inner_cv": "skipped_small_n"}
     strat = target if classifier else None
     plan = make_folds(n, spec.inner_folds, a=strat, seed=derive_seed(spec.seed, "inner-cv"))
-    scores = []
-    for ci, cand in enumerate(cands):
-        fold_losses = []
-        for f in range(plan.k):
-            tr, te = plan.train_rows(f), plan.test_rows(f)
-            model = _fit_one(
-                spec.family, X[tr], target[tr], cand, spec.subsample,
-                derive_seed(spec.seed, f"inner-{ci}-{f}"),
-            )
-            fold_losses.append(_loss(spec.family, model, X[te], target[te]))
-        scores.append(float(np.mean(fold_losses)))
+    scores = [float(np.mean(row)) for row in _fold_losses(X, target, spec, cands, plan)]
     choice = cv_select(cands, scores)
     return choice, {"inner_cv": {"scores": tuple(scores), "chosen": dict(choice)}}
 
@@ -295,12 +314,3 @@ def fit_propensity_model(
     chosen, diag = _inner_cv_choose(X, a, spec, classifier=True)
     model = _fit_one(spec.family, X, a, chosen, spec.subsample, derive_seed(spec.seed, "final"))
     return FittedModel(family=spec.family, model=model, chosen=chosen, clip=clip, diagnostics=diag)
-
-
-def fit_gbt(X: np.ndarray, target: np.ndarray, spec: ModelSpec) -> FittedModel:
-    """Fit a boosted-tree model directly (no inner CV grid restriction)."""
-    if spec.family not in (Family.GBT_REG, Family.GBT_CLF):
-        raise ValueError("fit_gbt expects a boosting family spec")
-    if spec.family == Family.GBT_CLF:
-        return fit_propensity_model(X, target, spec)
-    return fit_outcome_model(X, target, spec)

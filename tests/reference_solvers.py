@@ -9,7 +9,7 @@ bug:
 - logistic elastic net: proximal gradient (ISTA) with a global Lipschitz
   step, versus the package's majorized coordinate descent;
 - boosted trees: exhaustive threshold search with plain per-side sums,
-  versus the package's prefix-scan / binary fast-path split finder.
+  versus the package's binned right-of-cut histogram split finder.
 
 All reference solvers work on the standardized problem (columns centered and
 scaled to unit standard deviation, response centered for the linear case),

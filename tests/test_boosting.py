@@ -5,7 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from isoeffect.boosting import GBTModel, _grow, _tree_predict, fit_gbt_core
+from isoeffect.boosting import (
+    MAX_CUTS,
+    GBTModel,
+    _bin,
+    _column_cuts,
+    _grow,
+    _leaf_values,
+    _split_gains,
+    fit_gbt_core,
+)
+from isoeffect.nuisance import Family, ModelSpec, _inner_cv_choose
 from reference_solvers import (
     best_split_exhaustive,
     reference_boost_regression,
@@ -13,16 +23,12 @@ from reference_solvers import (
 )
 
 
-def _pkg_tree_values(X, g, h, depth, binary=False):
-    binary_mask = (
-        np.array([np.isin(X[:, j], (0.0, 1.0)).all() for j in range(X.shape[1])])
-        if binary
-        else np.zeros(X.shape[1], dtype=bool)
-    )
-    tree = _grow(X, g, h, 0, depth, 1, binary_mask)
-    out = np.empty(X.shape[0])
-    _tree_predict(tree, X, out, np.arange(X.shape[0]))
-    return out
+def _pkg_tree_values(X, g, h, depth):
+    _, _, R = _bin(X)
+    stats = np.stack([g, h, np.ones_like(g)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, leaf = _grow(R, (R > 0).ravel(), stats, depth)
+        return _leaf_values(leaf, stats, depth)[leaf]
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +47,12 @@ def test_tree_matches_exhaustive_reference_continuous(depth):
     np.testing.assert_allclose(ours, ref, atol=1e-9)
 
 
-def test_tree_matches_exhaustive_reference_binary_fast_path():
+def test_tree_matches_exhaustive_reference_binary():
     rng = np.random.default_rng(42)
     X = (rng.random((150, 5)) < 0.4).astype(float)
     g = rng.standard_normal(150)
     h = np.full(150, 0.25)
-    ours = _pkg_tree_values(X, g, h, 2, binary=True)
+    ours = _pkg_tree_values(X, g, h, 2)
     ref = reference_tree_values(X, g, h, 2)
     np.testing.assert_allclose(ours, ref, atol=1e-9)
 
@@ -171,14 +177,14 @@ def test_exhaustive_reference_agrees_on_gain():
     g = rng.standard_normal(60)
     h = np.ones(60)
     ref_gain, ref_j, ref_thr = best_split_exhaustive(X, g, h)
-    from isoeffect.boosting import _best_split_scan
-
-    gains = []
-    for j in range(3):
-        found = _best_split_scan(X[:, j], g, h)
-        gains.append(found[0] if found else -np.inf)
-    assert int(np.argmax(gains)) == ref_j
-    assert max(gains) == pytest.approx(ref_gain, abs=1e-9)
+    feature, threshold, R = _bin(X)
+    stats = np.stack([g, h, np.ones(60)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = _split_gains((stats @ R)[:, None, :])[0, :-2]  # the cuts' columns
+    cut = int(np.argmax(gain))
+    assert feature[cut] == ref_j
+    assert gain[cut] == pytest.approx(ref_gain, abs=1e-9)
+    assert threshold[cut] == pytest.approx(ref_thr, abs=1e-12)
 
 
 def test_gbt_input_validation():
@@ -192,6 +198,8 @@ def test_gbt_input_validation():
         fit_gbt_core(X, y, classification=False, subsample=1.5)
     with pytest.raises(ValueError, match="empty"):
         fit_gbt_core(np.zeros((0, 1)), np.zeros(0), classification=False)
+    with pytest.raises(ValueError, match="at least one column"):
+        fit_gbt_core(np.zeros((5, 0)), y, classification=False)
 
 
 def test_model_predict_proba_only_for_classifiers():
@@ -201,3 +209,73 @@ def test_model_predict_proba_only_for_classifiers():
     assert isinstance(reg, GBTModel)
     p = reg.predict_proba(X)  # raw sigmoid is still defined on the raw score
     assert np.all((p > 0) & (p < 1))
+
+
+# ---------------------------------------------------------------------------
+# staged scores, bin edges, cut cap
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("classification", [False, True])
+def test_staged_raw_equals_separate_shorter_fit(classification):
+    rng = np.random.default_rng(12)
+    X = np.column_stack([rng.standard_normal(120), rng.poisson(3, 120),
+                         rng.random(120) < 0.5]).astype(float)
+    y = X[:, 0] + 0.5 * X[:, 2] + 0.3 * rng.standard_normal(120)
+    if classification:
+        y = (y > 0).astype(float)
+    X_new = rng.standard_normal((40, 3))
+    long = fit_gbt_core(X, y, classification=classification, depth=3, n_trees=30,
+                        learning_rate=0.1, subsample=0.7, seed=4)
+    staged = long.raw(X_new, stages=[0, 10, 30])
+    assert staged.shape == (3, 40)
+    np.testing.assert_array_equal(staged[2], long.raw(X_new))
+    np.testing.assert_array_equal(staged[0], long.init)
+    short = fit_gbt_core(X, y, classification=classification, depth=3, n_trees=10,
+                         learning_rate=0.1, subsample=0.7, seed=4)
+    np.testing.assert_array_equal(staged[1], short.raw(X_new))
+    np.testing.assert_array_equal(long.raw(X_new, stages=[10])[0], short.raw(X_new))
+
+
+def test_early_stop_ties_every_count_and_picks_fewer_trees():
+    X = np.array([[0.0], [0.0], [1.0], [1.0]] * 10)
+    y = X[:, 0] * 2.0  # one stump of learning rate 1 fits this exactly
+    model = fit_gbt_core(X, y, classification=False, depth=1, n_trees=50,
+                         learning_rate=1.0, subsample=1.0)
+    assert model.diagnostics["n_trees_fit"] == 1
+    staged = model.raw(X, stages=[5, 20, 50])
+    np.testing.assert_array_equal(staged[0], staged[1])
+    np.testing.assert_array_equal(staged[0], staged[2])
+
+    spec = ModelSpec(Family.GBT_REG,
+                     {"depth": [1], "n_trees": [50, 5, 20], "learning_rate": [1.0]},
+                     subsample=1.0)
+    chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
+    scores = diag["inner_cv"]["scores"]
+    assert scores[0] == scores[1] == scores[2]
+    assert chosen["n_trees"] == 5
+
+
+def test_held_out_value_routes_by_bin_edge_midpoint():
+    X = np.array([[1.0], [1.0], [3.0], [3.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    model = fit_gbt_core(X, y, classification=False, depth=1, n_trees=1,
+                         learning_rate=1.0, subsample=1.0)
+    assert model.threshold[0, 0] == 2.0
+    pred = model.predict(np.array([[1.999], [2.0], [2.001]]))
+    np.testing.assert_allclose(pred, [0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_many_distinct_values_capped_at_max_cuts():
+    col = np.random.default_rng(13).standard_normal(1000)
+    assert np.unique(col).size == 1000
+    cuts = _column_cuts(col)
+    assert MAX_CUTS == 255
+    assert 0 < cuts.size <= MAX_CUTS
+    assert np.all(np.diff(cuts) > 0)
+    # every kept cut is still a midpoint between adjacent distinct values
+    vals = np.unique(col)
+    np.testing.assert_array_equal(np.isin(cuts, 0.5 * (vals[:-1] + vals[1:])), True)
+    feature, threshold, R = _bin(np.column_stack([col, col > 0]))
+    assert R.shape == (1000, cuts.size + 1 + 2)
+    np.testing.assert_array_equal(np.bincount(feature[:-1]), [cuts.size, 1])

@@ -196,6 +196,21 @@ def test_mask_pattern_validation():
         mask_terms(["x"], ["a*b"])
 
 
+def test_featurize_ignores_mask_placeholder():
+    # the placeholder tokenizes to "mask", which a "mask*" pattern would hit
+    lex = Lexicon({"ppe": ("mask*",), "fit": ("run*",)})
+    text = "I run daily"
+    np.testing.assert_array_equal(featurize_texts([text], lex), [[0.0, 1.0]])
+    masked = mask_terms([text], ["run*"])
+    assert masked == ["I [MASK] daily"]
+    np.testing.assert_array_equal(featurize_texts(masked, lex), [[0.0, 0.0]])
+    np.testing.assert_array_equal(featurize_texts(masked, lex, mode="count"), [[0.0, 0.0]])
+    # a real "mask" token still counts, also right next to a placeholder
+    np.testing.assert_array_equal(
+        featurize_texts(["masks[MASK]run"], lex, mode="count"), [[1.0, 1.0]]
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(max_size=80))
 def test_mask_everything_property(text):

@@ -13,7 +13,6 @@ from isoeffect.nuisance import (
     _inner_cv_choose,
     cv_select,
     default_grid,
-    fit_gbt,
     fit_outcome_model,
     fit_propensity_model,
 )
@@ -212,21 +211,23 @@ def test_predict_guards():
         clf.predict(X)
 
 
-def test_fit_gbt_dispatch():
+def test_gbt_family_dispatch():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 2))
     y = X[:, 0] + 0.1 * rng.standard_normal(60)
     a = (X[:, 1] + 0.3 * rng.standard_normal(60) > 0).astype(float)
     reg_spec = ModelSpec(Family.GBT_REG, {"depth": [2], "n_trees": [20], "learning_rate": [0.1]})
     clf_spec = ModelSpec(Family.GBT_CLF, {"depth": [2], "n_trees": [20], "learning_rate": [0.1]})
-    reg = fit_gbt(X, y, reg_spec)
-    clf = fit_gbt(X, a, clf_spec)
+    reg = fit_outcome_model(X, y, reg_spec)
+    clf = fit_propensity_model(X, a, clf_spec)
     assert reg.family == Family.GBT_REG and not reg.is_classifier
     assert clf.family == Family.GBT_CLF and clf.is_classifier
     assert np.isfinite(reg.predict(X)).all()
     assert np.isfinite(clf.predict_proba(X)).all()
-    with pytest.raises(ValueError, match="boosting family"):
-        fit_gbt(X, y, ModelSpec(Family.ELASTIC_LINEAR))
+    with pytest.raises(ValueError, match="outcome-regression"):
+        fit_outcome_model(X, y, clf_spec)
+    with pytest.raises(ValueError, match="propensity family"):
+        fit_propensity_model(X, a, reg_spec)
 
 
 def test_gbt_outcome_model_deterministic_seeding():
