@@ -59,7 +59,6 @@ from .sensitivity import (
     SensitivityParams,
     SensitivityReport,
     audit,
-    calibrate_cy_cd,
     calibrate_detail,
     contour_grid,
     nu2_hat,
@@ -96,7 +95,7 @@ __all__ = [
     "cv_select", "default_grid", "fit_outcome_model",
     "fit_propensity_model",
     "CalibrationResult", "ContourGrid", "SensitivityParams", "SensitivityReport",
-    "audit", "calibrate_cy_cd", "calibrate_detail", "contour_grid",
+    "audit", "calibrate_detail", "contour_grid",
     "nu2_hat", "nu2_plugin", "ovb_bounds", "robustness_value", "sigma2_hat",
     "Oracle", "OutcomeForm", "SynthSpec",
     "default_beta", "gen_features", "gen_outcome", "generate", "oracle_tau",

@@ -17,20 +17,34 @@ The linear solver runs cyclic coordinate descent on a cached Gram matrix, so
 each sweep costs O(d^2) instead of O(n d). The logistic solver wraps the same
 sweep inside a quadratic majorization with the global curvature bound 1/4,
 which makes the true objective non-increasing across passes by construction.
+
+Both loops are cores that take a precomputed standardization and Gram matrix
+(:class:`Design`) and a starting point. ``enet_linear_path`` and
+``enet_logistic_path`` solve a whole penalty grid on one design, from the
+strongest penalty down, each solve warm-started from the one before (the
+regularization paths of Friedman, Hastie & Tibshirani, JSS 2010);
+``fit_enet_linear`` and ``fit_enet_logistic`` are the one-penalty case,
+solved from zero. Most of a path's saving over separate fits is the shared
+standardization and Gram matrix; the warm starts also trim the sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "Design",
     "LinearFit",
     "LogisticFit",
     "standardize_columns",
+    "prepare_design",
     "fit_enet_linear",
     "fit_enet_logistic",
+    "enet_linear_path",
+    "enet_logistic_path",
     "linear_objective_std",
     "logistic_objective_std",
 ]
@@ -110,46 +124,37 @@ class LogisticFit:
             return 1.0 / (1.0 + np.exp(-eta))
 
 
-def fit_enet_linear(
-    X: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    l1_ratio: float,
-    tol: float = 1e-7,
-    max_sweeps: int = 100_000,
-    track_objective: bool = True,
-) -> LinearFit:
-    """Cyclic coordinate descent for the linear elastic net.
+@dataclass(frozen=True)
+class Design:
+    """Standardized design and its cross-product ``Z'Z``, shared by every solve on it."""
 
-    Convergence is declared when the largest coefficient change in a sweep
-    drops below ``tol`` (standardized scale). At ``alpha == 0`` the tolerance
-    tightens to 1e-12 because the zero-penalty contract is exact
-    least-squares agreement, not merely a stationary penalty solution.
+    Z: np.ndarray
+    mean: np.ndarray
+    scale: np.ndarray
+    cross: np.ndarray
+
+
+def prepare_design(X: np.ndarray) -> Design:
+    """Standardize ``X`` once and cache its cross-product for every solve on it."""
+    Z, mean, scale = standardize_columns(X)
+    return Design(Z=Z, mean=mean, scale=scale, cross=Z.T @ Z)
+
+
+def _linear_cd(G, q, w, alpha, l1_ratio, tol, max_sweeps, base=None):
+    """Cyclic coordinate descent on the Gram form, from ``w`` (updated in place).
+
+    ``G = Z'Z/n`` and ``q = Z'yc/n``. Returns ``(sweeps, converged, trace)``;
+    the objective is traced per sweep only when ``base = yc'yc/(2n)`` is given.
     """
-    if alpha < 0 or not 0.0 <= l1_ratio <= 1.0:
-        raise ValueError("need alpha >= 0 and l1_ratio in [0, 1]")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n, d = X.shape
-    Z, x_mean, x_scale = standardize_columns(X)
-    y_mean = y.mean()
-    yc = y - y_mean
-
-    G = (Z.T @ Z) / n
-    q = (Z.T @ yc) / n
-    diag = G.diagonal().copy()
-    active = diag > 0  # constant columns stay at zero
+    diag = G.diagonal()
+    order = np.flatnonzero(diag > 0)  # constant columns stay at zero
     denom = diag + alpha * (1.0 - l1_ratio)
     threshold = alpha * l1_ratio
     eff_tol = tol if alpha > 0 else min(tol, 1e-12)
-
-    w = np.zeros(d)
-    c = q.copy()  # (1/n) Z^T (yc - Z w)
+    c = q - G @ w  # (1/n) Z^T (yc - Z w)
     trace: list[float] = []
-    base = 0.5 * float(yc @ yc) / n
     sweeps = 0
     converged = False
-    order = np.flatnonzero(active)
     while sweeps < max_sweeps:
         sweeps += 1
         delta_max = 0.0
@@ -163,7 +168,7 @@ def fit_enet_linear(
                 adelta = abs(step)
                 if adelta > delta_max:
                     delta_max = adelta
-        if track_objective:
+        if base is not None:
             # objective from Gram caches: 0.5 w'Gw - q'w + const + penalty
             quad = 0.5 * float(w @ (q - c)) - float(q @ w)
             trace.append(base + quad + _penalty(w, alpha, l1_ratio))
@@ -172,56 +177,20 @@ def fit_enet_linear(
             break
         if sweeps % 1024 == 0:  # kill accumulated float drift in c
             c = q - G @ w
-
-    coef = w / x_scale
-    intercept = y_mean - float(coef @ x_mean)
-    return LinearFit(
-        coef=coef,
-        intercept=intercept,
-        coef_std=w,
-        alpha=alpha,
-        l1_ratio=l1_ratio,
-        n_sweeps=sweeps,
-        converged=converged,
-        objective_trace=tuple(trace),
-    )
+    return sweeps, converged, trace
 
 
-def fit_enet_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    C: float,
-    l1_ratio: float,
-    tol: float = 1e-7,
-    max_passes: int = 5_000,
-    track_objective: bool = True,
-) -> LogisticFit:
-    """Majorized coordinate descent for the logistic elastic net.
+def _logistic_cd(Z, y, G4, w, b, alpha, l1_ratio, tol, max_passes, track):
+    """Majorized coordinate descent from ``(w, b)``.
 
-    Each outer pass refreshes probabilities, minimizes the curvature-bound
-    quadratic surrogate over the intercept, and runs coordinate-descent
-    sweeps on the cached Gram matrix. The surrogate touches the objective at
-    the current iterate, so every pass is a descent step.
+    ``G4 = Z'Z/(4n)`` is the curvature bound of the smooth part. Returns
+    ``(w, b, passes, converged, trace)``.
     """
-    if C <= 0 or not 0.0 <= l1_ratio <= 1.0:
-        raise ValueError("need C > 0 and l1_ratio in [0, 1]")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("logistic targets must be 0/1")
-    n, d = X.shape
-    Z, x_mean, x_scale = standardize_columns(X)
-
-    alpha = 1.0 / (C * n)
-    G4 = (Z.T @ Z) / (4.0 * n)  # curvature-bound Hessian of the smooth part
-    diag4 = G4.diagonal().copy()
-    active = diag4 > 0
+    n, d = Z.shape
+    diag4 = G4.diagonal()
+    order = np.flatnonzero(diag4 > 0)
     denom = diag4 + alpha * (1.0 - l1_ratio)
     threshold = alpha * l1_ratio
-    order = np.flatnonzero(active)
-
-    w = np.zeros(d)
-    b = float(np.log(y.mean() / (1.0 - y.mean()))) if 0.0 < y.mean() < 1.0 else 0.0
     trace: list[float] = []
     passes = 0
     converged = False
@@ -231,12 +200,11 @@ def fit_enet_logistic(
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(-eta))
         resid = y - p
-        if track_objective:
+        if track:
             s = 2.0 * y - 1.0
             trace.append(
                 float(np.logaddexp(0.0, -s * eta).mean()) + _penalty(w, alpha, l1_ratio)
             )
-        grad = -(Z.T @ resid) / n  # smooth-part gradient in w
         db = 4.0 * float(resid.mean())  # exact minimizer of the surrogate in b
         b += db
 
@@ -244,7 +212,7 @@ def fit_enet_logistic(
         # tracked through the Gram cache. A handful of inner sweeps per pass
         # amortizes the O(nd) gradient refresh.
         u = np.zeros(d)
-        c = -grad  # equals G4 @ (u*) target correlations at u = 0
+        c = (Z.T @ resid) / n  # minus the smooth-part gradient in w, at u = 0
         pass_delta = abs(db)
         for _ in range(10):
             delta_max = 0.0
@@ -267,16 +235,135 @@ def fit_enet_logistic(
         if pass_delta < tol:
             converged = True
             break
+    return w, b, passes, converged, trace
 
-    coef = w / x_scale
-    intercept = b - float((w / x_scale) @ x_mean)
-    return LogisticFit(
-        coef=coef,
-        intercept=intercept,
-        coef_std=w,
-        C=C,
-        l1_ratio=l1_ratio,
-        n_passes=passes,
-        converged=converged,
-        objective_trace=tuple(trace),
-    )
+
+def enet_linear_path(
+    X: np.ndarray | Design,
+    y: np.ndarray,
+    alphas: Sequence[float],
+    l1_ratio: float,
+    tol: float = 1e-7,
+    max_sweeps: int = 100_000,
+    track_objective: bool = False,
+) -> list[LinearFit]:
+    """Linear elastic net at every penalty in ``alphas``, one fit each, in that order.
+
+    The penalties are solved from the strongest down on one standardization
+    and Gram matrix, each solve starting from the previous solution. ``X``
+    may be a :class:`Design` already prepared from the features, so several
+    paths on the same rows share it. Every solve has the convergence rule of
+    :func:`fit_enet_linear`.
+    """
+    if any(alpha < 0 for alpha in alphas) or not 0.0 <= l1_ratio <= 1.0:
+        raise ValueError("need alpha >= 0 and l1_ratio in [0, 1]")
+    design = X if isinstance(X, Design) else prepare_design(X)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    n = len(y)
+    y_mean = y.mean()
+    yc = y - y_mean
+    G = design.cross / n
+    q = (design.Z.T @ yc) / n
+    base = 0.5 * float(yc @ yc) / n if track_objective else None
+
+    w = np.zeros(design.Z.shape[1])
+    fits: list = [None] * len(alphas)
+    for i in sorted(range(len(alphas)), key=lambda i: -alphas[i]):
+        sweeps, converged, trace = _linear_cd(G, q, w, alphas[i], l1_ratio, tol, max_sweeps, base)
+        coef = w / design.scale
+        fits[i] = LinearFit(
+            coef=coef,
+            intercept=y_mean - float(coef @ design.mean),
+            coef_std=w.copy(),
+            alpha=alphas[i],
+            l1_ratio=l1_ratio,
+            n_sweeps=sweeps,
+            converged=converged,
+            objective_trace=tuple(trace),
+        )
+    return fits
+
+
+def fit_enet_linear(
+    X: np.ndarray,
+    y: np.ndarray,
+    alpha: float,
+    l1_ratio: float,
+    tol: float = 1e-7,
+    max_sweeps: int = 100_000,
+    track_objective: bool = False,
+) -> LinearFit:
+    """Cyclic coordinate descent for the linear elastic net, from zero.
+
+    Convergence is declared when the largest coefficient change in a sweep
+    drops below ``tol`` (standardized scale). At ``alpha == 0`` the tolerance
+    tightens to 1e-12 because the zero-penalty contract is exact
+    least-squares agreement, not merely a stationary penalty solution.
+    """
+    return enet_linear_path(X, y, [alpha], l1_ratio, tol, max_sweeps, track_objective)[0]
+
+
+def enet_logistic_path(
+    X: np.ndarray | Design,
+    y: np.ndarray,
+    Cs: Sequence[float],
+    l1_ratio: float,
+    tol: float = 1e-7,
+    max_passes: int = 5_000,
+    track_objective: bool = False,
+) -> list[LogisticFit]:
+    """Logistic elastic net at every ``C`` in ``Cs``, one fit each, in that order.
+
+    Solved from the strongest penalty (smallest ``C``) up on one
+    standardization and Gram matrix, each solve starting from the previous
+    coefficients and intercept. ``X`` may be a prepared :class:`Design`, as
+    for :func:`enet_linear_path`.
+    """
+    if any(C <= 0 for C in Cs) or not 0.0 <= l1_ratio <= 1.0:
+        raise ValueError("need C > 0 and l1_ratio in [0, 1]")
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if not np.all(np.isin(y, (0.0, 1.0))):
+        raise ValueError("logistic targets must be 0/1")
+    design = X if isinstance(X, Design) else prepare_design(X)
+    n = len(y)
+    G4 = design.cross / (4.0 * n)  # curvature-bound Hessian of the smooth part
+
+    w = np.zeros(design.Z.shape[1])
+    b = float(np.log(y.mean() / (1.0 - y.mean()))) if 0.0 < y.mean() < 1.0 else 0.0
+    fits: list = [None] * len(Cs)
+    for i in sorted(range(len(Cs)), key=lambda i: Cs[i]):
+        w, b, passes, converged, trace = _logistic_cd(
+            design.Z, y, G4, w, b, 1.0 / (Cs[i] * n), l1_ratio, tol, max_passes,
+            track_objective,
+        )
+        fits[i] = LogisticFit(
+            coef=w / design.scale,
+            intercept=b - float((w / design.scale) @ design.mean),
+            coef_std=w,
+            C=Cs[i],
+            l1_ratio=l1_ratio,
+            n_passes=passes,
+            converged=converged,
+            objective_trace=tuple(trace),
+        )
+    return fits
+
+
+def fit_enet_logistic(
+    X: np.ndarray,
+    y: np.ndarray,
+    C: float,
+    l1_ratio: float,
+    tol: float = 1e-7,
+    max_passes: int = 5_000,
+    track_objective: bool = False,
+) -> LogisticFit:
+    """Majorized coordinate descent for the logistic elastic net, from zero.
+
+    Each outer pass refreshes probabilities, minimizes the curvature-bound
+    quadratic surrogate over the intercept, and runs coordinate-descent
+    sweeps on the cached Gram matrix. The surrogate touches the objective at
+    the current iterate, so every pass is a descent step. The intercept
+    starts at the log-odds of the base rate.
+    """
+    return enet_logistic_path(X, y, [C], l1_ratio, tol, max_passes, track_objective)[0]

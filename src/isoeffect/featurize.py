@@ -2,8 +2,15 @@
 
 A lexicon maps category names to term patterns. A pattern is either a literal
 token or a prefix pattern ending in ``*`` (``exercis*`` matches ``exercise``
-and ``exercising``). Tokenization lowercases and splits on non-alphanumeric
-characters; matching is exact on the resulting tokens.
+and ``exercising``). Tokenization splits on every character outside
+``[0-9A-Za-z]`` and then lowercases each token; matching is exact on the
+resulting tokens.
+
+Featurization compiles the lexicon against the corpus vocabulary: each text
+is tokenized once, each distinct token is tested once against each category,
+and the category columns are counted from the token occurrences with
+``np.bincount``. The cost is one matcher call per (distinct token, category)
+rather than per (token occurrence, category).
 """
 
 from __future__ import annotations
@@ -133,15 +140,23 @@ def featurize_texts(
     texts = list(texts)
     if not texts:
         raise ValueError("featurize_texts requires at least one text")
-    matchers = list(lexicon.matchers().values())
-    out = np.zeros((len(texts), len(matchers)), dtype=np.float64)
+    vocab: dict[str, int] = {}  # raw token -> id; case folding happens per entry
+    ids: list[int] = []
+    lengths = np.empty(len(texts), dtype=np.int64)
     for i, text in enumerate(texts):
-        tokens = tokenize(text.replace(MASK_TOKEN, " "))
-        if not tokens:
-            continue
-        for j, match in enumerate(matchers):
-            hits = sum(1 for tok in tokens if match(tok))
-            out[i, j] = float(hits > 0) if mode == "binary" else float(hits)
+        tokens = _TOKEN_RE.findall(text.replace(MASK_TOKEN, " "))
+        lengths[i] = len(tokens)
+        ids.extend([vocab.setdefault(tok, len(vocab)) for tok in tokens])
+    words = [tok.lower() for tok in vocab]
+    matchers = list(lexicon.matchers().values())
+    member = np.array([[match(w) for w in words] for match in matchers], dtype=np.float64)
+    rows = np.repeat(np.arange(len(texts)), lengths)
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.empty((len(texts), len(matchers)), dtype=np.float64)
+    for j in range(len(matchers)):
+        out[:, j] = np.bincount(rows, weights=member[j, ids], minlength=len(texts))
+    if mode == "binary":
+        out = (out > 0).astype(np.float64)
     return out
 
 
@@ -215,18 +230,17 @@ def mask_terms(texts: Sequence[str], patterns: Sequence[str]) -> list[str]:
     """Replace every token matching ``patterns`` with ``[MASK]``.
 
     Non-token characters (whitespace, punctuation) are preserved byte for
-    byte; matching is case-insensitive on the token.
+    byte; matching is case-insensitive on the token. Each distinct token is
+    matched once per call.
     """
     match = _Matcher([_validate_pattern(p, "<mask>") for p in patterns])
-    out = []
-    for text in texts:
-        pieces = []
-        last = 0
-        for m in _TOKEN_RE.finditer(text):
-            if match(m.group().lower()):
-                pieces.append(text[last:m.start()])
-                pieces.append(MASK_TOKEN)
-                last = m.end()
-        pieces.append(text[last:])
-        out.append("".join(pieces))
-    return out
+    replacement: dict[str, str] = {}
+
+    def replace(m: re.Match) -> str:
+        tok = m.group()
+        out = replacement.get(tok)
+        if out is None:
+            out = replacement[tok] = MASK_TOKEN if match(tok.lower()) else tok
+        return out
+
+    return [_TOKEN_RE.sub(replace, text) for text in texts]

@@ -19,7 +19,15 @@ import numpy as np
 
 from .boosting import GBTModel, fit_gbt_core
 from .core import ValidationError, derive_seed, make_folds
-from .elasticnet import LinearFit, LogisticFit, fit_enet_linear, fit_enet_logistic
+from .elasticnet import (
+    LinearFit,
+    LogisticFit,
+    enet_linear_path,
+    enet_logistic_path,
+    fit_enet_linear,
+    fit_enet_logistic,
+    prepare_design,
+)
 
 __all__ = [
     "Family",
@@ -208,21 +216,22 @@ def _loss(family: str, model, X, target, stages=None):
 def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> np.ndarray:
     """Held-out loss of every candidate on every inner fold.
 
-    Boosting candidates that differ only in ``n_trees`` share one fit per
-    fold at their largest count, seeded as the first of them, and each
-    count is scored from the staged predictions of that fit.
+    Elastic-net candidates that share an ``l1_ratio`` are scored from one
+    regularization path per inner fold, on one standardization of its
+    training rows. Boosting candidates that differ only in ``n_trees`` share
+    one fit per fold at their largest count, seeded as the first of them,
+    and each count is scored from the staged predictions of that fit.
     """
-    staged = spec.family in (Family.GBT_REG, Family.GBT_CLF)
+    if spec.family in (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC):
+        return _path_fold_losses(X, target, spec.family, cands, plan)
     groups: dict = {}
     for ci, cand in enumerate(cands):
-        key = tuple((k, v) for k, v in cand.items() if k != "n_trees") if staged else ci
+        key = tuple((k, v) for k, v in cand.items() if k != "n_trees")
         groups.setdefault(key, []).append(ci)
     losses = np.empty((len(cands), plan.k))
     for members in groups.values():
-        fit_cand, stages = cands[members[0]], None
-        if staged:
-            stages = [int(cands[ci]["n_trees"]) for ci in members]
-            fit_cand = dict(fit_cand, n_trees=max(stages))
+        stages = [int(cands[ci]["n_trees"]) for ci in members]
+        fit_cand = dict(cands[members[0]], n_trees=max(stages))
         for f in range(plan.k):
             tr, te = plan.train_rows(f), plan.test_rows(f)
             model = _fit_one(
@@ -230,6 +239,23 @@ def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> np.ndar
                 derive_seed(spec.seed, f"inner-{members[0]}-{f}"),
             )
             losses[members, f] = _loss(spec.family, model, X[te], target[te], stages)
+    return losses
+
+
+def _path_fold_losses(X, target, family: str, cands: list[dict], plan) -> np.ndarray:
+    linear = family == Family.ELASTIC_LINEAR
+    penalty, path = ("alpha", enet_linear_path) if linear else ("C", enet_logistic_path)
+    by_ratio: dict = {}
+    for ci, cand in enumerate(cands):
+        by_ratio.setdefault(cand["l1_ratio"], []).append(ci)
+    losses = np.empty((len(cands), plan.k))
+    for f in range(plan.k):
+        tr, te = plan.train_rows(f), plan.test_rows(f)
+        design = prepare_design(X[tr])
+        for ratio, members in by_ratio.items():
+            fits = path(design, target[tr], [cands[ci][penalty] for ci in members], ratio)
+            for ci, model in zip(members, fits):
+                losses[ci, f] = _loss(family, model, X[te], target[te])
     return losses
 
 

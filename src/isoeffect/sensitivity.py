@@ -46,7 +46,6 @@ __all__ = [
     "robustness_value",
     "ovb_bounds",
     "contour_grid",
-    "calibrate_cy_cd",
     "calibrate_detail",
     "audit",
 ]
@@ -199,7 +198,9 @@ def calibrate_detail(
 ) -> CalibrationResult:
     """Refit on a weakened representation and measure how much moved.
 
-    The reduced run reuses the full run's fold plan and seed derivation so
+    The (C_Y, C_D) implied by dropping information are in ``.params``; the
+    reduced estimate, its ``sigma2`` / ``nu2`` and the bound half-width come
+    with them. The reduced run reuses the full run's fold plan and seed derivation so
     the out-of-fold quantities are paired row by row. C_Y compares outcome
     predictions relative to the reduced residual scale; C_D compares weight
     second moments. Omitting nothing (reduced == full) yields exactly
@@ -252,23 +253,6 @@ def calibrate_detail(
         reduced_nu2=red_nu2,
         bound_halfwidth=half,
     )
-
-
-def calibrate_cy_cd(
-    dataset: Dataset,
-    full_fits: NuisanceFits,
-    reduced_features: np.ndarray,
-    kind: str = EstimandKind.IATE,
-    outcome_spec: ModelSpec | None = None,
-    propensity_spec: ModelSpec | None = None,
-    seed: int = 0,
-    clip: ClipPolicy | None = None,
-) -> SensitivityParams:
-    """(C_Y, C_D) implied by dropping information from the representation."""
-    return calibrate_detail(
-        dataset, full_fits, reduced_features, kind,
-        outcome_spec, propensity_spec, seed=seed, clip=clip,
-    ).params
 
 
 def audit(

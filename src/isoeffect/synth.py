@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import Dataset, ValidationError, derive_seed
 
@@ -127,6 +126,8 @@ class SynthSpec:
 
 
 def _thresholds(spec: SynthSpec) -> np.ndarray:
+    from scipy.stats import norm  # imported here: scipy.stats dominates the CLI's start-up
+
     return norm.ppf(np.asarray(spec.marginals))
 
 

@@ -9,7 +9,9 @@ bug:
 - logistic elastic net: proximal gradient (ISTA) with a global Lipschitz
   step, versus the package's majorized coordinate descent;
 - boosted trees: exhaustive threshold search with plain per-side sums,
-  versus the package's binned right-of-cut histogram split finder.
+  versus the package's binned right-of-cut histogram split finder;
+- lexicon featurization: every token of every text tested against every
+  category, versus the package's vocabulary-compiled count columns.
 
 All reference solvers work on the standardized problem (columns centered and
 scaled to unit standard deviation, response centered for the linear case),
@@ -225,3 +227,24 @@ def reference_boost_regression(X: np.ndarray, y: np.ndarray, depth: int,
             X, resid, np.ones_like(resid), depth
         )
     return score
+
+
+# ---------------------------------------------------------------------------
+# lexicon featurization
+# ---------------------------------------------------------------------------
+
+
+def featurize_reference(texts, lexicon, mode: str = "binary") -> np.ndarray:
+    """Per-token featurization: each token of each text against each category."""
+    from isoeffect.featurize import MASK_TOKEN, tokenize
+
+    matchers = list(lexicon.matchers().values())
+    out = np.zeros((len(texts), len(matchers)), dtype=np.float64)
+    for i, text in enumerate(texts):
+        tokens = tokenize(text.replace(MASK_TOKEN, " "))
+        if not tokens:
+            continue
+        for j, match in enumerate(matchers):
+            hits = sum(1 for tok in tokens if match(tok))
+            out[i, j] = float(hits > 0) if mode == "binary" else float(hits)
+    return out

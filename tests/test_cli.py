@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isoeffect
 from isoeffect import Dataset, SynthSpec, generate, write_csv
 from isoeffect.cli import main
 from isoeffect.featurize import Lexicon, featurize_texts
@@ -350,3 +355,14 @@ def test_mask_pattern_calibration_end_to_end(text_corpus, tmp_path):
         assert entry["c_y"] >= 0
     # masking the dominant fitness pattern should cost outcome fidelity
     assert payload["calibrations"]["run*"]["c_y"] > 0
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats is most of the start-up every CLI run pays; only synth's
+    # threshold step needs it, so importing the CLI must not pull it in
+    src = str(Path(isoeffect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, isoeffect.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

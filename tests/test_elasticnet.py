@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoeffect.elasticnet import (
+    enet_linear_path,
+    enet_logistic_path,
     fit_enet_linear,
     fit_enet_logistic,
     linear_objective_std,
     logistic_objective_std,
+    prepare_design,
     standardize_columns,
 )
 from reference_solvers import (
@@ -116,7 +119,7 @@ def test_constant_column_gets_zero_coefficient():
 
 def test_linear_objective_trace_nonincreasing():
     X, y = _random_problem(7, n=80, d=8)
-    fit = fit_enet_linear(X, y, alpha=0.05, l1_ratio=0.3)
+    fit = fit_enet_linear(X, y, alpha=0.05, l1_ratio=0.3, track_objective=True)
     trace = np.array(fit.objective_trace)
     assert len(trace) >= 2
     assert np.all(np.diff(trace) <= 1e-12)
@@ -191,7 +194,7 @@ def test_logistic_package_objective_matches_reference_formula():
 
 def test_logistic_objective_trace_nonincreasing():
     X, y = _random_logistic(3, n=120, d=5)
-    fit = fit_enet_logistic(X, y, C=1.0, l1_ratio=0.5)
+    fit = fit_enet_logistic(X, y, C=1.0, l1_ratio=0.5, track_objective=True)
     trace = np.array(fit.objective_trace)
     assert len(trace) >= 2
     assert np.all(np.diff(trace) <= 1e-12)
@@ -238,3 +241,76 @@ def test_logistic_l1_sparsifies():
     dense = fit_enet_logistic(X, y, C=10.0, l1_ratio=0.0)
     sparse = fit_enet_logistic(X, y, C=0.05, l1_ratio=1.0)
     assert np.count_nonzero(sparse.coef) < np.count_nonzero(dense.coef)
+
+
+# ---------------------------------------------------------------------------
+# regularization paths
+# ---------------------------------------------------------------------------
+
+_ALPHAS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
+_CS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
+def test_linear_path_matches_cold_fits(l1_ratio):
+    X, y = _random_problem(11, n=80, d=6)
+    alphas = (1e-2, 1.0, 1e-4, 1e-1, 1e-3)  # any order; solved strongest first
+    path = enet_linear_path(X, y, alphas, l1_ratio)
+    assert [f.alpha for f in path] == list(alphas)
+    Z, _, _ = standardize_columns(X)
+    yc = y - y.mean()
+    for alpha, warm in zip(alphas, path):
+        cold = fit_enet_linear(X, y, alpha, l1_ratio)
+        assert warm.converged
+        np.testing.assert_allclose(warm.coef_std, cold.coef_std, atol=1e-6)
+        assert abs(warm.intercept - cold.intercept) < 1e-6
+        gap = (linear_objective_std(Z, yc, warm.coef_std, alpha, l1_ratio)
+               - linear_objective_std(Z, yc, cold.coef_std, alpha, l1_ratio))
+        assert abs(gap) < 1e-10
+
+
+@pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
+def test_logistic_path_matches_cold_fits(l1_ratio):
+    X, y = _random_logistic(12, n=150, d=5)
+    path = enet_logistic_path(X, y, _CS, l1_ratio)
+    assert [f.C for f in path] == list(_CS)
+    Z, _, _ = standardize_columns(X)
+    for C, warm in zip(_CS, path):
+        cold = fit_enet_logistic(X, y, C, l1_ratio)
+        assert warm.converged
+        np.testing.assert_allclose(warm.coef_std, cold.coef_std, atol=1e-5)
+        b_warm, b_cold = _std_intercept(warm, X), _std_intercept(cold, X)
+        assert abs(b_warm - b_cold) < 1e-5
+        gap = (logistic_objective_std(Z, y, warm.coef_std, b_warm, C, l1_ratio)
+               - logistic_objective_std(Z, y, cold.coef_std, b_cold, C, l1_ratio))
+        assert abs(gap) < 1e-10
+
+
+def test_path_accepts_a_prepared_design():
+    X, y = _random_problem(13)
+    design = prepare_design(X)
+    for a, b in zip(enet_linear_path(design, y, _ALPHAS, 0.5),
+                    enet_linear_path(X, y, _ALPHAS, 0.5)):
+        assert a.coef.tobytes() == b.coef.tobytes() and a.intercept == b.intercept
+
+
+def test_zero_penalty_at_path_end_meets_least_squares_contract():
+    X, y = _random_problem(0, n=40, d=5)
+    fit = enet_linear_path(X, y, (1.0, 0.1, 0.0), 0.5)[-1]
+    design = np.column_stack([np.ones(len(y)), X])
+    ols, *_ = np.linalg.lstsq(design, y, rcond=None)
+    assert fit.converged and fit.alpha == 0.0
+    assert abs(fit.intercept - ols[0]) < 1e-8
+    np.testing.assert_allclose(fit.coef, ols[1:], atol=1e-8)
+    cold = fit_enet_linear(X, y, 0.0, 0.5)
+    np.testing.assert_allclose(fit.coef, cold.coef, atol=1e-10)
+
+
+def test_path_input_validation():
+    X, y = _random_logistic(14, n=30, d=2)
+    with pytest.raises(ValueError, match="alpha >= 0"):
+        enet_linear_path(X, y, (0.1, -1.0), 0.5)
+    with pytest.raises(ValueError, match="C > 0"):
+        enet_logistic_path(X, y, (1.0, 0.0), 0.5)
+    with pytest.raises(ValueError, match="0/1"):
+        enet_logistic_path(X, y + 2.0, (1.0,), 0.5)

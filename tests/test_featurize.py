@@ -19,6 +19,7 @@ from isoeffect import (
     select_intervention,
 )
 from isoeffect.featurize import tokenize
+from reference_solvers import featurize_reference
 
 LEX = Lexicon(
     {
@@ -234,3 +235,50 @@ def test_featurize_binary_count_consistency(texts):
     count = featurize_texts(texts, lex, mode="count")
     assert set(np.unique(binary)) <= {0.0, 1.0}
     assert np.array_equal(binary, (count > 0).astype(float))
+
+
+# ---------------------------------------------------------------------------
+# compiled featurization versus the per-token reference
+# ---------------------------------------------------------------------------
+
+ORACLE_LEX = Lexicon(
+    {
+        "fitness": ("run*", "gym", "exercise"),
+        "diet": ("calorie*", "protein", "k*"),
+        "ppe": ("mask*",),
+        "numbers": ("10*", "7"),
+    }
+)
+_WORDS = ["run", "Running", "GYM", "exercise", "calories", "protein", "mask", "Masks",
+          "kettle", "10kg", "7", "77", "walk", "[MASK]", "épatant", "\u212aettle", "naïve"]
+_GLUE = [" ", "  ", ", ", "!", "-", "\t", "(", ")", "...", "", "\u00a0"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_GLUE)), max_size=12)
+        .map(lambda parts: "".join(w + g for w, g in parts))
+        | st.text(max_size=40),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from(["run*", "mask*", "k*", "protein", "10kg"]),
+)
+def test_featurize_matches_per_token_reference(texts, pattern):
+    for corpus in (texts, mask_terms(texts, [pattern])):
+        for mode in ("binary", "count"):
+            out = featurize_texts(corpus, ORACLE_LEX, mode=mode)
+            ref = featurize_reference(corpus, ORACLE_LEX, mode=mode)
+            assert out.tobytes() == ref.tobytes()
+
+
+def test_featurize_kelvin_sign_is_not_case_folded():
+    # U+212A (Kelvin sign) lowercases to "k" but is not in [0-9A-Za-z], so
+    # tokenization drops it before the ASCII token is lowercased
+    lex = Lexicon({"kettle": ("kettle",), "ettle": ("ettle",)})
+    text = "\u212aettle Kettle"
+    assert tokenize(text) == ["ettle", "kettle"]
+    out = featurize_texts([text, "\u212aettle"], lex, mode="count")
+    np.testing.assert_array_equal(out, [[1.0, 1.0], [0.0, 1.0]])
+    assert out.tobytes() == featurize_reference([text, "\u212aettle"], lex, "count").tobytes()

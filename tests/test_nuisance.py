@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from isoeffect import ValidationError
+from isoeffect.core import derive_seed, make_folds
+from isoeffect.elasticnet import fit_enet_linear, fit_enet_logistic
 from isoeffect.nuisance import (
     ClipPolicy,
     Family,
     ModelSpec,
     _inner_cv_choose,
+    _loss,
     cv_select,
     default_grid,
     fit_outcome_model,
@@ -120,6 +123,44 @@ def test_inner_cv_picks_informative_model():
     chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
     assert chosen["alpha"] == 1e-4  # shrinking a strong signal to zero loses badly
     assert len(diag["inner_cv"]["scores"]) == 2
+
+
+def _per_candidate_choice(X, target, spec):
+    """Inner-CV choice with every candidate refit from zero on every fold."""
+    cands = spec.candidates()
+    classifier = spec.family == Family.ELASTIC_LOGISTIC
+    plan = make_folds(len(target), spec.inner_folds, a=target if classifier else None,
+                      seed=derive_seed(spec.seed, "inner-cv"))
+    scores = []
+    for cand in cands:
+        losses = []
+        for f in range(plan.k):
+            tr, te = plan.train_rows(f), plan.test_rows(f)
+            if classifier:
+                model = fit_enet_logistic(X[tr], target[tr], cand["C"], cand["l1_ratio"])
+            else:
+                model = fit_enet_linear(X[tr], target[tr], cand["alpha"], cand["l1_ratio"])
+            losses.append(_loss(spec.family, model, X[te], target[te]))
+        scores.append(float(np.mean(losses)))
+    return cv_select(cands, scores), scores
+
+
+@pytest.mark.parametrize("family", [Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC])
+def test_path_selection_matches_per_candidate_scoring(family):
+    # default grids, scored along warm-started paths versus cold refits
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((160, 5))
+    X[:, 1] = 0.7 * X[:, 0] + 0.3 * X[:, 1]
+    eta = 0.3 + X @ np.array([1.0, -0.6, 0.0, 0.4, 0.1])
+    if family == Family.ELASTIC_LINEAR:
+        target = eta + 0.5 * rng.standard_normal(160)
+    else:
+        target = (rng.random(160) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    spec = ModelSpec(family, seed=3)
+    chosen, diag = _inner_cv_choose(X, target, spec, classifier=family in Family.CLASSIFIERS)
+    expected, scores = _per_candidate_choice(X, target, spec)
+    assert chosen == expected
+    np.testing.assert_allclose(diag["inner_cv"]["scores"], scores, rtol=0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from isoeffect import (
     ValidationError,
     Weights,
     audit,
-    calibrate_cy_cd,
     calibrate_detail,
     contour_grid,
     crossfit_nuisances,
@@ -129,9 +128,9 @@ def test_contour_grid_validation():
 def test_calibration_identity_is_exactly_zero(synth_medium):
     fits = crossfit_nuisances(synth_medium, outcome_spec=FAST_LINEAR,
                               propensity_spec=FAST_LOGISTIC, seed=9)
-    params = calibrate_cy_cd(synth_medium, fits, synth_medium.features,
-                             outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
-                             seed=9)
+    params = calibrate_detail(synth_medium, fits, synth_medium.features,
+                              outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
+                              seed=9).params
     # same features, same fold plan, same seeds: the reduced run reproduces
     # the full run bit for bit, so both strengths are exactly zero
     assert params.c_y == 0.0
@@ -164,10 +163,10 @@ def test_calibration_clamps_negative_cd(synth_medium):
     fits_flat = crossfit_nuisances(synth_medium, outcome_spec=FAST_LINEAR,
                                    propensity_spec=flat, seed=3)
     with pytest.warns(UserWarning, match="clamping"):
-        params = calibrate_cy_cd(synth_medium, fits_flat,
-                                 synth_medium.features[:, :3],
-                                 outcome_spec=FAST_LINEAR,
-                                 propensity_spec=FAST_LOGISTIC, seed=3)
+        params = calibrate_detail(synth_medium, fits_flat,
+                                  synth_medium.features[:, :3],
+                                  outcome_spec=FAST_LINEAR,
+                                  propensity_spec=FAST_LOGISTIC, seed=3).params
     assert params.cd_clamped
     assert params.c_d == 0.0
 
@@ -176,7 +175,7 @@ def test_calibration_rejects_general_kind(synth_medium):
     fits = crossfit_nuisances(synth_medium, outcome_spec=FAST_LINEAR,
                               propensity_spec=FAST_LOGISTIC)
     with pytest.raises(ValueError, match="iate and iatt"):
-        calibrate_cy_cd(synth_medium, fits, synth_medium.features, kind="general")
+        calibrate_detail(synth_medium, fits, synth_medium.features, kind="general").params
 
 
 def test_audit_matches_direct_computations(synth_medium):
