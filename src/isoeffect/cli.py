@@ -10,19 +10,17 @@ Subcommands:
 
 All artifacts are written atomically (temp file + rename) with fixed numeric
 formatting (12 significant digits), so identical configs and seeds yield
-byte-identical outputs. ``ISOEFFECT_THREADS`` caps fold-level worker
-threads.
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -33,23 +31,16 @@ from .core import (
     SchemaError,
     ValidationError,
     load_csv,
+    load_features_csv,
     write_csv,
 )
 from .estimator import estimate_effect, estimate_naive
-from .featurize import featurize_texts, load_lexicon, mask_terms
+from .featurize import featurize_texts, load_lexicon, mask_terms, restrict_dims, select_intervention
 from .nuisance import ClipPolicy, Family, ModelSpec
 from .sensitivity import audit, calibrate_detail, contour_grid
 from .synth import generate, oracle_tau, spec_from_json_file
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the subcommand plus its options."""
-
-    command: str
-    options: dict
+__all__ = ["build_parser", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -134,38 +125,6 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _load_feature_matrix(path: str, schema: dict | None) -> np.ndarray:
-    """Features-only loader for target corpora (no outcome/treatment needed)."""
-    merged = {"feature_prefix": "x_"}
-    if schema:
-        merged.update(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if merged.get("feature_columns"):
-            try:
-                idx = [header.index(str(c)) for c in merged["feature_columns"]]
-            except ValueError as exc:
-                raise SchemaError(f"{path}: {exc}") from None
-        else:
-            prefix = str(merged.get("feature_prefix", "x_"))
-            idx = [i for i, name in enumerate(header) if name.startswith(prefix)]
-        if not idx:
-            raise SchemaError(f"{path}: no feature columns matched")
-        rows = []
-        for row_no, row in enumerate(reader, start=1):
-            try:
-                rows.append([float(row[i]) for i in idx])
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}: bad feature row {row_no}") from None
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]:
     """Labeled reduced representations from --omit-features / --mask-patterns."""
     out: list[tuple[str, np.ndarray]] = []
@@ -231,7 +190,7 @@ def _estimate_with_audit(dataset: Dataset, opt: dict):
     if kind == EstimandKind.GENERAL:
         if not opt.get("target_data"):
             raise ValidationError("--estimand general requires --target-data")
-        target = _load_feature_matrix(opt["target_data"], _load_schema(opt.get("schema")))
+        target = load_features_csv(opt["target_data"], _load_schema(opt.get("schema")))
     est, fits, weights = estimate_effect(
         dataset,
         kind=kind,
@@ -285,27 +244,15 @@ def _cmd_sweep(opt: dict) -> int:
     if opt.get("estimand") == EstimandKind.GENERAL:
         raise ValidationError("sweep supports the iate and iatt estimands")
     dataset = load_csv(opt["data"], _load_schema(opt.get("schema")))
-    focal = opt["focal"]
-    names = list(dataset.feature_names)
-    if focal not in names:
-        raise ValidationError(f"--focal {focal!r} is not a feature column")
-    fj = names.index(focal)
-    a = dataset.features[:, fj]
-    if not np.all(np.isin(a, (0.0, 1.0))) or a.min() == a.max():
-        raise ValidationError(f"focal column {focal!r} must be binary with both arms")
-    rest = [i for i in range(len(names)) if i != fj]
-    matrix = dataset.features[:, rest]
-    lo, hi = _parse_dims(opt.get("dims", f"1..{len(rest)}"))
-    if hi > len(rest):
-        raise ValueError(f"--dims upper bound {hi} exceeds {len(rest)} non-focal columns")
+    split = select_intervention(dataset.features, dataset.feature_names, opt["focal"])
+    lo, hi = _parse_dims(opt.get("dims", f"1..{len(split.nonfocal_names)}"))
+    subsets = [(dims, restrict_dims(split, dims)) for dims in range(lo, hi + 1)]
 
     rows = []
-    for dims in range(lo, hi + 1):
-        sub = Dataset(
-            y=dataset.y, a=a, features=matrix[:, :dims],
-            feature_names=tuple(names[i] for i in rest[:dims]),
-        )
-        est, fits, weights, report = _estimate_with_audit(sub, {**opt, "estimand": opt.get("estimand", EstimandKind.IATE)})
+    for dims, sub in subsets:
+        sub_data = Dataset(y=dataset.y, a=sub.a, features=sub.features,
+                           feature_names=sub.nonfocal_names)
+        est, fits, weights, report = _estimate_with_audit(sub_data, opt)
         rows.append([
             str(dims), _fmt(est.tau_hat), _fmt(est.ci95[0]), _fmt(est.ci95[1]),
             _fmt(report.sigma2), _fmt(report.nu2), _fmt(report.rv),
@@ -314,8 +261,24 @@ def _cmd_sweep(opt: dict) -> int:
     return 0
 
 
+def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
+    """``(label, CalibrationResult)`` for each reduced representation."""
+    outcome_spec, propensity_spec = _model_specs(opt.get("model", "elastic"))
+    return [
+        (label, calibrate_detail(
+            dataset, fits, reduced,
+            kind=opt.get("estimand", EstimandKind.IATE),
+            outcome_spec=outcome_spec,
+            propensity_spec=propensity_spec,
+            seed=int(opt.get("seed", 0)),
+        ))
+        for label, reduced in reductions
+    ]
+
+
 def _cmd_contour(opt: dict) -> int:
     dataset = load_csv(opt["data"], _load_schema(opt.get("schema")))
+    reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
     if report.nu2 <= 0:
         print(
@@ -323,16 +286,10 @@ def _cmd_contour(opt: dict) -> int:
             file=sys.stderr,
         )
         return 1
-    points = []
-    for label, reduced in _reductions(dataset, opt):
-        cal = calibrate_detail(
-            dataset, fits, reduced,
-            kind=opt.get("estimand", EstimandKind.IATE),
-            outcome_spec=_model_specs(opt.get("model", "elastic"))[0],
-            propensity_spec=_model_specs(opt.get("model", "elastic"))[1],
-            seed=int(opt.get("seed", 0)),
-        )
-        points.append((label, cal.params.c_y, cal.params.c_d))
+    points = [
+        (label, cal.params.c_y, cal.params.c_d)
+        for label, cal in _calibrations(dataset, fits, reductions, opt)
+    ]
     grid = contour_grid(
         est.tau_hat, report.sigma2, report.nu2,
         cy_max=float(opt.get("cy_max", 1.0)),
@@ -364,15 +321,7 @@ def _cmd_calibrate(opt: dict) -> int:
         "nu2": report.nu2,
         "calibrations": {},
     }
-    outcome_spec, propensity_spec = _model_specs(opt.get("model", "elastic"))
-    for label, reduced in reductions:
-        cal = calibrate_detail(
-            dataset, fits, reduced,
-            kind=opt.get("estimand", EstimandKind.IATE),
-            outcome_spec=outcome_spec,
-            propensity_spec=propensity_spec,
-            seed=int(opt.get("seed", 0)),
-        )
+    for label, cal in _calibrations(dataset, fits, reductions, opt):
         payload["calibrations"][label] = {
             "c_y": cal.params.c_y,
             "c_d": cal.params.c_d,
@@ -393,14 +342,6 @@ _COMMANDS = {
     "contour": _cmd_contour,
     "calibrate": _cmd_calibrate,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns a process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown subcommand {config.command!r}")
-    return handler(config.options)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     options = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
-    config = RunConfig(command=args.command, options=options)
     try:
-        return run(config)
+        return _COMMANDS[args.command](options)
     except (SchemaError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ sensitivity re-runs can never mutate shared state.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
@@ -26,10 +27,10 @@ __all__ = [
     "EstimandKind",
     "Estimand",
     "load_csv",
+    "load_features_csv",
     "write_csv",
     "make_folds",
     "derive_seed",
-    "max_threads",
 ]
 
 
@@ -45,6 +46,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise naming the first (1-based) row of ``arr`` that holds a non-finite value."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite.reshape(arr.shape[0], -1).all(axis=1))[0])
+        raise ValidationError(f"non-finite {what} at row {bad + 1}")
 
 
 @dataclass(frozen=True)
@@ -92,12 +101,8 @@ class Dataset:
         if not np.all(np.isin(a_float, (0.0, 1.0))):
             bad = int(np.flatnonzero(~np.isin(a_float, (0.0, 1.0)))[0])
             raise ValidationError(f"treatment must be 0/1; offending row {bad + 1}")
-        if not np.all(np.isfinite(y)):
-            bad = int(np.flatnonzero(~np.isfinite(y))[0])
-            raise ValidationError(f"non-finite outcome at row {bad + 1}")
-        if feats.size and not np.all(np.isfinite(feats)):
-            bad = int(np.flatnonzero(~np.isfinite(feats).all(axis=1))[0])
-            raise ValidationError(f"non-finite feature value at row {bad + 1}")
+        _require_finite(y, "outcome")
+        _require_finite(feats, "feature value")
         names = tuple(self.feature_names) or tuple(f"x_{j}" for j in range(feats.shape[1]))
         if len(names) != feats.shape[1]:
             raise ValidationError(
@@ -192,6 +197,7 @@ class Estimand:
             tf = np.asarray(tf, dtype=np.float64)
             if tf.ndim != 2 or tf.shape[0] == 0:
                 raise ValidationError("target feature matrix must be non-empty and 2-d")
+            _require_finite(tf, "target feature value")
             object.__setattr__(self, "target_features", _readonly(tf))
         elif tf is not None:
             raise ValueError("target_features is only meaningful for the general estimand")
@@ -204,27 +210,62 @@ class Estimand:
 _DEFAULT_SCHEMA: dict = {"outcome": "y", "treatment": "a", "feature_prefix": "x_"}
 
 
-def _resolve_columns(header: list[str], schema: Mapping) -> tuple[int, int, list[int], int | None]:
-    def col(name: str, what: str) -> int:
-        try:
-            return header.index(name)
-        except ValueError:
-            raise SchemaError(f"{what} column {name!r} not found in header {header}") from None
+def _column(header: list[str], name: str, what: str) -> int:
+    try:
+        return header.index(name)
+    except ValueError:
+        raise SchemaError(f"{what} column {name!r} not found in header {header}") from None
 
-    y_idx = col(str(schema["outcome"]), "outcome")
-    a_idx = col(str(schema["treatment"]), "treatment")
+
+def _feature_columns(header: list[str], schema: Mapping) -> list[int]:
+    if schema.get("feature_columns"):
+        return [_column(header, str(c), "feature") for c in schema["feature_columns"]]
+    prefix = str(schema.get("feature_prefix", "x_"))
+    return [i for i, name in enumerate(header) if name.startswith(prefix)]
+
+
+def _resolve_columns(header: list[str], schema: Mapping) -> tuple[int, int, list[int], int | None]:
+    y_idx = _column(header, str(schema["outcome"]), "outcome")
+    a_idx = _column(header, str(schema["treatment"]), "treatment")
     text_idx = None
     if schema.get("text"):
-        text_idx = col(str(schema["text"]), "text")
-
-    if schema.get("feature_columns"):
-        feat_idx = [col(str(c), "feature") for c in schema["feature_columns"]]
-    else:
-        prefix = str(schema.get("feature_prefix", "x_"))
-        feat_idx = [i for i, name in enumerate(header) if name.startswith(prefix)]
+        text_idx = _column(header, str(schema["text"]), "text")
+    feat_idx = _feature_columns(header, schema)
     if not feat_idx and text_idx is None:
         raise SchemaError("schema must yield feature columns or a text column")
     return y_idx, a_idx, feat_idx, text_idx
+
+
+@contextlib.contextmanager
+def _csv_rows(path: str | os.PathLike):
+    """Yield ``(header, rows)``; ``rows`` gives ``(row_no, fields)`` checked for width."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected a header row") from None
+
+        def rows():
+            width = len(header)
+            for row_no, row in enumerate(reader, start=1):
+                if len(row) != width:
+                    raise ValidationError(
+                        f"row {row_no}: expected {width} fields, found {len(row)}"
+                    )
+                yield row_no, row
+
+        yield header, rows()
+
+
+def _number(row: list[str], row_no: int, idx: int, what: str) -> float:
+    try:
+        v = float(row[idx])
+    except ValueError:
+        raise ValidationError(f"row {row_no}: cannot parse {what} value {row[idx]!r}") from None
+    if not math.isfinite(v):
+        raise ValidationError(f"row {row_no}: non-finite {what} value")
+    return v
 
 
 def load_csv(path: str | os.PathLike, schema: Mapping | None = None) -> Dataset:
@@ -235,46 +276,21 @@ def load_csv(path: str | os.PathLike, schema: Mapping | None = None) -> Dataset:
     list, plus an optional ``text`` column name. Row indices in error
     messages are 1-based data rows (the header is row 0).
     """
-    merged = dict(_DEFAULT_SCHEMA)
-    if schema:
-        merged.update(schema)
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        y_idx, a_idx, feat_idx, text_idx = _resolve_columns(header, merged)
-
+    schema = {**_DEFAULT_SCHEMA, **(schema or {})}
+    with _csv_rows(path) as (header, rows):
+        y_idx, a_idx, feat_idx, text_idx = _resolve_columns(header, schema)
+        feat_what = [f"feature {header[j]!r}" for j in feat_idx]
         ys: list[float] = []
         as_: list[float] = []
         feats: list[list[float]] = []
         texts: list[str] = []
-        width = len(header)
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise ValidationError(
-                    f"row {row_no}: expected {width} fields, found {len(row)}"
-                )
-
-            def fnum(idx: int, what: str) -> float:
-                try:
-                    v = float(row[idx])
-                except ValueError:
-                    raise ValidationError(
-                        f"row {row_no}: cannot parse {what} value {row[idx]!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ValidationError(f"row {row_no}: non-finite {what} value")
-                return v
-
-            ys.append(fnum(y_idx, "outcome"))
-            a_val = fnum(a_idx, "treatment")
+        for row_no, row in rows:
+            ys.append(_number(row, row_no, y_idx, "outcome"))
+            a_val = _number(row, row_no, a_idx, "treatment")
             if a_val not in (0.0, 1.0):
                 raise ValidationError(f"row {row_no}: treatment must be 0 or 1, got {row[a_idx]!r}")
             as_.append(a_val)
-            feats.append([fnum(j, f"feature {header[j]!r}") for j in feat_idx])
+            feats.append([_number(row, row_no, j, w) for j, w in zip(feat_idx, feat_what)])
             if text_idx is not None:
                 texts.append(row[text_idx])
 
@@ -287,6 +303,25 @@ def load_csv(path: str | os.PathLike, schema: Mapping | None = None) -> Dataset:
         feature_names=tuple(header[j] for j in feat_idx),
         texts=tuple(texts) if text_idx is not None else None,
     )
+
+
+def load_features_csv(path: str | os.PathLike, schema: Mapping | None = None) -> np.ndarray:
+    """Load only the feature columns of a CSV, such as a general-estimand target corpus.
+
+    Columns, row widths and values are checked as in :func:`load_csv`; the
+    outcome, treatment and text columns are neither needed nor read.
+    """
+    schema = {**_DEFAULT_SCHEMA, **(schema or {})}
+    with _csv_rows(path) as (header, rows):
+        feat_idx = _feature_columns(header, schema)
+        if not feat_idx:
+            raise SchemaError(f"{path}: no feature columns matched")
+        feat_what = [f"feature {header[j]!r}" for j in feat_idx]
+        feats = [[_number(row, row_no, j, w) for j, w in zip(feat_idx, feat_what)]
+                 for row_no, row in rows]
+    if not feats:
+        raise ValidationError(f"{path}: no data rows")
+    return np.array(feats, dtype=np.float64)
 
 
 def write_csv(dataset: Dataset, path: str | os.PathLike) -> None:
@@ -319,16 +354,16 @@ def make_folds(
     k: int,
     a: np.ndarray | None = None,
     seed: int = 0,
-    stratify: bool = True,
 ) -> FoldPlan:
     """Build a deterministic k-fold plan, stratified by treatment when possible.
 
     Stratification deals each arm round-robin over a seeded shuffle, which
     keeps every fold's treated fraction within +-(1/fold size) of the global
-    fraction. If one arm has fewer than ``k`` rows the plan silently cannot
+    fraction. If one arm has fewer than ``k`` rows the plan cannot
     stratify; it downgrades to a plain shuffled split and sets the
     ``downgraded`` flag (also emitting a warning). Passing ``a=None`` yields
-    an unstratified plan for generic regression cross-validation.
+    an unstratified plan, as for regression cross-validation or the target
+    corpus of the general estimand.
     """
     if k < 2:
         raise ValueError(f"need at least 2 folds, got k={k}")
@@ -344,12 +379,12 @@ def make_folds(
         counts = [int((a == 0).sum()), int((a == 1).sum())]
         if min(counts) == 0:
             raise ValidationError("fold stratification requires both treatment arms")
-        if stratify and min(counts) >= k:
+        if min(counts) >= k:
             for arm in (0, 1):
                 idx = rng.permutation(np.flatnonzero(a == arm))
                 assignment[idx] = np.arange(idx.size) % k
             stratified = True
-        elif stratify:
+        else:
             downgraded = True
             warnings.warn(
                 f"an arm has fewer than k={k} rows; falling back to an unstratified split",
@@ -369,15 +404,3 @@ def derive_seed(seed: int, label: str) -> int:
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
-
-def max_threads() -> int:
-    """Worker-thread cap from ``ISOEFFECT_THREADS`` (default 1)."""
-    raw = os.environ.get("ISOEFFECT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer ISOEFFECT_THREADS={raw!r}")
-        return 1
-    return max(1, value)

@@ -19,7 +19,6 @@ scaling; ``ci95`` is the usual two-sided normal interval.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +31,6 @@ from .core import (
     ValidationError,
     derive_seed,
     make_folds,
-    max_threads,
 )
 from .nuisance import (
     ClipPolicy,
@@ -120,9 +118,7 @@ def crossfit_nuisances(
     k: int = 5,
     seed: int = 0,
     clip: ClipPolicy = ClipPolicy(),
-    stratify: bool = True,
     fold_plan: FoldPlan | None = None,
-    threads: int | None = None,
 ) -> NuisanceFits:
     """Cross-fit outcome and propensity models over k folds.
 
@@ -140,8 +136,7 @@ def crossfit_nuisances(
     dataset.require_both_arms()
     n = dataset.n
     if fold_plan is None:
-        fold_plan = make_folds(n, k, a=dataset.a, seed=derive_seed(seed, "folds"),
-                               stratify=stratify)
+        fold_plan = make_folds(n, k, a=dataset.a, seed=derive_seed(seed, "folds"))
     elif fold_plan.n != n:
         raise ValidationError("fold plan does not match dataset size")
     k = fold_plan.k
@@ -159,25 +154,22 @@ def crossfit_nuisances(
                 f"target corpus has {tgt.shape[1]} feature columns, source has {feats.shape[1]}"
             )
         m = tgt.shape[0]
-        rng = np.random.default_rng(derive_seed(seed, "target-folds"))
-        tgt_assign = np.empty(m, dtype=np.int64)
-        perm = rng.permutation(m)
-        tgt_assign[perm] = np.arange(m) % k
+        tgt_assign = make_folds(m, k, seed=derive_seed(seed, "target-folds")).assignment
 
     ghat_obs = np.empty(n)
     ghat1 = np.empty(n)
     ghat0 = np.empty(n)
     p_raw = np.empty(n)
     pi1_by_fold = np.empty(k)
-    outcome_models: list = [None] * k
-    propensity_models: list = [None] * k
+    outcome_models: list = []
+    propensity_models: list = []
     if general:
         t_ghat1, t_ghat0, t_p_raw, t_q_raw = (np.empty(m) for _ in range(4))
         s_q_raw = np.empty(n)
         frac_t_by_fold = np.empty(k)
-        corpus_models: list = [None] * k
+        corpus_models: list = []
 
-    def run_fold(f: int) -> None:
+    for f in range(k):
         tr = fold_plan.train_rows(f)
         te = fold_plan.test_rows(f)
         om = fit_outcome_model(
@@ -188,8 +180,8 @@ def crossfit_nuisances(
             replace(propensity_spec, seed=derive_seed(seed, f"propensity-f{f}")),
             clip=clip,
         )
-        outcome_models[f] = om
-        propensity_models[f] = pm
+        outcome_models.append(om)
+        propensity_models.append(pm)
         fe = feats[te]
         ghat_obs[te] = om.predict(np.column_stack([fe, a[te]]))
         ghat1[te] = om.predict(np.column_stack([fe, np.ones(len(te))]))
@@ -207,7 +199,7 @@ def crossfit_nuisances(
                 cx, cl, replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}")),
                 clip=clip,
             )
-            corpus_models[f] = cm
+            corpus_models.append(cm)
             frac_t_by_fold[f] = len(t_tr) / (len(tr) + len(t_tr))
             s_q_raw[te] = cm.model.predict_proba(fe)
             te_feats = tgt[t_te]
@@ -215,14 +207,6 @@ def crossfit_nuisances(
             t_p_raw[t_te] = raw_model.predict_proba(te_feats)
             t_ghat1[t_te] = om.predict(np.column_stack([te_feats, np.ones(len(t_te))]))
             t_ghat0[t_te] = om.predict(np.column_stack([te_feats, np.zeros(len(t_te))]))
-
-    workers = threads if threads is not None else max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_fold, range(k)))
-    else:
-        for f in range(k):
-            run_fold(f)
 
     p_hat = clip.apply(p_raw)
     diagnostics = {
@@ -325,6 +309,11 @@ def weights_iatt(a: np.ndarray, p_hat: np.ndarray, pi1) -> Weights:
     return Weights(kind=EstimandKind.IATT, gamma=gamma, target_gap=gap)
 
 
+def _target_gap(ratio, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Transported gap gamma(1,e) - gamma(0,e) = ratio * q/(1-q) * (1/p + 1/(1-p))."""
+    return ratio * (q / (1.0 - q)) * (1.0 / p + 1.0 / (1.0 - p))
+
+
 def weights_general(
     a: np.ndarray,
     p_hat: np.ndarray,
@@ -364,7 +353,7 @@ def weights_general(
             raise ValueError("target_prob_t is required alongside target_p_hat")
         tq = _check_probs(target_prob_t, "target corpus probabilities")
         t_ratio = float(np.mean(frac_s)) / float(np.mean(frac_t))
-    gap = t_ratio * (tq / (1.0 - tq)) * (1.0 / tp + 1.0 / (1.0 - tp))
+    gap = _target_gap(t_ratio, tq, tp)
     return Weights(kind=EstimandKind.GENERAL, gamma=gamma, target_gap=gap)
 
 
@@ -383,11 +372,7 @@ def weights_for(fits: NuisanceFits, a: np.ndarray, kind: str) -> Weights:
         w = weights_general(
             a, fits.p_hat, g.source_prob_t, 1.0 - frac_t, frac_t,
         )
-        t_gap = (
-            (1.0 - t_frac_t) / t_frac_t
-            * (g.target_prob_t / (1.0 - g.target_prob_t))
-            * (1.0 / g.target_p_hat + 1.0 / (1.0 - g.target_p_hat))
-        )
+        t_gap = _target_gap((1.0 - t_frac_t) / t_frac_t, g.target_prob_t, g.target_p_hat)
         return Weights(kind=EstimandKind.GENERAL, gamma=w.gamma, target_gap=t_gap)
     raise ValueError(f"unknown estimand kind {kind!r}")
 
@@ -560,9 +545,7 @@ def estimate_effect(
     k: int = 5,
     seed: int = 0,
     clip: ClipPolicy = ClipPolicy(),
-    stratify: bool = True,
     target_features: np.ndarray | None = None,
-    threads: int | None = None,
     return_parts: bool = False,
 ):
     """One-shot pipeline: cross-fit nuisances, build weights, estimate.
@@ -573,7 +556,7 @@ def estimate_effect(
     estimand = Estimand(kind, target_features if kind == EstimandKind.GENERAL else None)
     fits = crossfit_nuisances(
         dataset, estimand, outcome_spec, propensity_spec,
-        k=k, seed=seed, clip=clip, stratify=stratify, threads=threads,
+        k=k, seed=seed, clip=clip,
     )
     weights = weights_for(fits, dataset.a, kind)
     if kind == EstimandKind.GENERAL:

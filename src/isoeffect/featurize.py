@@ -198,7 +198,9 @@ def select_intervention(
     try:
         j = names.index(focal)
     except ValueError:
-        raise ValidationError(f"focal category {focal!r} not in {names}") from None
+        raise ValidationError(
+            f"focal {focal!r} is not a feature column: it is not in {names}"
+        ) from None
     col = matrix[:, j]
     if not np.all(np.isin(col, (0.0, 1.0))):
         raise ValidationError(f"focal column {focal!r} must be binary 0/1")
@@ -216,8 +218,10 @@ def select_intervention(
 def restrict_dims(split: InterventionSplit, dims: int) -> InterventionSplit:
     """Keep the first ``dims`` non-focal columns (nested prefix order)."""
     total = split.features.shape[1]
-    if not 1 <= dims <= total:
-        raise ValueError(f"dims must be in [1, {total}], got {dims}")
+    if dims < 1:
+        raise ValueError(f"dims must be at least 1, got {dims}")
+    if dims > total:
+        raise ValueError(f"dims {dims} exceeds the {total} non-focal columns")
     return InterventionSplit(
         a=split.a,
         features=split.features[:, :dims],

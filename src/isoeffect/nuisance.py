@@ -213,14 +213,15 @@ def _loss(family: str, model, X, target, stages=None):
     return np.mean(resid * resid, axis=-1)
 
 
-def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> np.ndarray:
-    """Held-out loss of every candidate on every inner fold.
+def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> tuple[np.ndarray, dict]:
+    """Held-out loss of every candidate on every inner fold, plus solver facts.
 
     Elastic-net candidates that share an ``l1_ratio`` are scored from one
     regularization path per inner fold, on one standardization of its
-    training rows. Boosting candidates that differ only in ``n_trees`` share
-    one fit per fold at their largest count, seeded as the first of them,
-    and each count is scored from the staged predictions of that fit.
+    training rows; the facts count the path solves that did not converge.
+    Boosting candidates that differ only in ``n_trees`` share one fit per
+    fold at their largest count, seeded as the first of them, and each count
+    is scored from the staged predictions of that fit.
     """
     if spec.family in (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC):
         return _path_fold_losses(X, target, spec.family, cands, plan)
@@ -239,16 +240,17 @@ def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> np.ndar
                 derive_seed(spec.seed, f"inner-{members[0]}-{f}"),
             )
             losses[members, f] = _loss(spec.family, model, X[te], target[te], stages)
-    return losses
+    return losses, {}
 
 
-def _path_fold_losses(X, target, family: str, cands: list[dict], plan) -> np.ndarray:
+def _path_fold_losses(X, target, family: str, cands: list[dict], plan) -> tuple[np.ndarray, dict]:
     linear = family == Family.ELASTIC_LINEAR
     penalty, path = ("alpha", enet_linear_path) if linear else ("C", enet_logistic_path)
     by_ratio: dict = {}
     for ci, cand in enumerate(cands):
         by_ratio.setdefault(cand["l1_ratio"], []).append(ci)
     losses = np.empty((len(cands), plan.k))
+    nonconverged = 0
     for f in range(plan.k):
         tr, te = plan.train_rows(f), plan.test_rows(f)
         design = prepare_design(X[tr])
@@ -256,7 +258,8 @@ def _path_fold_losses(X, target, family: str, cands: list[dict], plan) -> np.nda
             fits = path(design, target[tr], [cands[ci][penalty] for ci in members], ratio)
             for ci, model in zip(members, fits):
                 losses[ci, f] = _loss(family, model, X[te], target[te])
-    return losses
+                nonconverged += not model.converged
+    return losses, {"nonconverged": nonconverged}
 
 
 def _inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict, dict]:
@@ -271,9 +274,10 @@ def _inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict
         return dict(choice), {"inner_cv": "skipped_small_n"}
     strat = target if classifier else None
     plan = make_folds(n, spec.inner_folds, a=strat, seed=derive_seed(spec.seed, "inner-cv"))
-    scores = [float(np.mean(row)) for row in _fold_losses(X, target, spec, cands, plan)]
+    losses, facts = _fold_losses(X, target, spec, cands, plan)
+    scores = [float(np.mean(row)) for row in losses]
     choice = cv_select(cands, scores)
-    return choice, {"inner_cv": {"scores": tuple(scores), "chosen": dict(choice)}}
+    return choice, {"inner_cv": {"scores": tuple(scores), "chosen": dict(choice), **facts}}
 
 
 def _design_is_singular(X: np.ndarray) -> bool:

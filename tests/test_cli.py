@@ -96,15 +96,6 @@ def test_estimate_is_byte_deterministic(data_csv, tmp_path):
     assert out3.read_bytes() != out1.read_bytes()
 
 
-def test_estimate_threads_env_does_not_change_output(data_csv, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "t1.json", tmp_path / "t2.json"
-    monkeypatch.setenv("ISOEFFECT_THREADS", "1")
-    _estimate(data_csv, out1)
-    monkeypatch.setenv("ISOEFFECT_THREADS", "2")
-    _estimate(data_csv, out2)
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_estimate_iatt(data_csv, tmp_path):
     out = tmp_path / "iatt.json"
     assert _estimate(data_csv, out, "--estimand", "iatt") == 0
@@ -135,6 +126,37 @@ def test_estimate_general_with_target(data_csv, tmp_path):
     iate = json.loads(out_iate.read_text())
     tol = 4 * float(np.hypot(rep["se"], iate["se"])) + 0.05
     assert abs(rep["tau_hat"] - iate["tau_hat"]) < tol
+
+
+def _general(data_csv, tmp_path, target_text, *extra):
+    tpath = tmp_path / "target.csv"
+    tpath.write_text(target_text)
+    return _estimate(data_csv, tmp_path / "gen.json", "--estimand", "general",
+                     "--target-data", str(tpath), *extra)
+
+
+def _target_rows(n):
+    rows = [f"{0.1 * i},{-0.2 * i},{0.3 * i}" for i in range(n)]
+    return "x_0,x_1,x_2\n" + "\n".join(rows) + "\n"
+
+
+def test_target_data_rows_are_validated(data_csv, tmp_path, capsys):
+    text = _target_rows(20)
+    assert _general(data_csv, tmp_path, text.replace("\n0.5,", "\nnan,")) == 1
+    err = capsys.readouterr().err
+    assert "row 6" in err and "non-finite" in err
+    assert _general(data_csv, tmp_path, text.replace("\n0.5,", "\n0.5,9,")) == 1
+    assert "row 6: expected 3 fields" in capsys.readouterr().err
+
+
+def test_target_data_schema_and_size_errors(data_csv, tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"feature_columns": ["x_0", "x_1", "x_9"]}))
+    assert _general(data_csv, tmp_path, _target_rows(20), "--schema", str(schema)) == 1
+    assert "'x_9'" in capsys.readouterr().err
+    # fewer target rows than folds cannot be dealt into pseudo-folds
+    assert _general(data_csv, tmp_path, _target_rows(2)) == 1
+    assert "cannot split 2 rows into 3 folds" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

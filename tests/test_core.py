@@ -18,7 +18,7 @@ from isoeffect import (
     make_folds,
     write_csv,
 )
-from isoeffect.core import max_threads
+from isoeffect.core import load_features_csv
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,14 @@ def test_estimand_validation():
         Estimand("iate", target_features=np.zeros((2, 2)))
     est = Estimand("general", target_features=np.ones((3, 2)))
     assert est.target_features.shape == (3, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimand_rejects_nonfinite_target_features(bad):
+    target = np.ones((3, 2))
+    target[1, 0] = bad
+    with pytest.raises(ValidationError, match="target feature value at row 2"):
+        Estimand("general", target_features=target)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +186,38 @@ def test_load_csv_empty_and_headerless(tmp_path):
     path.write_text("y,a,x_0\n")
     with pytest.raises(ValidationError, match="no data rows"):
         load_csv(path)
+
+
+def test_load_features_csv_reads_feature_columns_only(tmp_path):
+    path = tmp_path / "target.csv"
+    path.write_text("x_0,note,x_1\n1.5,hi,2\n-3,,4e-2\n")
+    assert np.array_equal(load_features_csv(path), [[1.5, 2.0], [-3.0, 0.04]])
+    cols = load_features_csv(path, schema={"feature_columns": ["x_1", "x_0"]})
+    assert np.array_equal(cols, [[2.0, 1.5], [0.04, -3.0]])
+
+
+def test_load_features_csv_checks_rows_like_load_csv(tmp_path):
+    path = tmp_path / "target.csv"
+    path.write_text("x_0,x_1\n1,2\n1,nan\n")
+    with pytest.raises(ValidationError, match="row 2: non-finite feature 'x_1'"):
+        load_features_csv(path)
+    path.write_text("x_0,x_1\n1,2,3\n")
+    with pytest.raises(ValidationError, match="row 1: expected 2 fields"):
+        load_features_csv(path)
+    path.write_text("x_0,x_1\n1,two\n")
+    with pytest.raises(ValidationError, match="row 1: cannot parse"):
+        load_features_csv(path)
+    with pytest.raises(SchemaError, match="'x_9'"):
+        load_features_csv(path, schema={"feature_columns": ["x_9"]})
+    path.write_text("z_0\n1\n")
+    with pytest.raises(SchemaError, match="no feature columns"):
+        load_features_csv(path)
+    path.write_text("x_0\n")
+    with pytest.raises(ValidationError, match="no data rows"):
+        load_features_csv(path)
+    path.write_text("")
+    with pytest.raises(SchemaError, match="empty"):
+        load_features_csv(path)
 
 
 def test_load_csv_requires_features_or_text(tmp_path):
@@ -285,15 +325,3 @@ def test_derive_seed_range_and_stability():
             v = derive_seed(seed, label)
             assert 0 <= v < 2**32
             assert v == derive_seed(seed, label)
-
-
-def test_max_threads_env(monkeypatch):
-    monkeypatch.delenv("ISOEFFECT_THREADS", raising=False)
-    assert max_threads() == 1
-    monkeypatch.setenv("ISOEFFECT_THREADS", "4")
-    assert max_threads() == 4
-    monkeypatch.setenv("ISOEFFECT_THREADS", "0")
-    assert max_threads() == 1
-    monkeypatch.setenv("ISOEFFECT_THREADS", "junk")
-    with pytest.warns(UserWarning):
-        assert max_threads() == 1

@@ -168,16 +168,6 @@ def test_estimate_effect_deterministic(synth_small):
     assert e1.tau_hat != e3.tau_hat  # folds differ
 
 
-def test_parallel_fold_fitting_matches_serial(synth_small):
-    f1 = crossfit_nuisances(synth_small, outcome_spec=FAST_LINEAR,
-                            propensity_spec=FAST_LOGISTIC, seed=3, threads=1)
-    f4 = crossfit_nuisances(synth_small, outcome_spec=FAST_LINEAR,
-                            propensity_spec=FAST_LOGISTIC, seed=3, threads=4)
-    np.testing.assert_array_equal(f1.ghat_obs, f4.ghat_obs)
-    np.testing.assert_array_equal(f1.ghat1, f4.ghat1)
-    np.testing.assert_array_equal(f1.p_hat, f4.p_hat)
-
-
 def test_location_shift_moves_only_the_intercept(synth_small):
     base = estimate_effect(synth_small, outcome_spec=FAST_LINEAR,
                            propensity_spec=FAST_LOGISTIC, seed=2)

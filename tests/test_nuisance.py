@@ -123,6 +123,20 @@ def test_inner_cv_picks_informative_model():
     chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
     assert chosen["alpha"] == 1e-4  # shrinking a strong signal to zero loses badly
     assert len(diag["inner_cv"]["scores"]) == 2
+    assert diag["inner_cv"]["nonconverged"] == 0
+
+
+def test_inner_cv_counts_nonconverged_path_solves():
+    # perfectly separable with a margin: at C=100 the penalty barely holds the
+    # logistic coefficients back, and the path solve stops at max_passes
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((400, 3))
+    X[:, 0] += np.sign(X[:, 0])
+    a = (X[:, 0] > 0).astype(float)
+    spec = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [1.0, 100.0], "l1_ratio": [0.0]},
+                     inner_folds=2)
+    _, diag = _inner_cv_choose(X, a, spec, classifier=True)
+    assert 0 < diag["inner_cv"]["nonconverged"] <= 2
 
 
 def _per_candidate_choice(X, target, spec):
