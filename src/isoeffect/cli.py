@@ -37,7 +37,7 @@ from .core import (
 from .estimator import estimate_effect, estimate_naive
 from .featurize import featurize_texts, load_lexicon, mask_terms, restrict_dims, select_intervention
 from .nuisance import ClipPolicy, Family, ModelSpec
-from .sensitivity import audit, calibrate_detail, contour_grid
+from .sensitivity import audit, calibrate_detail, contour_grid, ovb_bounds
 from .synth import generate, oracle_tau, spec_from_json_file
 
 __all__ = ["build_parser", "main"]
@@ -128,7 +128,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
 def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]:
     """Labeled reduced representations from --omit-features / --mask-patterns."""
     out: list[tuple[str, np.ndarray]] = []
-    omit = options.get("omit_features")
+    omit = options["omit_features"]
     if omit:
         names = list(dataset.feature_names)
         for group in omit.split(","):
@@ -141,11 +141,11 @@ def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]
                 raise ValidationError(f"cannot omit unknown feature(s) {missing}")
             keep = [i for i, nm in enumerate(names) if nm not in members]
             out.append((group, dataset.features[:, keep]))
-    patterns = options.get("mask_patterns")
+    patterns = options["mask_patterns"]
     if patterns:
         if dataset.texts is None:
             raise ValidationError("--mask-patterns requires a text column in the data")
-        if not options.get("lexicon"):
+        if not options["lexicon"]:
             raise ValidationError("--mask-patterns requires --lexicon to refeaturize")
         lexicon = load_lexicon(options["lexicon"])
         for pat in patterns.split(","):
@@ -164,8 +164,8 @@ def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]
 
 def _cmd_synth(opt: dict) -> int:
     spec = spec_from_json_file(opt["spec"])
-    if opt.get("seed") is not None:
-        spec = replace(spec, seed=int(opt["seed"]))
+    if opt["seed"] is not None:
+        spec = replace(spec, seed=opt["seed"])
     os.makedirs(opt["out"], exist_ok=True)
     dataset = generate(spec)
     oracle = oracle_tau(spec)
@@ -184,21 +184,21 @@ def _cmd_synth(opt: dict) -> int:
 
 
 def _estimate_with_audit(dataset: Dataset, opt: dict):
-    outcome_spec, propensity_spec = _model_specs(opt.get("model", "elastic"))
-    kind = opt.get("estimand", EstimandKind.IATE)
+    outcome_spec, propensity_spec = _model_specs(opt["model"])
+    kind = opt["estimand"]
     target = None
     if kind == EstimandKind.GENERAL:
-        if not opt.get("target_data"):
+        if not opt["target_data"]:
             raise ValidationError("--estimand general requires --target-data")
-        target = load_features_csv(opt["target_data"], _load_schema(opt.get("schema")))
+        target = load_features_csv(opt["target_data"], _load_schema(opt["schema"]))
     est, fits, weights = estimate_effect(
         dataset,
         kind=kind,
         outcome_spec=outcome_spec,
         propensity_spec=propensity_spec,
-        k=int(opt.get("folds", 5)),
-        seed=int(opt.get("seed", 0)),
-        clip=ClipPolicy(float(opt.get("clip_eps", 0.01))),
+        k=opt["folds"],
+        seed=opt["seed"],
+        clip=ClipPolicy(opt["clip_eps"]),
         target_features=target,
         return_parts=True,
     )
@@ -221,8 +221,8 @@ def _report_payload(dataset: Dataset, opt: dict, est, report) -> dict:
         "se": est.standard_error,
         "ci95": [est.ci95[0], est.ci95[1]],
         "n": dataset.n,
-        "k": int(opt.get("folds", 5)),
-        "seed": int(opt.get("seed", 0)),
+        "k": opt["folds"],
+        "seed": opt["seed"],
         "naive_tau": naive.tau_hat,
         "sigma2": report.sigma2,
         "nu2": report.nu2,
@@ -234,18 +234,19 @@ def _report_payload(dataset: Dataset, opt: dict, est, report) -> dict:
 
 
 def _cmd_estimate(opt: dict) -> int:
-    dataset = load_csv(opt["data"], _load_schema(opt.get("schema")))
+    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     est, _, _, report = _estimate_with_audit(dataset, opt)
     _write_json(opt["out"], _report_payload(dataset, opt, est, report))
     return 0
 
 
 def _cmd_sweep(opt: dict) -> int:
-    if opt.get("estimand") == EstimandKind.GENERAL:
+    if opt["estimand"] == EstimandKind.GENERAL:
         raise ValidationError("sweep supports the iate and iatt estimands")
-    dataset = load_csv(opt["data"], _load_schema(opt.get("schema")))
+    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     split = select_intervention(dataset.features, dataset.feature_names, opt["focal"])
-    lo, hi = _parse_dims(opt.get("dims", f"1..{len(split.nonfocal_names)}"))
+    lo, hi = _parse_dims(opt["dims"] if opt["dims"] is not None
+                         else f"1..{len(split.nonfocal_names)}")
     subsets = [(dims, restrict_dims(split, dims)) for dims in range(lo, hi + 1)]
 
     rows = []
@@ -263,53 +264,39 @@ def _cmd_sweep(opt: dict) -> int:
 
 def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
     """``(label, CalibrationResult)`` for each reduced representation."""
-    outcome_spec, propensity_spec = _model_specs(opt.get("model", "elastic"))
+    outcome_spec, propensity_spec = _model_specs(opt["model"])
     return [
         (label, calibrate_detail(
             dataset, fits, reduced,
-            kind=opt.get("estimand", EstimandKind.IATE),
+            kind=opt["estimand"],
             outcome_spec=outcome_spec,
             propensity_spec=propensity_spec,
-            seed=int(opt.get("seed", 0)),
+            seed=opt["seed"],
         ))
         for label, reduced in reductions
     ]
 
 
 def _cmd_contour(opt: dict) -> int:
-    dataset = load_csv(opt["data"], _load_schema(opt.get("schema")))
+    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
-    if report.nu2 <= 0:
-        print(
-            f"error: nu2 = {report.nu2:.6g} <= 0; bias bounds are undefined for this fit",
-            file=sys.stderr,
-        )
-        return 1
-    points = [
-        (label, cal.params.c_y, cal.params.c_d)
-        for label, cal in _calibrations(dataset, fits, reductions, opt)
-    ]
-    grid = contour_grid(
-        est.tau_hat, report.sigma2, report.nu2,
-        cy_max=float(opt.get("cy_max", 1.0)),
-        cd_max=float(opt.get("cd_max", 1.0)),
-        steps=int(opt.get("steps", 21)),
-        calibration_points=tuple(points),
-    )
+    bound = (est.tau_hat, report.sigma2, report.nu2)
+    # before any calibration refit: fails on a bad grid or nu2 <= 0
+    grid = contour_grid(*bound, cy_max=opt["cy_max"], cd_max=opt["cd_max"], steps=opt["steps"])
     rows = []
     for i, cy in enumerate(grid.cy_axis):
         for j, cd in enumerate(grid.cd_axis):
             rows.append([_fmt(cy), _fmt(cd), _fmt(grid.lower_bound[i, j])])
-    scale = float(np.sqrt(report.sigma2 * report.nu2))
-    for label, cy, cd in grid.calibration_points:
-        rows.append([_fmt(cy), _fmt(cd), _fmt(est.tau_hat - scale * cy * cd), label])
+    for label, cal in _calibrations(dataset, fits, reductions, opt):
+        lower = ovb_bounds(*bound, cal.params)[0]
+        rows.append([_fmt(cal.params.c_y), _fmt(cal.params.c_d), _fmt(lower), label])
     _write_rows(opt["out"], ["cy", "cd", "lower_bound"], rows)
     return 0
 
 
 def _cmd_calibrate(opt: dict) -> int:
-    dataset = load_csv(opt["data"], _load_schema(opt.get("schema")))
+    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
     if not reductions:
         raise ValidationError("calibrate needs --omit-features and/or --mask-patterns")
@@ -349,16 +336,23 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, estimand: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", help="schema JSON (outcome/treatment/feature columns)")
     p.add_argument("--model", choices=("elastic", "gbt"), default="elastic")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip-eps", dest="clip_eps", type=float, default=0.01)
-    if estimand:
-        p.add_argument("--estimand", choices=EstimandKind.ALL, default=EstimandKind.IATE)
-        p.add_argument("--target-data", dest="target_data",
-                       help="target corpus CSV (general estimand)")
+    p.add_argument("--estimand", choices=EstimandKind.ALL, default=EstimandKind.IATE)
+    p.add_argument("--target-data", dest="target_data",
+                   help="target corpus CSV (general estimand)")
+
+
+def _add_reductions(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--omit-features", dest="omit_features",
+                   help="comma-separated features (join groups with '+') to omit")
+    p.add_argument("--mask-patterns", dest="mask_patterns",
+                   help="comma-separated token patterns to mask")
+    p.add_argument("--lexicon", help="lexicon JSON (needed with --mask-patterns)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,19 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cy-max", dest="cy_max", type=float, default=1.0)
     p.add_argument("--cd-max", dest="cd_max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=21)
-    p.add_argument("--omit-features", dest="omit_features",
-                   help="comma-separated features (join groups with '+') for labeled points")
-    p.add_argument("--mask-patterns", dest="mask_patterns",
-                   help="comma-separated token patterns to mask for labeled points")
-    p.add_argument("--lexicon", help="lexicon JSON (needed with --mask-patterns)")
+    _add_reductions(p)
     _add_common(p)
 
     p = sub.add_parser("calibrate", help="(C_Y, C_D) per omitted feature / masked pattern")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="calibration JSON path")
-    p.add_argument("--omit-features", dest="omit_features")
-    p.add_argument("--mask-patterns", dest="mask_patterns")
-    p.add_argument("--lexicon")
+    _add_reductions(p)
     _add_common(p)
 
     return parser
@@ -411,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    options = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+    options = {k: v for k, v in vars(args).items() if k != "command"}
     try:
         return _COMMANDS[args.command](options)
     except (SchemaError, ValidationError, ValueError, OSError) as exc:

@@ -154,6 +154,10 @@ def crossfit_nuisances(
                 f"target corpus has {tgt.shape[1]} feature columns, source has {feats.shape[1]}"
             )
         m = tgt.shape[0]
+        if m < k:
+            raise ValidationError(
+                f"target corpus too small for the folds: cannot split {m} rows into {k} folds"
+            )
         tgt_assign = make_folds(m, k, seed=derive_seed(seed, "target-folds")).assignment
 
     ghat_obs = np.empty(n)
@@ -176,9 +180,7 @@ def crossfit_nuisances(
             design[tr], y[tr], replace(outcome_spec, seed=derive_seed(seed, f"outcome-f{f}"))
         )
         pm = fit_propensity_model(
-            feats[tr], a[tr],
-            replace(propensity_spec, seed=derive_seed(seed, f"propensity-f{f}")),
-            clip=clip,
+            feats[tr], a[tr], replace(propensity_spec, seed=derive_seed(seed, f"propensity-f{f}"))
         )
         outcome_models.append(om)
         propensity_models.append(pm)
@@ -187,8 +189,7 @@ def crossfit_nuisances(
         ghat1[te] = om.predict(np.column_stack([fe, np.ones(len(te))]))
         ghat0[te] = om.predict(np.column_stack([fe, np.zeros(len(te))]))
         # keep the raw probabilities for clip diagnostics; clip once below
-        raw_model = pm.model
-        p_raw[te] = raw_model.predict_proba(fe)
+        p_raw[te] = pm.predict_proba(fe)
         pi1_by_fold[f] = a[tr].mean()
         if general:
             t_tr = np.flatnonzero(tgt_assign != f)
@@ -196,15 +197,14 @@ def crossfit_nuisances(
             cx = np.vstack([feats[tr], tgt[t_tr]])
             cl = np.concatenate([np.zeros(len(tr)), np.ones(len(t_tr))])
             cm = fit_propensity_model(
-                cx, cl, replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}")),
-                clip=clip,
+                cx, cl, replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}"))
             )
             corpus_models.append(cm)
             frac_t_by_fold[f] = len(t_tr) / (len(tr) + len(t_tr))
-            s_q_raw[te] = cm.model.predict_proba(fe)
+            s_q_raw[te] = cm.predict_proba(fe)
             te_feats = tgt[t_te]
-            t_q_raw[t_te] = cm.model.predict_proba(te_feats)
-            t_p_raw[t_te] = raw_model.predict_proba(te_feats)
+            t_q_raw[t_te] = cm.predict_proba(te_feats)
+            t_p_raw[t_te] = pm.predict_proba(te_feats)
             t_ghat1[t_te] = om.predict(np.column_stack([te_feats, np.ones(len(t_te))]))
             t_ghat0[t_te] = om.predict(np.column_stack([te_feats, np.zeros(len(t_te))]))
 
@@ -314,24 +314,28 @@ def _target_gap(ratio, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return ratio * (q / (1.0 - q)) * (1.0 / p + 1.0 / (1.0 - p))
 
 
+def _general_gamma(a: np.ndarray, p: np.ndarray, q: np.ndarray, share) -> np.ndarray:
+    """Transported weight (2a - 1) * share * q/(1-q) / P(a | e), share = frac_s/frac_t."""
+    p_obs = np.where(a == 1.0, p, 1.0 - p)
+    return (2.0 * a - 1.0) * (share * (q / (1.0 - q))) / p_obs
+
+
 def weights_general(
     a: np.ndarray,
     p_hat: np.ndarray,
     corpus_prob_t: np.ndarray,
     frac_s,
     frac_t,
-    target_p_hat: np.ndarray | None = None,
-    target_prob_t: np.ndarray | None = None,
 ) -> Weights:
-    """Weights transporting onto an arbitrary target corpus.
+    """Weights transporting onto an arbitrary target corpus, gaps at target = source.
 
     gamma_i = (2 a_i - 1) * [frac_s/frac_t] * [q_i/(1-q_i)] / P(a=a_i | e_i)
 
     with q = P(corpus = target | e) from a source-vs-target classifier and
     frac_* the marginal corpus shares. With ``corpus_prob_t == frac_t`` this
     reduces exactly to :func:`weights_iate`. Target gaps are evaluated on
-    the target rows when ``target_p_hat``/``target_prob_t`` are given,
-    otherwise on the source rows (target = source).
+    the source rows; :func:`weights_for` evaluates them on the target rows
+    of cross-fitted general nuisances.
     """
     a = np.asarray(a, dtype=np.float64)
     p = _check_probs(p_hat, "propensities")
@@ -340,25 +344,21 @@ def weights_general(
     frac_t = np.broadcast_to(np.asarray(frac_t, dtype=np.float64), a.shape)
     if frac_s.min() <= 0.0 or frac_t.min() <= 0.0:
         raise ValidationError("corpus fractions must be positive")
-    ratio = (frac_s / frac_t) * (q / (1.0 - q))
-    p_obs = np.where(a == 1.0, p, 1.0 - p)
-    gamma = (2.0 * a - 1.0) * ratio / p_obs
-
-    if target_p_hat is None:
-        tp, tq = p, q
-        t_ratio = frac_s / frac_t
-    else:
-        tp = _check_probs(target_p_hat, "target propensities")
-        if target_prob_t is None:
-            raise ValueError("target_prob_t is required alongside target_p_hat")
-        tq = _check_probs(target_prob_t, "target corpus probabilities")
-        t_ratio = float(np.mean(frac_s)) / float(np.mean(frac_t))
-    gap = _target_gap(t_ratio, tq, tp)
-    return Weights(kind=EstimandKind.GENERAL, gamma=gamma, target_gap=gap)
+    share = frac_s / frac_t
+    return Weights(
+        kind=EstimandKind.GENERAL,
+        gamma=_general_gamma(a, p, q, share),
+        target_gap=_target_gap(share, q, p),
+    )
 
 
 def weights_for(fits: NuisanceFits, a: np.ndarray, kind: str) -> Weights:
-    """Build the estimand's weights from cross-fitted nuisances."""
+    """Build the estimand's weights from cross-fitted nuisances.
+
+    General weights use each row's fold share, (1 - f)/f with f the target
+    fraction of the corpus classifier's training rows: per source row for
+    gamma, per target row for the target gaps.
+    """
     if kind == EstimandKind.IATE:
         return weights_iate(a, fits.p_hat)
     if kind == EstimandKind.IATT:
@@ -369,11 +369,13 @@ def weights_for(fits: NuisanceFits, a: np.ndarray, kind: str) -> Weights:
             raise ValidationError("fits carry no general-estimand extras")
         frac_t = g.frac_t_by_fold[fits.fold_plan.assignment]
         t_frac_t = g.frac_t_by_fold[g.target_assignment]
-        w = weights_general(
-            a, fits.p_hat, g.source_prob_t, 1.0 - frac_t, frac_t,
+        p = _check_probs(fits.p_hat, "propensities")
+        q = _check_probs(g.source_prob_t, "corpus probabilities")
+        return Weights(
+            kind=EstimandKind.GENERAL,
+            gamma=_general_gamma(np.asarray(a, dtype=np.float64), p, q, (1.0 - frac_t) / frac_t),
+            target_gap=_target_gap((1.0 - t_frac_t) / t_frac_t, g.target_prob_t, g.target_p_hat),
         )
-        t_gap = _target_gap((1.0 - t_frac_t) / t_frac_t, g.target_prob_t, g.target_p_hat)
-        return Weights(kind=EstimandKind.GENERAL, gamma=w.gamma, target_gap=t_gap)
     raise ValueError(f"unknown estimand kind {kind!r}")
 
 

@@ -80,7 +80,6 @@ class ModelSpec:
     hyper_grid: Mapping[str, Sequence] | None = None
     inner_folds: int = 5
     seed: int = 0
-    subsample: float = 0.7  # boosting row subsample; ignored by elastic nets
 
     def __post_init__(self) -> None:
         if self.family not in Family.ALL:
@@ -122,13 +121,12 @@ class FittedModel:
     """A trained nuisance model with its chosen hyperparameters.
 
     Predictions are pure functions of the input features. Classifier
-    probabilities are clipped per the attached :class:`ClipPolicy`.
+    probabilities are raw; the cross-fitting step clips them once.
     """
 
     family: str
     model: LinearFit | LogisticFit | GBTModel | None
     chosen: dict
-    clip: ClipPolicy | None = None
     constant: float | None = None  # degenerate constant-target fallback
     diagnostics: dict = field(default_factory=dict)
 
@@ -147,10 +145,8 @@ class FittedModel:
         if not self.is_classifier:
             raise ValueError("predict_proba is only defined for classifiers")
         if self.constant is not None:
-            p = np.full(np.asarray(X).shape[0], self.constant)
-        else:
-            p = self.model.predict_proba(X)
-        return self.clip.apply(p) if self.clip is not None else p
+            return np.full(np.asarray(X).shape[0], self.constant)
+        return self.model.predict_proba(X)
 
 
 def _reg_strength(candidate: Mapping) -> tuple:
@@ -186,7 +182,7 @@ def cv_select(candidates: Sequence[Mapping], scores: Sequence[float]) -> dict:
     return max(tied, key=_reg_strength)
 
 
-def _fit_one(family: str, X, target, cand: Mapping, subsample: float, seed: int):
+def _fit_one(family: str, X, target, cand: Mapping, seed: int):
     if family == Family.ELASTIC_LINEAR:
         return fit_enet_linear(X, target, alpha=cand["alpha"], l1_ratio=cand["l1_ratio"])
     if family == Family.ELASTIC_LOGISTIC:
@@ -198,7 +194,6 @@ def _fit_one(family: str, X, target, cand: Mapping, subsample: float, seed: int)
         depth=int(cand["depth"]),
         n_trees=int(cand["n_trees"]),
         learning_rate=float(cand["learning_rate"]),
-        subsample=subsample,
         seed=seed,
     )
 
@@ -236,7 +231,7 @@ def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> tuple[n
         for f in range(plan.k):
             tr, te = plan.train_rows(f), plan.test_rows(f)
             model = _fit_one(
-                spec.family, X[tr], target[tr], fit_cand, spec.subsample,
+                spec.family, X[tr], target[tr], fit_cand,
                 derive_seed(spec.seed, f"inner-{members[0]}-{f}"),
             )
             losses[members, f] = _loss(spec.family, model, X[te], target[te], stages)
@@ -320,13 +315,11 @@ def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedMo
             )
             chosen = dict(chosen, alpha=fallback)
             diag = dict(diag, singular_fallback=fallback)
-    model = _fit_one(spec.family, X, y, chosen, spec.subsample, derive_seed(spec.seed, "final"))
+    model = _fit_one(spec.family, X, y, chosen, derive_seed(spec.seed, "final"))
     return FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
 
 
-def fit_propensity_model(
-    X: np.ndarray, a: np.ndarray, spec: ModelSpec, clip: ClipPolicy = ClipPolicy()
-) -> FittedModel:
+def fit_propensity_model(X: np.ndarray, a: np.ndarray, spec: ModelSpec) -> FittedModel:
     """Fit the propensity classifier ``P(a = 1 | features)``.
 
     Raises when only one class is present: a propensity on a single arm is
@@ -342,5 +335,5 @@ def fit_propensity_model(
         raise ValidationError("propensity fitting requires both treatment arms")
 
     chosen, diag = _inner_cv_choose(X, a, spec, classifier=True)
-    model = _fit_one(spec.family, X, a, chosen, spec.subsample, derive_seed(spec.seed, "final"))
-    return FittedModel(family=spec.family, model=model, chosen=chosen, clip=clip, diagnostics=diag)
+    model = _fit_one(spec.family, X, a, chosen, derive_seed(spec.seed, "final"))
+    return FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)

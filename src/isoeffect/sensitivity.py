@@ -14,13 +14,16 @@ factor C_Y and the weights by C_D, the induced bias is bounded by
 sqrt(sigma2 * nu2) * C_Y * C_D. The robustness value is the common
 C_Y = C_D magnitude that could just explain the whole estimate away.
 The debiased nu2 can go negative in samples with weak overlap signal; it
-is flagged and never clamped, and the derived quantities are withheld.
+is flagged and never clamped. The bound is computed in one place,
+``_bound_scale``: at nu2 <= 0 the robustness value, audit bounds and
+calibrated half-widths are withheld (None / empty), and ``ovb_bounds`` /
+``contour_grid``, which have nothing to withhold, raise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .estimator import (
     estimate_dr,
     weights_for,
 )
-from .nuisance import ClipPolicy, ModelSpec
+from .nuisance import ModelSpec
 
 __all__ = [
     "SensitivityParams",
@@ -88,7 +91,6 @@ class ContourGrid:
     cy_axis: np.ndarray
     cd_axis: np.ndarray
     lower_bound: np.ndarray
-    calibration_points: tuple = ()
 
 
 def sigma2_hat(y: np.ndarray, ghat_obs: np.ndarray) -> float:
@@ -114,60 +116,54 @@ def nu2_plugin(weights: Weights) -> float:
     return float(np.mean(weights.gamma**2))
 
 
+def _bound_scale(sigma2: float, nu2: float, required: bool = False) -> float | None:
+    """sqrt(sigma2 * nu2): the bias bound per unit of C_Y * C_D.
+
+    sigma2 <= 0 is a degenerate fit and raises. nu2 <= 0 leaves the bound
+    undefined: None is returned, or ``ValidationError`` raised when the
+    caller cannot withhold (``required``); the product is never clamped.
+    """
+    if sigma2 <= 0:
+        raise DegenerateModelError(f"sigma2 must be positive, got {sigma2}")
+    if nu2 <= 0:
+        if required:
+            raise ValidationError(f"nu2 = {nu2} <= 0: bias bound undefined (overlap degenerate)")
+        return None
+    return float(np.sqrt(sigma2 * nu2))
+
+
 def robustness_value(tau_hat: float, sigma2: float, nu2: float) -> float | None:
     """|tau| / sqrt(sigma2 * nu2); None when nu2 <= 0 (undefined overlap).
 
     This is the joint calibration strength C_Y = C_D at which the bias
     bound first crosses the point estimate.
     """
-    if sigma2 <= 0:
-        raise DegenerateModelError(f"sigma2 must be positive, got {sigma2}")
-    if nu2 <= 0:
-        return None
-    return abs(tau_hat) / float(np.sqrt(sigma2 * nu2))
+    scale = _bound_scale(sigma2, nu2)
+    return None if scale is None else abs(tau_hat) / scale
 
 
 def ovb_bounds(tau_hat: float, sigma2: float, nu2: float, params: SensitivityParams) -> tuple[float, float]:
     """Bias interval tau_hat -+ sqrt(sigma2 nu2) * C_Y * C_D."""
-    if sigma2 <= 0:
-        raise DegenerateModelError(f"sigma2 must be positive, got {sigma2}")
-    if nu2 <= 0:
-        raise ValidationError(f"nu2 = {nu2} <= 0: bias bound undefined (overlap degenerate)")
-    half = float(np.sqrt(sigma2 * nu2)) * params.c_y * params.c_d
+    half = _bound_scale(sigma2, nu2, required=True) * params.c_y * params.c_d
     return (tau_hat - half, tau_hat + half)
 
 
 def contour_grid(
-    tau_hat: float,
-    sigma2: float,
-    nu2: float,
-    cy_max: float,
-    cd_max: float,
-    steps: int,
-    calibration_points: tuple = (),
+    tau_hat: float, sigma2: float, nu2: float, cy_max: float, cd_max: float, steps: int
 ) -> ContourGrid:
     """Lower bounds over the axis-aligned grid [0, cy_max] x [0, cd_max].
 
     Cell (0, 0) is exactly ``tau_hat``; the bound is non-increasing in both
-    axes. ``calibration_points`` are (label, c_y, c_d) triples carried
-    through for plotting and reporting.
+    axes.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if cy_max <= 0 or cd_max <= 0:
         raise ValueError("grid maxima must be positive")
-    if sigma2 <= 0:
-        raise DegenerateModelError(f"sigma2 must be positive, got {sigma2}")
-    if nu2 <= 0:
-        raise ValidationError(f"nu2 = {nu2} <= 0: contour undefined")
+    scale = _bound_scale(sigma2, nu2, required=True)
     cy = np.linspace(0.0, cy_max, steps)
     cd = np.linspace(0.0, cd_max, steps)
-    scale = float(np.sqrt(sigma2 * nu2))
-    lower = tau_hat - scale * np.outer(cy, cd)
-    return ContourGrid(
-        cy_axis=cy, cd_axis=cd, lower_bound=lower,
-        calibration_points=tuple(calibration_points),
-    )
+    return ContourGrid(cy_axis=cy, cd_axis=cd, lower_bound=tau_hat - scale * np.outer(cy, cd))
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +173,16 @@ def contour_grid(
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibration strengths plus the reduced-representation audit pieces."""
+    """Calibration strengths plus the reduced-representation audit pieces.
+
+    ``bound_halfwidth`` is None when ``reduced_nu2 <= 0``.
+    """
 
     params: SensitivityParams
     reduced_estimate: EffectEstimate
     reduced_sigma2: float
     reduced_nu2: float
-    bound_halfwidth: float
+    bound_halfwidth: float | None
 
 
 def calibrate_detail(
@@ -194,44 +193,41 @@ def calibrate_detail(
     outcome_spec: ModelSpec | None = None,
     propensity_spec: ModelSpec | None = None,
     seed: int = 0,
-    clip: ClipPolicy | None = None,
 ) -> CalibrationResult:
     """Refit on a weakened representation and measure how much moved.
 
     The (C_Y, C_D) implied by dropping information are in ``.params``; the
     reduced estimate, its ``sigma2`` / ``nu2`` and the bound half-width come
-    with them. The reduced run reuses the full run's fold plan and seed derivation so
-    the out-of-fold quantities are paired row by row. C_Y compares outcome
-    predictions relative to the reduced residual scale; C_D compares weight
-    second moments. Omitting nothing (reduced == full) yields exactly
-    (0, 0).
+    with them. The reduced run reuses the full run's fold plan, clip policy
+    and seed derivation so the out-of-fold quantities are paired row by row.
+    C_Y compares outcome predictions relative to the reduced residual scale;
+    C_D compares weight second moments. Omitting nothing (reduced == full)
+    yields exactly (0, 0).
     """
     if kind == EstimandKind.GENERAL:
         raise ValueError("calibration supports the iate and iatt estimands")
     reduced = Dataset(y=dataset.y, a=dataset.a, features=np.asarray(reduced_features, dtype=np.float64))
-    clip = clip if clip is not None else full_fits.clip
     red_fits = crossfit_nuisances(
         reduced,
         Estimand(kind),
         outcome_spec,
         propensity_spec,
         seed=seed,
-        clip=clip,
+        clip=full_fits.clip,
         fold_plan=full_fits.fold_plan,
     )
     a = dataset.a
     w_full = weights_for(full_fits, a, kind)
     w_red = weights_for(red_fits, a, kind)
+    red_sigma2 = sigma2_hat(dataset.y, red_fits.ghat_obs)
+    red_nu2 = nu2_hat(w_red)
+    scale = _bound_scale(red_sigma2, red_nu2)
 
-    resid_red = dataset.y - red_fits.ghat_obs
-    denom_y = float(np.mean(resid_red * resid_red))
-    if denom_y <= 0:
-        raise DegenerateModelError("reduced model has zero residual variance")
     diff = full_fits.ghat_obs - red_fits.ghat_obs
-    c_y = float(np.sqrt(np.mean(diff * diff) / denom_y))
+    c_y = float(np.sqrt(np.mean(diff * diff) / red_sigma2))
 
-    m_full = float(np.mean(w_full.gamma**2))
-    m_red = float(np.mean(w_red.gamma**2))
+    m_full = nu2_plugin(w_full)
+    m_red = nu2_plugin(w_red)
     numer = m_full - m_red
     clamped = numer < 0
     if clamped:
@@ -241,17 +237,12 @@ def calibrate_detail(
         numer = 0.0
     c_d = float(np.sqrt(numer / m_red))
 
-    params = SensitivityParams(c_y=c_y, c_d=c_d, cd_clamped=clamped)
-    red_est = estimate_dr(red_fits, w_red, reduced)
-    red_sigma2 = sigma2_hat(dataset.y, red_fits.ghat_obs)
-    red_nu2 = nu2_hat(w_red)
-    half = float(np.sqrt(max(red_sigma2 * red_nu2, 0.0))) * c_y * c_d
     return CalibrationResult(
-        params=params,
-        reduced_estimate=red_est,
+        params=SensitivityParams(c_y=c_y, c_d=c_d, cd_clamped=clamped),
+        reduced_estimate=estimate_dr(red_fits, w_red, reduced),
         reduced_sigma2=red_sigma2,
         reduced_nu2=red_nu2,
-        bound_halfwidth=half,
+        bound_halfwidth=None if scale is None else scale * c_y * c_d,
     )
 
 
@@ -269,17 +260,15 @@ def audit(
     """
     s2 = sigma2_hat(dataset.y, fits.ghat_obs)
     n2 = nu2_hat(weights)
-    n2p = nu2_plugin(weights)
-    negative = n2 <= 0
-    rv = None if negative else robustness_value(estimate.tau_hat, s2, n2)
+    rv = robustness_value(estimate.tau_hat, s2, n2)
     bounds = ()
-    if not negative:
+    if rv is not None:
         bounds = tuple((p, ovb_bounds(estimate.tau_hat, s2, n2, p)) for p in bounds_at)
     return SensitivityReport(
         sigma2=s2,
         nu2=n2,
-        nu2_plugin=n2p,
-        nu2_negative=negative,
+        nu2_plugin=nu2_plugin(weights),
+        nu2_negative=n2 <= 0,
         rv=rv,
         bounds=bounds,
         diagnostics={"estimand": estimate.estimand, "n": estimate.n},

@@ -16,9 +16,8 @@ beta_a (+ eta e_j under NONLINEAR), so the averaged effects are exact:
     NONLINEAR  tau_iate = beta_a + eta E[e_j]
                tau_iatt = beta_a + eta E[e_j | a = 1]
 
-The NONLINEAR expectations come from enumerating the binary support with
-Monte Carlo cell probabilities on the latent scale (exact enumeration up to
-d = 15, pure Monte Carlo beyond), with a reported standard error.
+The NONLINEAR expectations are Monte Carlo frequencies of (a, e_j) over
+latent draws, with a reported standard error.
 """
 
 from __future__ import annotations
@@ -52,11 +51,9 @@ class OutcomeForm:
 
 class OracleMethod:
     CLOSED_FORM = "closed_form"
-    ENUMERATION = "enumeration"
     MONTE_CARLO = "monte_carlo"
 
 
-_ENUM_MAX_D = 15
 _CHUNK = 250_000
 
 
@@ -185,12 +182,10 @@ def oracle_tau(spec: SynthSpec, mc_samples: int = 1_000_000, seed: int | None = 
     """Ground-truth tau_iate / tau_iatt for ``spec``.
 
     LINEAR is closed form. NONLINEAR needs E[e_j] and E[e_j | a=1] under the
-    latent-Gaussian law: the binary support is enumerated with cell
-    probabilities estimated from ``mc_samples`` latent draws (d <= 15), or
-    the expectations are taken directly over the draws for larger d. The
-    reported ``mc_se`` is the larger of the two effects' Monte Carlo
-    standard errors. The oracle's randomness is independent of the data
-    seed.
+    latent-Gaussian law, taken as joint frequencies of (a, e_j) over
+    ``mc_samples`` latent draws. The reported ``mc_se`` is the larger of the
+    two effects' Monte Carlo standard errors. The oracle's randomness is
+    independent of the data seed.
     """
     if spec.outcome_form == OutcomeForm.LINEAR:
         return Oracle(
@@ -204,43 +199,20 @@ def oracle_tau(spec: SynthSpec, mc_samples: int = 1_000_000, seed: int | None = 
         derive_seed(spec.seed if seed is None else seed, "oracle")
     )
 
-    enumerate_cells = spec.d <= _ENUM_MAX_D
-    if enumerate_cells:
-        counts = np.zeros(2 ** (spec.d + 1), dtype=np.int64)
-        powers = 2 ** np.arange(spec.d + 1, dtype=np.int64)
-    else:
-        # accumulate only what the estimand needs: joint counts of (a, e_j)
-        counts2 = np.zeros((2, 2), dtype=np.int64)
-
+    counts = np.zeros((2, 2), dtype=np.int64)  # joint counts of (a, e_j)
     done = 0
     while done < mc_samples:
         take = min(_CHUNK, mc_samples - done)
         b = _latent_binary(spec, rng, take)
-        if enumerate_cells:
-            ids = b.astype(np.int64) @ powers
-            counts += np.bincount(ids, minlength=counts.size)
-        else:
-            av = b[:, 0].astype(np.int64)
-            ev = b[:, 1 + j].astype(np.int64)
-            counts2 += np.bincount(av * 2 + ev, minlength=4).reshape(2, 2)
+        av = b[:, 0].astype(np.int64)
+        ev = b[:, 1 + j].astype(np.int64)
+        counts += np.bincount(av * 2 + ev, minlength=4).reshape(2, 2)
         done += take
 
-    if enumerate_cells:
-        cells = np.arange(counts.size, dtype=np.int64)
-        a_bit = cells & 1
-        ej_bit = (cells >> (1 + j)) & 1
-        probs = counts / mc_samples
-        p_ej = float(probs[ej_bit == 1].sum())
-        p_a1 = float(probs[a_bit == 1].sum())
-        p_both = float(probs[(a_bit == 1) & (ej_bit == 1)].sum())
-        method = OracleMethod.ENUMERATION
-    else:
-        total = counts2.sum()
-        p_ej = counts2[:, 1].sum() / total
-        p_a1 = counts2[1, :].sum() / total
-        p_both = counts2[1, 1] / total
-        method = OracleMethod.MONTE_CARLO
-
+    total = counts.sum()
+    p_ej = float(counts[:, 1].sum() / total)
+    p_a1 = float(counts[1, :].sum() / total)
+    p_both = float(counts[1, 1] / total)
     if p_a1 <= 0:
         raise ValidationError("no treated draws in the oracle sample")
     cond = p_both / p_a1
@@ -252,7 +224,7 @@ def oracle_tau(spec: SynthSpec, mc_samples: int = 1_000_000, seed: int | None = 
     return Oracle(
         tau_iate=tau_iate,
         tau_iatt=tau_iatt,
-        method=method,
+        method=OracleMethod.MONTE_CARLO,
         mc_samples=mc_samples,
         mc_se=max(se_iate, se_iatt),
     )

@@ -247,9 +247,9 @@ def test_early_stop_ties_every_count_and_picks_fewer_trees():
     np.testing.assert_array_equal(staged[0], staged[1])
     np.testing.assert_array_equal(staged[0], staged[2])
 
+    # with the default row subsample, each inner fit still stops after one exact stump
     spec = ModelSpec(Family.GBT_REG,
-                     {"depth": [1], "n_trees": [50, 5, 20], "learning_rate": [1.0]},
-                     subsample=1.0)
+                     {"depth": [1], "n_trees": [50, 5, 20], "learning_rate": [1.0]})
     chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
     scores = diag["inner_cv"]["scores"]
     assert scores[0] == scores[1] == scores[2]

@@ -156,7 +156,9 @@ def test_target_data_schema_and_size_errors(data_csv, tmp_path, capsys):
     assert "'x_9'" in capsys.readouterr().err
     # fewer target rows than folds cannot be dealt into pseudo-folds
     assert _general(data_csv, tmp_path, _target_rows(2)) == 1
-    assert "cannot split 2 rows into 3 folds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot split 2 rows into 3 folds" in err
+    assert "target corpus" in err
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +279,40 @@ def test_calibrate_json(data_csv, tmp_path):
     main(["calibrate", "--data", data_csv, "--out", str(out2),
           "--folds", "3", "--seed", "1", "--omit-features", "x_0,x_0+x_1"])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_contour_with_nonpositive_nu2_exits_before_calibrating(data_csv, tmp_path, capsys,
+                                                             monkeypatch):
+    import isoeffect.cli as cli
+    import isoeffect.sensitivity as sensitivity
+    from isoeffect import SensitivityParams, ValidationError, ovb_bounds
+
+    calls = []
+    monkeypatch.setattr(sensitivity, "nu2_hat", lambda weights: -0.5)
+    monkeypatch.setattr(cli, "calibrate_detail", lambda *a, **k: calls.append(a))
+    out = tmp_path / "contour.csv"
+    rc = main(["contour", "--data", data_csv, "--out", str(out), "--steps", "5",
+               "--folds", "3", "--seed", "1", "--omit-features", "x_0"])
+    assert rc == 1
+    assert calls == [] and not out.exists()
+    # the library's message, the same one ovb_bounds gives
+    with pytest.raises(ValidationError) as exc:
+        ovb_bounds(1.0, 1.0, -0.5, SensitivityParams(0.5, 0.5))
+    assert f"error: {exc.value}" in capsys.readouterr().err
+
+
+def test_calibrate_json_withholds_halfwidth_when_reduced_nu2_nonpositive(
+        data_csv, tmp_path, monkeypatch):
+    import isoeffect.sensitivity as sensitivity
+
+    monkeypatch.setattr(sensitivity, "nu2_hat", lambda weights: -0.5)
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "--data", data_csv, "--out", str(out), "--folds", "3",
+                 "--seed", "1", "--omit-features", "x_0"]) == 0
+    entry = json.loads(out.read_text())["calibrations"]["x_0"]
+    assert entry["nu2_reduced"] == -0.5
+    assert entry["bound_halfwidth"] is None
+    assert '"bound_halfwidth": null' in out.read_text()
 
 
 def test_calibrate_error_paths(data_csv, tmp_path, capsys):

@@ -241,15 +241,21 @@ def test_propensity_single_class_raises():
 
 
 def test_propensity_predictions_respect_clip():
+    from isoeffect import Dataset
+    from isoeffect.estimator import crossfit_nuisances
+
     X = np.linspace(-3, 3, 60).reshape(-1, 1)
     a = (X[:, 0] > 0).astype(float)  # separable: raw probabilities go extreme
-    clip = ClipPolicy(0.05)
-    fm = fit_propensity_model(
-        X, a, ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [100.0], "l1_ratio": [0.0]}),
-        clip=clip,
+    ds = Dataset(y=X[:, 0] + a, a=a.astype(np.int64), features=X)
+    fits = crossfit_nuisances(
+        ds,
+        outcome_spec=ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [1e-3], "l1_ratio": [0.5]}),
+        propensity_spec=ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [100.0], "l1_ratio": [0.0]}),
+        k=3,
+        clip=ClipPolicy(0.05),
     )
-    p = fm.predict_proba(X)
-    assert p.min() >= 0.05 and p.max() <= 0.95
+    assert fits.p_hat.min() >= 0.05 and fits.p_hat.max() <= 0.95
+    assert fits.diagnostics["clipped_frac"] > 0
 
 
 def test_predict_guards():

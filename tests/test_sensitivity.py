@@ -114,8 +114,11 @@ def test_contour_grid_validation():
         contour_grid(1.0, 1.0, 1.0, 1.0, 1.0, 1)
     with pytest.raises(ValueError, match="positive"):
         contour_grid(1.0, 1.0, 1.0, 0.0, 1.0, 5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as grid_exc:
         contour_grid(1.0, 1.0, -1.0, 1.0, 1.0, 5)
+    with pytest.raises(ValidationError) as bounds_exc:
+        ovb_bounds(1.0, 1.0, -1.0, SensitivityParams(0.5, 0.5))
+    assert str(grid_exc.value) == str(bounds_exc.value)  # one nu2 <= 0 policy, one message
     with pytest.raises(DegenerateModelError):
         contour_grid(1.0, 0.0, 1.0, 1.0, 1.0, 5)
 
@@ -169,6 +172,20 @@ def test_calibration_clamps_negative_cd(synth_medium):
                                   propensity_spec=FAST_LOGISTIC, seed=3).params
     assert params.cd_clamped
     assert params.c_d == 0.0
+
+
+def test_calibration_withholds_halfwidth_when_reduced_nu2_nonpositive(synth_medium, monkeypatch):
+    import isoeffect.sensitivity as sensitivity
+
+    fits = crossfit_nuisances(synth_medium, outcome_spec=FAST_LINEAR,
+                              propensity_spec=FAST_LOGISTIC, seed=9)
+    monkeypatch.setattr(sensitivity, "nu2_hat", lambda weights: -0.25)
+    detail = calibrate_detail(synth_medium, fits, synth_medium.features[:, 1:],
+                              outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
+                              seed=9)
+    assert detail.reduced_nu2 == -0.25  # reported as computed, not clamped
+    assert detail.bound_halfwidth is None
+    assert detail.params.c_y > 0.01  # the strengths are still calibrated
 
 
 def test_calibration_rejects_general_kind(synth_medium):

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from isoeffect import (
     ValidationError,
     Weights,
+    weights_for,
     weights_general,
     weights_iate,
     weights_iatt,
@@ -75,19 +76,38 @@ def test_general_reduces_to_iate():
     assert np.max(np.abs(gen.target_gap - base.target_gap)) < 1e-12
 
 
-def test_general_with_explicit_target_rows():
-    a = np.array([1.0, 0.0])
-    p = np.array([0.4, 0.6])
-    q = np.array([0.5, 0.5])
-    tp = np.array([0.25, 0.5, 0.75])
-    tq = np.array([0.5, 0.5, 0.5])
-    w = weights_general(a, p, q, frac_s=0.5, frac_t=0.5,
-                        target_p_hat=tp, target_prob_t=tq)
-    assert len(w.target_gap) == 3
-    # t_ratio = 1, q/(1-q) = 1, so the gap is the plain iate gap at tp
-    np.testing.assert_allclose(w.target_gap, 1.0 / tp + 1.0 / (1.0 - tp), atol=1e-14)
-    with pytest.raises(ValueError, match="target_prob_t"):
-        weights_general(a, p, q, 0.5, 0.5, target_p_hat=tp)
+def test_weights_for_general_gaps_use_each_target_rows_fold_share():
+    from isoeffect.core import FoldPlan
+    from isoeffect.estimator import GeneralFits, NuisanceFits
+
+    a = np.array([1.0, 0.0, 1.0, 0.0])
+    p = np.array([0.4, 0.6, 0.3, 0.5])
+    plan = FoldPlan(n=4, k=2, assignment=np.array([0, 0, 1, 1]), seed=0)
+    frac_t = np.array([0.2, 0.6])  # target share of each fold's corpus training rows
+    t_assign = np.array([1, 0, 0, 1, 1])
+    tp = np.array([0.25, 0.5, 0.75, 0.4, 0.6])
+    tq = np.array([0.3, 0.5, 0.6, 0.45, 0.7])
+    sq = np.array([0.5, 0.4, 0.6, 0.3])
+    zeros = np.zeros(5)
+    general = GeneralFits(
+        target_assignment=t_assign, target_ghat1=zeros, target_ghat0=zeros,
+        target_p_hat=tp, target_prob_t=tq, source_prob_t=sq, frac_t_by_fold=frac_t,
+    )
+    fits = NuisanceFits(
+        fold_plan=plan, ghat_obs=np.zeros(4), ghat1=np.zeros(4), ghat0=np.zeros(4),
+        p_hat=p, pi1_by_fold=np.array([0.5, 0.5]), outcome_models=(),
+        propensity_models=(), general=general,
+    )
+    w = weights_for(fits, a, "general")
+    ft = frac_t[t_assign]
+    want_gap = (1.0 - ft) / ft * tq / (1.0 - tq) * (1.0 / tp + 1.0 / (1.0 - tp))
+    np.testing.assert_allclose(w.target_gap, want_gap, rtol=1e-14, atol=0)
+    # gamma: each source row's own fold share, signed inverse propensity
+    fs = frac_t[plan.assignment]
+    p_obs = np.where(a == 1.0, p, 1.0 - p)
+    want_gamma = (2 * a - 1) * (1.0 - fs) / fs * sq / (1.0 - sq) / p_obs
+    np.testing.assert_allclose(w.gamma, want_gamma, rtol=1e-14, atol=0)
+    assert w.kind == "general"
 
 
 def test_weight_validation():
