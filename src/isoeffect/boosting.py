@@ -11,13 +11,28 @@ gain G_L^2/H_L + G_R^2/H_R - G^2/H, in the histogram style of Ke et al.,
   between its adjacent distinct training values, so a binary column has the
   single cut 0.5. A column with more than 255 such midpoints keeps 255 of
   them, taken at evenly spaced quantiles of its values.
-- **One matmul per level.** ``R`` is the n x cuts 0/1 matrix of "row lies
-  right of cut", built once per fit and held only for that fit
-  (n x cuts x 8 bytes, plus a 1-byte copy for routing rows; 160 rows x 16
-  cuts is 20 kB, while 100k rows x 20 columns of 255 cuts would be 4 GB). Every node of a level gets its
-  right-side gradient, hessian and row-count sums for every cut at once as
-  ``[g*w, h*w, w] * node_onehot @ R``, where ``w`` marks the subsample; the
-  left side is the node total minus the right side.
+- **Fits in lockstep, one matmul per level.** :func:`fit_gbt_batch` grows
+  several fits ("tasks": training rows of one X and y, depth, tree count,
+  learning rate and seed) stage by stage together, and :func:`fit_gbt_core`
+  is its one-task case. Each task has its own cuts and its own ``R``, the
+  rows x cuts 0/1 matrix of "row lies right of cut", built once per fit.
+  Tasks whose ``R`` has the same shape are stacked into one (tasks, rows,
+  columns) array, and every node of every such task at a level gets its
+  right-side gradient, hessian and row-count sums for every cut from one
+  stacked matmul, ``[g*w, h*w, w] * node_onehot @ R``, where ``w`` marks the
+  subsample; the left side is the node total minus the right side. Tasks of
+  different shapes are not padded into one stack: BLAS sums a padded
+  product in a different order, which can flip a near-tied split. A task
+  shallower than the deepest stops splitting at its own depth, and each
+  task draws its subsample from its own generator, so every task grows
+  exactly the trees of its solo fit. The inner-CV fits of one inner fold
+  share its rows, so they always share a shape.
+- **Bounded memory.** ``R`` takes rows x columns x 9 bytes per task (8-byte
+  floats plus a 1-byte copy for routing rows): 160 rows x 16 cuts is 23 kB,
+  4,000 rows x 10 continuous columns of 255 cuts is 92 MB. A lockstep group
+  holds at most :data:`_LOCKSTEP_BYTES` of stacked ``R``, its routing copy
+  and deepest-level matmul operand; a larger batch runs as several groups,
+  and a task larger than the bound runs alone.
 - **Flat trees.** A tree of depth D is stored in heap order (children of
   node i at 2i+1 and 2i+2) as a split column and threshold per internal
   node and a value per leaf; a node that does not split sends every row
@@ -34,16 +49,17 @@ gain G_L^2/H_L + G_R^2/H_R - G^2/H, in the histogram style of Ke et al.,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["GBTModel", "fit_gbt_core"]
+__all__ = ["GBTModel", "GBTTask", "fit_gbt_batch", "fit_gbt_core"]
 
 _EPS_HESS = 1e-12
 MAX_CUTS = 255
 MAX_DEPTH = 8
 _PREDICT_BLOCK = 1 << 18  # trees x rows walked per step of GBTModel.raw
+_LOCKSTEP_BYTES = 1 << 23  # stacked R, its routing copy and level sums per lockstep group
 
 
 def _column_cuts(col: np.ndarray) -> np.ndarray:
@@ -58,66 +74,90 @@ def _column_cuts(col: np.ndarray) -> np.ndarray:
     return np.unique(0.5 * (lo[keep] + hi[keep]))
 
 
-def _bin(X: np.ndarray):
-    """Cut columns and thresholds plus ``R``, the right-of-cut matrix.
+def _cuts(X: np.ndarray):
+    """Every column's cuts, and the column and threshold of each cut.
 
-    ``R`` has two extra columns after the cuts: all zeros (the "no split"
-    cut, which sends every row left) and all ones (node totals). The
-    returned column and threshold arrays cover the "no split" cut too.
+    The column and threshold arrays end with the "no split" cut (column 0,
+    threshold ``+inf``).
     """
     cuts = [_column_cuts(X[:, j]) for j in range(X.shape[1])]
     feature = np.repeat(np.arange(X.shape[1]), [c.size for c in cuts])
-    threshold = np.concatenate(cuts + [np.array([np.inf])])
-    R = np.zeros((X.shape[0], feature.size + 2))
-    start = 0
-    for j, c in enumerate(cuts):
-        R[:, start:start + c.size] = X[:, j, None] > c
-        start += c.size
-    R[:, -1] = 1.0
-    return np.append(feature, 0), threshold, R
+    return cuts, np.append(feature, 0), np.concatenate(cuts + [np.array([np.inf])])
+
+
+def _bin(Xs: Sequence[np.ndarray], cuts: Sequence[list]) -> np.ndarray:
+    """``R``, the right-of-cut matrices of equal-shape ``(X, cuts)`` pairs, stacked.
+
+    Each ``R[b]`` has two extra columns after its cuts: all zeros (the "no
+    split" cut, which sends every row left) and all ones (node totals).
+    """
+    width = sum(c.size for c in cuts[0]) + 2
+    R = np.zeros((len(Xs), Xs[0].shape[0], width))
+    for Rb, X, task_cuts in zip(R, Xs, cuts):
+        start = 0
+        for j, c in enumerate(task_cuts):
+            Rb[:, start:start + c.size] = X[:, j, None] > c
+            start += c.size
+        Rb[:, -1] = 1.0
+    return R
 
 
 def _split_gains(S: np.ndarray) -> np.ndarray:
     """Gain of every cut of every node from its right-side sums ``S``.
 
-    ``S`` is (3, nodes, columns of R): gradient, hessian and row-count sums
-    right of every cut, with the node totals in the last column. A cut is
-    valid when both sides hold rows and hessian mass; an invalid one gets
-    ``-inf``. The "no split" column gets the unsplit score ``G^2/H`` plus
-    1e-12, so a node splits only on a cut that beats it by more than that.
+    ``S`` is (..., 3, nodes, columns of R): gradient, hessian and row-count
+    sums right of every cut, with the node totals in the last column; the
+    result is (..., nodes, columns). A cut is valid when both sides hold
+    rows and hessian mass; an invalid one gets ``-inf``. The "no split"
+    column gets the unsplit score ``G^2/H`` plus 1e-12, so a node splits
+    only on a cut that beats it by more than that.
     Call under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    L = S[:, :, -1:] - S
-    unsplit = L[0] * L[0] / L[1]
-    gain = np.where((L[2] > 0) & (np.minimum(S[1], L[1]) > _EPS_HESS),
-                    unsplit + S[0] * S[0] / S[1], -np.inf)
-    gain[:, -2] = unsplit[:, -2] + 1e-12
+    L = S[..., -1:] - S
+    G, H, count = L[..., 0, :, :], L[..., 1, :, :], L[..., 2, :, :]
+    G_right, H_right = S[..., 0, :, :], S[..., 1, :, :]
+    unsplit = G * G / H
+    gain = np.where((count > 0) & (np.minimum(H_right, H) > _EPS_HESS),
+                    unsplit + G_right * G_right / H_right, -np.inf)
+    gain[..., -2] = unsplit[..., -2] + 1e-12
     return gain
 
 
-def _grow(R: np.ndarray, right_of: np.ndarray, stats: np.ndarray, depth: int):
-    """Grow one tree level by level; every row of ``R`` is routed.
+def _grow(R: np.ndarray, right_of: np.ndarray, stats: np.ndarray, depth: int,
+          depths: np.ndarray):
+    """Grow one ``depth``-deep tree per task level by level; every row of ``R`` is routed.
 
-    ``right_of`` is ``R`` as booleans, flattened. ``stats`` is (3, n):
-    weighted gradient, weighted hessian and weight, so rows of weight 0
-    follow the splits without shaping them. Returns the cut (column of
-    ``R``) of every internal node in heap order and the leaf of every row.
+    ``R`` is (tasks, rows, columns) and ``right_of`` is ``R`` as booleans.
+    ``stats`` is (tasks, 3, rows): weighted gradient, weighted hessian and
+    weight, so rows of weight 0 follow the splits without shaping them.
+    Task b stops splitting past ``depths[b]`` and then sends every row left;
+    ``depths`` is non-increasing, so the tasks still splitting at a level
+    are a prefix. Returns the cut (column of ``R``) of every internal node
+    per task in heap order, and the leaf of every row.
     Call under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    n, width = R.shape
+    tasks, n, width = R.shape
     no_split = width - 2
-    row_start = np.arange(0, n * width, width)
-    cut = np.full((1 << depth) - 1, no_split)
-    node = np.zeros(n, dtype=np.intp)
+    row_start = np.arange(0, tasks * n * width, width).reshape(tasks, n)
+    cut = np.full((tasks, (1 << depth) - 1), no_split)
+    node = np.zeros((tasks, n), dtype=np.intp)
     for level in range(depth):
+        k = int(np.count_nonzero(depths > level))
+        if not k:
+            node <<= depth - level
+            break
         nodes = 1 << level
-        weighted = stats
+        weighted = stats[:k]
         if level:
-            onehot = node == np.arange(nodes)[:, None]
-            weighted = (stats[:, None, :] * onehot).reshape(3 * nodes, n)
-        chosen = _split_gains((weighted @ R).reshape(3, nodes, width)).argmax(axis=1)
-        cut[nodes - 1:2 * nodes - 1] = chosen
-        node = 2 * node + right_of.take(row_start + chosen.take(node))
+            onehot = node[:k, None, :] == np.arange(nodes)[:, None]
+            weighted = (stats[:k, :, None, :] * onehot[:, None]).reshape(k, 3 * nodes, n)
+        sums = (weighted @ R[:k]).reshape(k, 3, nodes, width)
+        chosen = _split_gains(sums).argmax(axis=-1)
+        cut[:k, nodes - 1:2 * nodes - 1] = chosen
+        task_node = np.arange(0, k * nodes, nodes)[:, None] + node[:k]
+        right = right_of.take(row_start[:k] + chosen.take(task_node))
+        node <<= 1
+        node[:k] += right
         if chosen.min() == no_split:
             node <<= depth - level - 1
             break
@@ -125,12 +165,16 @@ def _grow(R: np.ndarray, right_of: np.ndarray, stats: np.ndarray, depth: int):
 
 
 def _leaf_values(leaf: np.ndarray, stats: np.ndarray, depth: int) -> np.ndarray:
-    """Newton step ``sum(g) / sum(h)`` per leaf; 0 where the hessian vanishes.
+    """Newton step ``sum(g) / sum(h)`` per leaf and task; 0 where the hessian vanishes.
 
-    Call under ``np.errstate(divide="ignore", invalid="ignore")``.
+    ``leaf`` is (tasks, rows) and ``stats`` (tasks, 3, rows); the result is
+    (tasks, 2**depth). Call under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    G = np.bincount(leaf, weights=stats[0], minlength=1 << depth)
-    H = np.bincount(leaf, weights=stats[1], minlength=1 << depth)
+    tasks, leaves = leaf.shape[0], 1 << depth
+    bins = np.arange(0, 2 * tasks * leaves, leaves).reshape(tasks, 2, 1) + leaf[:, None, :]
+    sums = np.bincount(bins.ravel(), weights=stats[:, :2].ravel(),
+                       minlength=2 * tasks * leaves).reshape(tasks, 2, leaves)
+    G, H = sums[:, 0], sums[:, 1]
     return np.where(H > _EPS_HESS, G / H, 0.0)
 
 
@@ -197,6 +241,17 @@ class GBTModel:
         return _sigmoid(self.raw(X, stages))
 
 
+class GBTTask(NamedTuple):
+    """One fit of :func:`fit_gbt_batch`: its training rows and settings."""
+
+    rows: np.ndarray
+    depth: int = 2
+    n_trees: int = 100
+    learning_rate: float = 0.1
+    seed: int = 0
+    subsample: float = 0.7
+
+
 def fit_gbt_core(
     X: np.ndarray,
     y: np.ndarray,
@@ -213,78 +268,162 @@ def fit_gbt_core(
     targets fit exactly). The per-stage training loss on the full sample is
     recorded in ``diagnostics['train_loss']``. The first k trees of a fit
     do not depend on ``n_trees``, so they are the trees a k-tree fit with
-    the same seed would grow.
+    the same seed would grow. This is :func:`fit_gbt_batch` with one task.
     """
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"tree depth must be in [1, {MAX_DEPTH}], got {depth}")
-    if n_trees < 1:
-        raise ValueError(f"need at least one boosting stage, got {n_trees}")
-    if not 0.0 < subsample <= 1.0:
-        raise ValueError(f"subsample must be in (0, 1], got {subsample}")
+    rows = np.arange(np.shape(X)[0])
+    task = GBTTask(rows, depth, n_trees, learning_rate, seed, subsample)
+    return fit_gbt_batch(X, y, classification, [task])[0]
+
+
+def fit_gbt_batch(
+    X: np.ndarray, y: np.ndarray, classification: bool, tasks: Sequence[GBTTask],
+) -> list[GBTModel]:
+    """Fit one boosted ensemble per task, growing the tasks in lockstep.
+
+    Task t sees only ``X[t.rows]`` and ``y[t.rows]``, and its model has the
+    trees, leaf values and training losses that :func:`fit_gbt_core` fits
+    on those rows with the task's settings. Tasks whose ``R`` has the same
+    shape grow together, in groups of at most :data:`_LOCKSTEP_BYTES`; the
+    models come back in task order.
+    """
+    for t in tasks:
+        if not 1 <= t.depth <= MAX_DEPTH:
+            raise ValueError(f"tree depth must be in [1, {MAX_DEPTH}], got {t.depth}")
+        if t.n_trees < 1:
+            raise ValueError(f"need at least one boosting stage, got {t.n_trees}")
+        if not 0.0 < t.subsample <= 1.0:
+            raise ValueError(f"subsample must be in (0, 1], got {t.subsample}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n = X.shape[0]
-    if n == 0:
+    tasks = [t._replace(rows=np.asarray(t.rows, dtype=np.intp).reshape(-1)) for t in tasks]
+    if any(t.rows.size == 0 for t in tasks):
         raise ValueError("cannot fit on an empty sample")
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError("need a 2-D feature matrix with at least one column")
+    if y.size != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size}")
+    if any(t.rows.min() < 0 or t.rows.max() >= y.size for t in tasks):
+        raise ValueError(f"task rows must index the {y.size} rows of X")
 
+    tables = [_cuts(X[t.rows]) for t in tasks]
+    shape = [(t.rows.size, feature.size + 1) for t, (_, feature, _) in zip(tasks, tables)]
+    # one shape per group, deepest first: the tasks still splitting at a level are a prefix
+    groups: list[list[int]] = []
+    for i in sorted(range(len(tasks)), key=lambda i: (shape[i], -tasks[i].depth)):
+        if groups and shape[groups[-1][0]] == shape[i]:
+            rows, width = shape[i]
+            per_task = rows * (9 * width + (25 << (tasks[groups[-1][0]].depth - 1)))
+            if (len(groups[-1]) + 1) * per_task <= _LOCKSTEP_BYTES:
+                groups[-1].append(i)
+                continue
+        groups.append([i])
+    models: list = [None] * len(tasks)
+    for group in groups:
+        fitted = _fit_lockstep(X, y, classification, [tasks[i] for i in group],
+                               [tables[i] for i in group])
+        for i, model in zip(group, fitted):
+            models[i] = model
+    return models
+
+
+def _gradient(classification: bool, target: np.ndarray, score: np.ndarray):
+    """Negative gradient and hessian of the loss at ``score``; the squared-loss hessian is 1."""
     if classification:
-        p_bar = min(max(y.mean(), 1e-12), 1.0 - 1e-12)
-        init = float(np.log(p_bar / (1.0 - p_bar)))
-    else:
-        init = float(y.mean())
+        p = 1.0 / (1.0 + np.exp(-score))
+        return target - p, p * (1.0 - p)
+    return target - score, 1.0
 
-    cut_feature, cut_threshold, R = _bin(X)
-    right_of = (R > 0).ravel()
-    rng = np.random.default_rng(seed)
-    score = np.full(n, init)
-    flip = 1.0 - 2.0 * y  # logistic loss is log(1 + exp(flip * score))
-    cuts = np.empty((n_trees, (1 << depth) - 1), dtype=np.intp)
-    values = np.empty((n_trees, 1 << depth))
-    losses: list[float] = []
-    m_sub = max(1, int(round(subsample * n)))
-    stats = np.empty((3, n))
-    stats[2] = 1.0
-    fitted = 0
+
+def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
+    """Grow ``tasks`` (one ``R`` shape, deepest first) together, one stage at a time.
+
+    ``tables`` holds each task's :func:`_cuts`. The live tasks' arrays are
+    stacked on a leading axis; a task leaves the stack when its gradient
+    vanishes or its trees are grown. Every per-task slice goes through the
+    same numpy operations, in the same order and shapes, as a solo fit.
+    """
+    B, n = len(tasks), tasks[0].rows.size
+    depth = tasks[0].depth
+    R = _bin([X[t.rows] for t in tasks], [cuts for cuts, _, _ in tables])
+    right_of = R > 0
+    target = y[np.stack([t.rows for t in tasks])]
+    init = []
+    for row in target:
+        if classification:
+            p_bar = min(max(row.mean(), 1e-12), 1.0 - 1e-12)
+            init.append(float(np.log(p_bar / (1.0 - p_bar))))
+        else:
+            init.append(float(row.mean()))
+    score = np.repeat(np.array(init)[:, None], n, axis=1)
+    flip = 1.0 - 2.0 * target  # logistic loss is log(1 + exp(flip * score))
+    stats = np.empty((B, 3, n))
+    stats[:, 2] = 1.0
+
+    live = np.arange(B)
+    rngs = [np.random.default_rng(t.seed) for t in tasks]
+    m_sub = [max(1, int(round(t.subsample * n))) for t in tasks]
+    depths = np.array([t.depth for t in tasks])
+    rates = np.array([t.learning_rate for t in tasks], dtype=np.float64)
+    stop_at = np.array([t.n_trees for t in tasks])
+    longest = int(stop_at.max())
+    cut_hist = np.empty((B, longest, (1 << depth) - 1), dtype=np.intp)
+    value_hist = np.empty((B, longest, 1 << depth))
+    loss_hist = np.empty((B, longest + 1))
+    fitted = np.zeros(B, dtype=np.intp)
+    stage = 0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g_full, hess = _gradient(classification, target, score)
         while True:
-            if classification:
-                losses.append(float(np.logaddexp(0.0, flip * score).mean()))
-                p = 1.0 / (1.0 + np.exp(-score))
-                g_full = y - p
-            else:
-                g_full = y - score
-                losses.append(float(np.mean(g_full * g_full)))
-            if fitted == n_trees or np.abs(g_full).max() < 1e-12:
-                break
+            terms = np.logaddexp(0.0, flip * score) if classification else g_full * g_full
+            loss_hist[live, stage] = terms.mean(axis=1)
+            done = (stop_at == stage) | (np.abs(g_full).max(axis=1) < 1e-12)
+            if done.any():
+                fitted[live[done]] = stage
+                keep = ~done
+                if not keep.any():
+                    break
+                live, R, right_of, target, score, flip, stats, depths, rates, stop_at = (
+                    a[keep] for a in (live, R, right_of, target, score, flip, stats,
+                                      depths, rates, stop_at))
+                rngs = [r for r, k in zip(rngs, keep) if k]
+                m_sub = [m for m, k in zip(m_sub, keep) if k]
+                g_full, hess = _gradient(classification, target, score)
 
-            if m_sub < n:
-                stats[2] = 0.0
-                stats[2, rng.choice(n, size=m_sub, replace=False)] = 1.0
-            np.multiply(g_full, stats[2], out=stats[0])
-            if classification:
-                np.multiply(p * (1.0 - p), stats[2], out=stats[1])
-            else:
-                stats[1] = stats[2]
-            cuts[fitted], leaf = _grow(R, right_of, stats, depth)
-            values[fitted] = learning_rate * _leaf_values(leaf, stats, depth)
-            score += values[fitted][leaf]
-            fitted += 1
+            drawn = [(3 * j + 2) * n + rng.choice(n, size=m, replace=False)
+                     for j, (rng, m) in enumerate(zip(rngs, m_sub)) if m < n]
+            if drawn:
+                stats[[j for j, m in enumerate(m_sub) if m < n], 2] = 0.0
+                stats.reshape(-1)[np.concatenate(drawn)] = 1.0
+            np.multiply(g_full, stats[:, 2], out=stats[:, 0])
+            np.multiply(hess, stats[:, 2], out=stats[:, 1])
+            cut, leaf = _grow(R, right_of, stats, depth, depths)
+            values = rates[:, None] * _leaf_values(leaf, stats, depth)
+            score += values.take(np.arange(0, values.size, values.shape[1])[:, None] + leaf)
+            cut_hist[live, stage] = cut
+            value_hist[live, stage] = values
+            stage += 1
+            g_full, hess = _gradient(classification, target, score)
 
-    return GBTModel(
-        feature=cut_feature[cuts[:fitted]],
-        threshold=cut_threshold[cuts[:fitted]],
-        value=values[:fitted],
-        init=init,
-        learning_rate=learning_rate,
-        classification=classification,
-        diagnostics={
-            "train_loss": tuple(losses),
-            "subsample": subsample,
-            "n_trees_fit": fitted,
-            "depth": depth,
-            "learning_rate": learning_rate,
-        },
-    )
+    models = []
+    for b, (t, (_, feature, threshold)) in enumerate(zip(tasks, tables)):
+        k = int(fitted[b])
+        # a task shallower than the group keeps every row left past its depth,
+        # so its leaf j is leaf j << (depth - t.depth) of the group's tree
+        cuts = cut_hist[b, :k, :(1 << t.depth) - 1]
+        models.append(GBTModel(
+            feature=feature[cuts],
+            threshold=threshold[cuts],
+            value=np.ascontiguousarray(value_hist[b, :k, ::1 << (depth - t.depth)]),
+            init=init[b],
+            learning_rate=t.learning_rate,
+            classification=classification,
+            diagnostics={
+                "train_loss": tuple(loss_hist[b, :k + 1].tolist()),
+                "subsample": t.subsample,
+                "n_trees_fit": k,
+                "depth": t.depth,
+                "learning_rate": t.learning_rate,
+            },
+        ))
+    return models

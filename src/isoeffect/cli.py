@@ -262,6 +262,12 @@ def _cmd_sweep(opt: dict) -> int:
     return 0
 
 
+def _reject_general_calibration(opt: dict) -> None:
+    """Fail before any work when reductions would be calibrated under the general estimand."""
+    if opt["estimand"] == EstimandKind.GENERAL and (opt["omit_features"] or opt["mask_patterns"]):
+        raise ValidationError("calibration supports the iate and iatt estimands")
+
+
 def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
     """``(label, CalibrationResult)`` for each reduced representation."""
     outcome_spec, propensity_spec = _model_specs(opt["model"])
@@ -278,6 +284,7 @@ def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
 
 
 def _cmd_contour(opt: dict) -> int:
+    _reject_general_calibration(opt)
     dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
@@ -296,6 +303,7 @@ def _cmd_contour(opt: dict) -> int:
 
 
 def _cmd_calibrate(opt: dict) -> int:
+    _reject_general_calibration(opt)
     dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
     if not reductions:

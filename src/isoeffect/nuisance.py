@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boosting import GBTModel, fit_gbt_core
+from .boosting import GBTModel, GBTTask, fit_gbt_batch, fit_gbt_core
 from .core import ValidationError, derive_seed, make_folds
 from .elasticnet import (
     LinearFit,
@@ -216,7 +216,9 @@ def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> tuple[n
     training rows; the facts count the path solves that did not converge.
     Boosting candidates that differ only in ``n_trees`` share one fit per
     fold at their largest count, seeded as the first of them, and each count
-    is scored from the staged predictions of that fit.
+    is scored from the staged predictions of that fit. Those fits, one per
+    (candidate group, inner fold), grow in lockstep; the facts count them and
+    their trees.
     """
     if spec.family in (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC):
         return _path_fold_losses(X, target, spec.family, cands, plan)
@@ -224,18 +226,24 @@ def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> tuple[n
     for ci, cand in enumerate(cands):
         key = tuple((k, v) for k, v in cand.items() if k != "n_trees")
         groups.setdefault(key, []).append(ci)
-    losses = np.empty((len(cands), plan.k))
+    tasks, scored = [], []
     for members in groups.values():
         stages = [int(cands[ci]["n_trees"]) for ci in members]
-        fit_cand = dict(cands[members[0]], n_trees=max(stages))
+        first = cands[members[0]]
         for f in range(plan.k):
-            tr, te = plan.train_rows(f), plan.test_rows(f)
-            model = _fit_one(
-                spec.family, X[tr], target[tr], fit_cand,
-                derive_seed(spec.seed, f"inner-{members[0]}-{f}"),
-            )
-            losses[members, f] = _loss(spec.family, model, X[te], target[te], stages)
-    return losses, {}
+            tasks.append(GBTTask(
+                plan.train_rows(f), depth=int(first["depth"]), n_trees=max(stages),
+                learning_rate=float(first["learning_rate"]),
+                seed=derive_seed(spec.seed, f"inner-{members[0]}-{f}"),
+            ))
+            scored.append((members, stages, f))
+    models = fit_gbt_batch(X, target, spec.family == Family.GBT_CLF, tasks)
+    losses = np.empty((len(cands), plan.k))
+    for (members, stages, f), model in zip(scored, models):
+        te = plan.test_rows(f)
+        losses[members, f] = _loss(spec.family, model, X[te], target[te], stages)
+    trees = sum(model.diagnostics["n_trees_fit"] for model in models)
+    return losses, {"fits": len(models), "trees": trees}
 
 
 def _path_fold_losses(X, target, family: str, cands: list[dict], plan) -> tuple[np.ndarray, dict]:

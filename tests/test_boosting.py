@@ -5,17 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import isoeffect.boosting as boosting
 from isoeffect.boosting import (
     MAX_CUTS,
     GBTModel,
+    GBTTask,
     _bin,
     _column_cuts,
+    _cuts,
     _grow,
     _leaf_values,
     _split_gains,
+    fit_gbt_batch,
     fit_gbt_core,
 )
-from isoeffect.nuisance import Family, ModelSpec, _inner_cv_choose
+from isoeffect.core import derive_seed, make_folds
+from isoeffect.nuisance import Family, ModelSpec, _inner_cv_choose, _loss, cv_select
 from reference_solvers import (
     best_split_exhaustive,
     reference_boost_regression,
@@ -24,11 +29,11 @@ from reference_solvers import (
 
 
 def _pkg_tree_values(X, g, h, depth):
-    _, _, R = _bin(X)
-    stats = np.stack([g, h, np.ones_like(g)])
+    R = _bin([X], [_cuts(X)[0]])
+    stats = np.stack([g, h, np.ones_like(g)])[None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, leaf = _grow(R, (R > 0).ravel(), stats, depth)
-        return _leaf_values(leaf, stats, depth)[leaf]
+        _, leaf = _grow(R, R > 0, stats, depth, np.array([depth]))
+        return _leaf_values(leaf, stats, depth)[0][leaf[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +182,8 @@ def test_exhaustive_reference_agrees_on_gain():
     g = rng.standard_normal(60)
     h = np.ones(60)
     ref_gain, ref_j, ref_thr = best_split_exhaustive(X, g, h)
-    feature, threshold, R = _bin(X)
+    cuts, feature, threshold = _cuts(X)
+    R = _bin([X], [cuts])[0]
     stats = np.stack([g, h, np.ones(60)])
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = _split_gains((stats @ R)[:, None, :])[0, :-2]  # the cuts' columns
@@ -200,6 +206,11 @@ def test_gbt_input_validation():
         fit_gbt_core(np.zeros((0, 1)), np.zeros(0), classification=False)
     with pytest.raises(ValueError, match="at least one column"):
         fit_gbt_core(np.zeros((5, 0)), y, classification=False)
+    with pytest.raises(ValueError, match="but y has 4"):
+        fit_gbt_core(X, np.zeros(4), classification=False)
+    for rows in ([0, 5], [-1, 2]):
+        with pytest.raises(ValueError, match="must index the 5 rows"):
+            fit_gbt_batch(X, y, False, [GBTTask(np.array(rows))])
 
 
 def test_model_predict_proba_only_for_classifiers():
@@ -276,6 +287,106 @@ def test_many_distinct_values_capped_at_max_cuts():
     # every kept cut is still a midpoint between adjacent distinct values
     vals = np.unique(col)
     np.testing.assert_array_equal(np.isin(cuts, 0.5 * (vals[:-1] + vals[1:])), True)
-    feature, threshold, R = _bin(np.column_stack([col, col > 0]))
+    X = np.column_stack([col, col > 0])
+    both_cuts, feature, threshold = _cuts(X)
+    R = _bin([X], [both_cuts])[0]
     assert R.shape == (1000, cuts.size + 1 + 2)
     np.testing.assert_array_equal(np.bincount(feature[:-1]), [cuts.size, 1])
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches
+# ---------------------------------------------------------------------------
+
+
+def _batch_data(classification):
+    rng = np.random.default_rng(17)
+    X = np.column_stack([rng.standard_normal(150), rng.poisson(3, 150),
+                         rng.random(150) < 0.5]).astype(float)
+    y = X[:, 0] + 0.5 * X[:, 2] + 0.3 * rng.standard_normal(150)
+    if classification:
+        y = (y > 0).astype(float)
+    y[:25] = 0.0  # the first 25 rows have a constant target
+    return X, y
+
+
+def _assert_same_model(batch, solo):
+    for name in ("feature", "threshold", "value"):
+        np.testing.assert_array_equal(getattr(batch, name), getattr(solo, name))
+    assert batch.init == solo.init
+    assert batch.diagnostics == solo.diagnostics
+
+
+@pytest.mark.parametrize("classification", [False, True])
+def test_batch_fits_equal_solo_fits(classification):
+    X, y = _batch_data(classification)
+    half = np.arange(0, 150, 2)
+    tasks = [
+        GBTTask(np.arange(150), depth=3, n_trees=30, learning_rate=0.1, seed=1),
+        GBTTask(half, depth=2, n_trees=20, learning_rate=0.05, seed=2),
+        GBTTask(half, depth=3, n_trees=15, learning_rate=0.1, seed=3),
+        GBTTask(half, depth=2, n_trees=25, learning_rate=0.1, seed=4, subsample=1.0),
+        GBTTask(np.arange(120), depth=3, n_trees=25, learning_rate=0.05, seed=5),
+        GBTTask(np.arange(25), depth=2, n_trees=10, learning_rate=0.1, seed=6),
+    ]
+    models = fit_gbt_batch(X, y, classification, tasks)
+    assert models[-1].diagnostics["n_trees_fit"] == 0
+    for task, model in zip(tasks, models):
+        solo = fit_gbt_core(X[task.rows], y[task.rows], classification, depth=task.depth,
+                            n_trees=task.n_trees, learning_rate=task.learning_rate,
+                            subsample=task.subsample, seed=task.seed)
+        _assert_same_model(model, solo)
+        assert model.value.shape[1] == 1 << task.depth
+
+
+@pytest.mark.parametrize("family", [Family.GBT_REG, Family.GBT_CLF])
+def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
+    classifier = family == Family.GBT_CLF
+    X, y = _batch_data(classifier)
+    spec = ModelSpec(family, seed=3)  # default grid: 4 (depth, rate) groups x 5 folds
+    chosen, diag = _inner_cv_choose(X, y, spec, classifier=classifier)
+
+    cands = spec.candidates()
+    plan = make_folds(len(y), spec.inner_folds, a=y if classifier else None,
+                      seed=derive_seed(spec.seed, "inner-cv"))
+    groups: dict = {}
+    for ci, cand in enumerate(cands):
+        groups.setdefault((cand["depth"], cand["learning_rate"]), []).append(ci)
+    losses = np.empty((len(cands), plan.k))
+    trees = 0
+    for (depth, rate), members in groups.items():
+        stages = [cands[ci]["n_trees"] for ci in members]
+        for f in range(plan.k):
+            tr, te = plan.train_rows(f), plan.test_rows(f)
+            model = fit_gbt_core(X[tr], y[tr], classifier, depth=depth, n_trees=max(stages),
+                                 learning_rate=rate,
+                                 seed=derive_seed(spec.seed, f"inner-{members[0]}-{f}"))
+            losses[members, f] = _loss(family, model, X[te], y[te], stages)
+            trees += model.diagnostics["n_trees_fit"]
+    scores = tuple(float(np.mean(row)) for row in losses)
+    assert diag["inner_cv"]["scores"] == scores
+    assert chosen == diag["inner_cv"]["chosen"] == cv_select(cands, scores)
+    assert diag["inner_cv"]["fits"] == len(groups) * plan.k == 20
+    assert diag["inner_cv"]["trees"] == trees
+
+
+def test_lockstep_byte_bound_splits_batch_without_changing_models(monkeypatch):
+    X, y = _batch_data(False)
+    tasks = [GBTTask(np.arange(150), depth=d, n_trees=15, learning_rate=0.1, seed=s)
+             for s, d in enumerate((3, 2, 3, 2))]
+    sizes = []
+    lockstep = boosting._fit_lockstep
+    monkeypatch.setattr(boosting, "_fit_lockstep",
+                        lambda *args: sizes.append(len(args[3])) or lockstep(*args))
+    whole = fit_gbt_batch(X, y, False, tasks)
+    assert sizes == [4]
+
+    width = _cuts(X)[1].size + 1
+    per_task = 150 * (9 * width + (25 << 2))  # R, its routing copy and depth-3 level sums
+    for bound, expected in ((2 * per_task, [2, 2]), (1, [1, 1, 1, 1])):
+        sizes.clear()
+        monkeypatch.setattr(boosting, "_LOCKSTEP_BYTES", bound)
+        split = fit_gbt_batch(X, y, False, tasks)
+        assert sizes == expected
+        for a, b in zip(whole, split):
+            _assert_same_model(a, b)

@@ -228,6 +228,29 @@ def test_sweep_rejects_bad_inputs(sweep_csv, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command, reduction", [
+    ("calibrate", ["--omit-features", "x_0"]),
+    ("calibrate", ["--mask-patterns", "run*"]),
+    ("contour", ["--omit-features", "x_0"]),
+    ("contour", ["--mask-patterns", "run*"]),
+])
+def test_calibration_rejects_general_estimand_before_fitting(
+        command, reduction, data_csv, tmp_path, capsys, monkeypatch):
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("no data may be loaded and nothing fitted")
+
+    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "load_csv", never)
+    target = tmp_path / "target.csv"
+    target.write_text("x_0,x_1,x_2\n0.5,0.1,0.2\n")
+    rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
+               "--estimand", "general", "--target-data", str(target), *reduction])
+    assert rc == 1
+    assert "error: calibration supports the iate and iatt estimands" in capsys.readouterr().err
+
+
 def test_contour_grid_csv(data_csv, tmp_path):
     report = tmp_path / "report.json"
     _estimate(data_csv, report)
