@@ -26,7 +26,6 @@ from .estimator import (
     crossfit_nuisances,
     estimate_dr,
     estimate_effect,
-    estimate_general,
     estimate_naive,
     variance_ci,
     weights_for,
@@ -85,7 +84,7 @@ __all__ = [
     "SchemaError", "ValidationError",
     "derive_seed", "load_csv", "make_folds", "write_csv",
     "EffectEstimate", "NuisanceFits", "Weights",
-    "crossfit_nuisances", "estimate_dr", "estimate_effect", "estimate_general",
+    "crossfit_nuisances", "estimate_dr", "estimate_effect",
     "estimate_naive", "variance_ci",
     "weights_for", "weights_general", "weights_iate", "weights_iatt",
     "InterventionSplit", "Lexicon",

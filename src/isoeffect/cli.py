@@ -127,31 +127,28 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]:
     """Labeled reduced representations from --omit-features / --mask-patterns."""
+    groups = [g.strip() for g in (options["omit_features"] or "").split(",") if g.strip()]
+    patterns = [p.strip() for p in (options["mask_patterns"] or "").split(",") if p.strip()]
+    labels = groups + patterns
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValidationError(f"duplicate reduction label {label!r}")
     out: list[tuple[str, np.ndarray]] = []
-    omit = options["omit_features"]
-    if omit:
-        names = list(dataset.feature_names)
-        for group in omit.split(","):
-            group = group.strip()
-            if not group:
-                continue
-            members = [g.strip() for g in group.split("+")]
-            missing = [m for m in members if m not in names]
-            if missing:
-                raise ValidationError(f"cannot omit unknown feature(s) {missing}")
-            keep = [i for i, nm in enumerate(names) if nm not in members]
-            out.append((group, dataset.features[:, keep]))
-    patterns = options["mask_patterns"]
+    names = list(dataset.feature_names)
+    for group in groups:
+        members = [g.strip() for g in group.split("+")]
+        missing = [m for m in members if m not in names]
+        if missing:
+            raise ValidationError(f"cannot omit unknown feature(s) {missing}")
+        keep = [i for i, nm in enumerate(names) if nm not in members]
+        out.append((group, dataset.features[:, keep]))
     if patterns:
         if dataset.texts is None:
             raise ValidationError("--mask-patterns requires a text column in the data")
         if not options["lexicon"]:
             raise ValidationError("--mask-patterns requires --lexicon to refeaturize")
         lexicon = load_lexicon(options["lexicon"])
-        for pat in patterns.split(","):
-            pat = pat.strip()
-            if not pat:
-                continue
+        for pat in patterns:
             masked = mask_terms(dataset.texts, [pat])
             out.append((pat, featurize_texts(masked, lexicon, mode="binary")))
     return out

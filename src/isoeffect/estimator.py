@@ -1,19 +1,20 @@
 """Cross-fitted doubly robust estimation of isolated treatment effects.
 
-The estimator combines an outcome-model plug-in term with an importance
-weighted residual correction:
+One estimator, :func:`estimate_dr`, serves every estimand. It combines an
+outcome-model plug-in term with an importance weighted residual correction:
 
     tau_hat = (1/m) sum_j [g(1, e*_j) - g(0, e*_j)]
             + (1/n) sum_i gamma_i (y_i - g(a_i, e_i))
 
-where e are the non-focal features, the target sample {e*_j} depends on the
-estimand (everyone for IATE, the treated for IATT, an external corpus for
-the general transported estimand), and gamma are transporting inverse
-probability weights. Nuisances are cross-fitted: every row's predictions
-come from models trained on the other folds.
+where e are the non-focal features, the target sample {e*_j} is what the
+estimand fixes (every row for IATE, the treated rows for IATT, an external
+corpus for the general transported estimand), and gamma are transporting
+inverse probability weights. Nuisances are cross-fitted: every row's
+predictions come from models trained on the other folds.
 
 Standard errors come from the influence-function variance with 1/n CLT
-scaling; ``ci95`` is the usual two-sided normal interval.
+scaling (n + m stacked rows for the general estimand); ``ci95`` is the
+usual two-sided normal interval.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     EstimandKind,
     FoldPlan,
     ValidationError,
+    _readonly,
     derive_seed,
     make_folds,
 )
@@ -52,19 +54,12 @@ __all__ = [
     "weights_general",
     "weights_for",
     "estimate_dr",
-    "estimate_general",
     "estimate_naive",
     "variance_ci",
     "estimate_effect",
 ]
 
 Z_95 = 1.96
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64).copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -416,99 +411,53 @@ def variance_ci(influence: np.ndarray, tau_hat: float, n: int) -> tuple[float, f
     return variance, se, (tau_hat - Z_95 * se, tau_hat + Z_95 * se)
 
 
-def estimate_dr(
-    fits: NuisanceFits,
-    weights: Weights,
-    dataset: Dataset,
-    target_index: np.ndarray | None = None,
-) -> EffectEstimate:
-    """Doubly robust estimate for a target sample drawn from the dataset.
+def estimate_dr(fits: NuisanceFits, weights: Weights, dataset: Dataset) -> EffectEstimate:
+    """Doubly robust estimate over the target sample that ``weights.kind`` fixes.
 
-    ``target_index`` defaults to every row for IATE and the treated rows
-    for IATT. The influence function matches the estimand: for IATT the
-    plug-in contrast enters through the treated indicator scaled by the
-    fold's treated fraction.
+    The plug-in contrast is averaged over every row for IATE, the treated
+    rows for IATT and the external corpus for the general estimand; the
+    weighted residual correction is averaged over the source rows. For IATT
+    the contrast enters the influence through the treated indicator scaled
+    by the fold's treated fraction. For the general estimand the influence
+    stacks the n source rows (correction scaled by (n+m)/n) and the m target
+    rows (contrast scaled by (n+m)/m), and the variance uses n + m.
     """
     y, a = dataset.y, dataset.a.astype(np.float64)
     n = dataset.n
     kind = weights.kind
-    if target_index is None:
-        if kind == EstimandKind.IATE:
-            target_index = np.arange(n)
-        elif kind == EstimandKind.IATT:
-            target_index = np.flatnonzero(a == 1.0)
-        else:
-            raise ValueError("general estimates go through estimate_general")
-    target_index = np.asarray(target_index, dtype=np.int64)
-    if target_index.size == 0:
-        raise ValidationError("target sample is empty")
-
     contrast = fits.ghat1 - fits.ghat0
-    resid = y - fits.ghat_obs
-    correction = weights.gamma * resid
-    plug_in = float(contrast[target_index].mean())
-    tau = plug_in + float(correction.mean())
-
+    correction = weights.gamma * (y - fits.ghat_obs)
+    diagnostics = dict(fits.diagnostics)
     if kind == EstimandKind.IATE:
+        target = contrast
         psi = contrast + correction
     elif kind == EstimandKind.IATT:
-        pi1 = fits.pi1_rows()
-        psi = (a / pi1) * contrast + correction
+        target = contrast[a == 1.0]
+        if target.size == 0:
+            raise ValidationError("target sample is empty: no treated rows")
+        psi = (a / fits.pi1_rows()) * contrast + correction
+    elif kind == EstimandKind.GENERAL:
+        g = fits.general
+        if g is None:
+            raise ValidationError("general estimation requires fits with general-estimand extras")
+        target = g.target_ghat1 - g.target_ghat0
+        total = n + target.size
+        psi = np.concatenate([correction * (total / n), target * (total / target.size)])
+        diagnostics["n_source"] = n
     else:
-        raise ValueError("general estimates go through estimate_general")
+        raise ValueError(f"unknown estimand kind {kind!r}")
+    tau = float(target.mean()) + float(correction.mean())
 
     influence = psi - psi.mean()
-    variance, se, ci = variance_ci(influence, tau, n)
-    diagnostics = dict(fits.diagnostics)
-    diagnostics["m_target"] = int(target_index.size)
+    variance, se, ci = variance_ci(influence, tau, psi.size)
+    diagnostics["m_target"] = int(target.size)
     return EffectEstimate(
         estimand=kind,
         tau_hat=tau,
         variance_hat=variance,
         standard_error=se,
         ci95=ci,
-        n=n,
-        influence=influence,
-        diagnostics=diagnostics,
-    )
-
-
-def estimate_general(
-    fits: NuisanceFits, weights: Weights, dataset: Dataset
-) -> EffectEstimate:
-    """Transported estimate over an external target corpus.
-
-    The influence function stacks the n source rows and m target rows: the
-    target rows carry the plug-in contrast scaled by (n+m)/m, the source
-    rows carry the weighted correction scaled by (n+m)/n, and the variance
-    uses the combined sample size.
-    """
-    g = fits.general
-    if g is None or weights.kind != EstimandKind.GENERAL:
-        raise ValidationError("general estimation requires general fits and weights")
-    y = dataset.y
-    n = dataset.n
-    m = g.target_ghat1.shape[0]
-    contrast_t = g.target_ghat1 - g.target_ghat0
-    correction = weights.gamma * (y - fits.ghat_obs)
-    tau = float(contrast_t.mean()) + float(correction.mean())
-
-    total = n + m
-    psi = np.concatenate([
-        correction * (total / n),
-        contrast_t * (total / m),
-    ])
-    influence = psi - psi.mean()
-    variance, se, ci = variance_ci(influence, tau, total)
-    diagnostics = dict(fits.diagnostics)
-    diagnostics.update({"m_target": m, "n_source": n})
-    return EffectEstimate(
-        estimand=EstimandKind.GENERAL,
-        tau_hat=tau,
-        variance_hat=variance,
-        standard_error=se,
-        ci95=ci,
-        n=total,
+        n=psi.size,
         influence=influence,
         diagnostics=diagnostics,
     )
@@ -555,14 +504,11 @@ def estimate_effect(
     Returns the :class:`EffectEstimate`, or ``(estimate, fits, weights)``
     when ``return_parts`` is set (the sensitivity audit consumes the parts).
     """
-    estimand = Estimand(kind, target_features if kind == EstimandKind.GENERAL else None)
+    estimand = Estimand(kind, target_features)
     fits = crossfit_nuisances(
         dataset, estimand, outcome_spec, propensity_spec,
         k=k, seed=seed, clip=clip,
     )
     weights = weights_for(fits, dataset.a, kind)
-    if kind == EstimandKind.GENERAL:
-        est = estimate_general(fits, weights, dataset)
-    else:
-        est = estimate_dr(fits, weights, dataset)
+    est = estimate_dr(fits, weights, dataset)
     return (est, fits, weights) if return_parts else est

@@ -40,6 +40,7 @@ __all__ = [
     "generate",
     "oracle_tau",
     "spec_from_json",
+    "spec_from_json_file",
 ]
 
 

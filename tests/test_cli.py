@@ -251,6 +251,24 @@ def test_calibration_rejects_general_estimand_before_fitting(
     assert "error: calibration supports the iate and iatt estimands" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["calibrate", "contour"])
+@pytest.mark.parametrize("omit, label", [("x_0,x_0,x_0", "x_0"), ("x_0+x_1, x_0+x_1 ", "x_0+x_1")])
+def test_duplicate_reduction_labels_rejected_before_fitting(
+        command, omit, label, data_csv, tmp_path, capsys, monkeypatch):
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be fitted")
+
+    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "calibrate_detail", never)
+    rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
+               "--omit-features", omit])
+    assert rc == 1
+    assert f"error: duplicate reduction label '{label}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_contour_grid_csv(data_csv, tmp_path):
     report = tmp_path / "report.json"
     _estimate(data_csv, report)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isoeffect
 from isoeffect import (
     Dataset,
     Estimand,
@@ -325,3 +330,22 @@ def test_derive_seed_range_and_stability():
             v = derive_seed(seed, label)
             assert 0 <= v < 2**32
             assert v == derive_seed(seed, label)
+
+
+def test_every_module_exports_resolve():
+    modules = {info.name: importlib.import_module(f"isoeffect.{info.name}")
+               for info in pkgutil.iter_modules(isoeffect.__path__)}
+    for mod in (isoeffect, *modules.values()):
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"{mod.__name__}.__all__ names missing {missing}"
+    # a public name one module imports from a sibling is part of that sibling's API
+    for mod in modules.values():
+        for name, value in vars(mod).items():
+            owner = getattr(value, "__module__", "")
+            if (name.startswith("_") or not (inspect.isfunction(value) or inspect.isclass(value))
+                    or not owner.startswith("isoeffect.") or owner == mod.__name__):
+                continue
+            assert name in modules[owner.split(".")[1]].__all__, f"{mod.__name__} imports {owner}.{name}"
+    namespace: dict = {}
+    exec("from isoeffect import *", namespace)
+    assert set(isoeffect.__all__) <= set(namespace)

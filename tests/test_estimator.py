@@ -16,14 +16,14 @@ from isoeffect import (
     crossfit_nuisances,
     estimate_dr,
     estimate_effect,
-    estimate_general,
     estimate_naive,
     generate,
     variance_ci,
     weights_for,
     weights_iate,
+    weights_iatt,
 )
-from isoeffect.estimator import NuisanceFits
+from isoeffect.estimator import GeneralFits, NuisanceFits
 
 
 def _zeroed(arr):
@@ -136,18 +136,59 @@ def test_dr_with_true_nuisances_recovers_effect():
     assert abs(est.tau_hat - 1.0) < 0.08
 
 
-def test_dr_target_index_and_guards(tiny_dataset):
-    ds = tiny_dataset
-    p = np.full(ds.n, 0.5)
-    fits = _manual_fits(ds, _zeroed(ds.y), _zeroed(ds.y), _zeroed(ds.y), p)
-    w = weights_iate(ds.a.astype(float), p)
-    with pytest.raises(ValidationError, match="empty"):
-        estimate_dr(fits, w, ds, target_index=np.array([], dtype=int))
-    from isoeffect import Weights
+def test_dr_iatt_needs_treated_rows(tiny_dataset):
+    p = np.full(tiny_dataset.n, 0.5)
+    zeros = _zeroed(tiny_dataset.y)
+    fits = _manual_fits(tiny_dataset, zeros, zeros, zeros, p)
+    ds = Dataset(y=tiny_dataset.y, a=np.zeros(tiny_dataset.n, dtype=int),
+                 features=tiny_dataset.features)
+    w = weights_iatt(ds.a, p, 0.5)
+    with pytest.raises(ValidationError, match="target sample is empty"):
+        estimate_dr(fits, w, ds)
 
-    wg = Weights(kind="general", gamma=np.zeros(ds.n), target_gap=np.zeros(ds.n))
-    with pytest.raises(ValueError, match="estimate_general"):
-        estimate_dr(fits, wg, ds)
+
+def _golden_fits(ds: Dataset) -> NuisanceFits:
+    """Hand-assembled nuisances with general extras: 8 source rows, 5 target rows."""
+    fits = _manual_fits(
+        ds,
+        ghat_obs=[0.75, 2.5, 1.75, 0.25, -0.5, 3.5, 2.0, 1.0],
+        ghat1=[1.25, 2.5, 1.75, 1.0, 0.5, 3.5, 2.0, 2.25],
+        ghat0=[0.75, 1.5, 0.5, 0.25, -0.5, 2.0, 1.25, 1.0],
+        p_hat=[0.3, 0.6, 0.55, 0.35, 0.2, 0.7, 0.65, 0.4],
+    )
+    general = GeneralFits(
+        target_assignment=np.array([0, 1, 0, 1, 1]),
+        target_ghat1=np.array([1.5, 2.25, 0.75, 3.0, 1.25]),
+        target_ghat0=np.array([0.5, 1.0, 0.25, 1.75, 0.5]),
+        target_p_hat=np.array([0.45, 0.6, 0.3, 0.7, 0.5]),
+        target_prob_t=np.array([0.5, 0.35, 0.6, 0.45, 0.55]),
+        source_prob_t=np.array([0.4, 0.3, 0.45, 0.5, 0.35, 0.6, 0.25, 0.55]),
+        frac_t_by_fold=np.array([5 / 13, 4 / 13]),
+    )
+    return replace(fits, general=general)
+
+
+# exact (tau_hat, standard_error, variance_hat, ci95, n, m_target) per
+# estimand: a change in the order of the float operations moves them
+GOLDEN = {
+    "iate": (1.227662962037962, 0.26186259150338487, 0.548576134630949,
+             (0.7144122826913276, 1.7409136413845965), 8, 8),
+    "iatt": (1.4499771062271063, 0.6130849139575574, 3.006984893778764,
+             (0.2483306748702938, 2.6516235375839186), 8, 4),
+    "general": (1.114409927194018, 0.5549916093908527, 4.0042039244252345,
+                (0.026626372787946773, 2.202193481600089), 13, 5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_dr_estimate_bits_per_estimand(tiny_dataset, kind):
+    fits = _golden_fits(tiny_dataset)
+    est = estimate_dr(fits, weights_for(fits, tiny_dataset.a, kind), tiny_dataset)
+    got = (est.tau_hat, est.standard_error, est.variance_hat, est.ci95, est.n,
+           est.diagnostics["m_target"])
+    assert got == GOLDEN[kind]
+    assert est.estimand == kind
+    assert est.influence.shape == (est.n,)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +284,17 @@ def test_estimand_kinds_and_target_sizes(synth_small):
 
 
 def test_return_parts_round_trip(synth_small):
-    est, fits, weights = estimate_effect(
-        synth_small, outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
-        seed=4, return_parts=True,
-    )
-    rebuilt = estimate_dr(fits, weights, synth_small)
-    assert rebuilt.tau_hat == est.tau_hat
-    assert rebuilt.ci95 == est.ci95
+    target = generate(SynthSpec(n=120, d=synth_small.features.shape[1], seed=31)).features
+    for kind in ("iate", "iatt", "general"):
+        est, fits, weights = estimate_effect(
+            synth_small, kind=kind, outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
+            seed=4, target_features=target if kind == "general" else None, return_parts=True,
+        )
+        rebuilt = estimate_dr(fits, weights, synth_small)
+        assert rebuilt.tau_hat == est.tau_hat
+        assert rebuilt.ci95 == est.ci95
+        assert rebuilt.n == est.n
+        np.testing.assert_array_equal(rebuilt.influence, est.influence)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +337,15 @@ def test_general_requires_target(synth_small):
         )
 
 
-def test_general_estimator_guards(synth_small):
+def test_general_estimator_guards(synth_small, tiny_dataset):
     fits = crossfit_nuisances(synth_small, outcome_spec=FAST_LINEAR,
                               propensity_spec=FAST_LOGISTIC)
-    w = weights_for(fits, synth_small.a.astype(float), "iate")
-    with pytest.raises(ValidationError, match="general"):
-        estimate_general(fits, w, synth_small)
     with pytest.raises(ValidationError, match="no general"):
         weights_for(fits, synth_small.a.astype(float), "general")
+    golden = _golden_fits(tiny_dataset)
+    w = weights_for(golden, tiny_dataset.a, "general")
+    with pytest.raises(ValidationError, match="general-estimand extras"):
+        estimate_dr(replace(golden, general=None), w, tiny_dataset)
+    # a target corpus is only meaningful for the general estimand
+    with pytest.raises(ValueError, match="only meaningful"):
+        estimate_effect(synth_small, kind="iate", target_features=np.zeros((10, 3)))
