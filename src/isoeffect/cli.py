@@ -135,8 +135,13 @@ def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]
             raise ValidationError(f"duplicate reduction label {label!r}")
     out: list[tuple[str, np.ndarray]] = []
     names = list(dataset.feature_names)
+    omitted: dict[frozenset, str] = {}  # a group's set of columns -> its label
     for group in groups:
         members = [g.strip() for g in group.split("+")]
+        earlier = omitted.setdefault(frozenset(members), group)
+        if earlier != group:
+            raise ValidationError(
+                f"duplicate reduction {group!r}: omits the same columns as {earlier!r}")
         missing = [m for m in members if m not in names]
         if missing:
             raise ValidationError(f"cannot omit unknown feature(s) {missing}")

@@ -18,14 +18,23 @@ each sweep costs O(d^2) instead of O(n d). The logistic solver wraps the same
 sweep inside a quadratic majorization with the global curvature bound 1/4,
 which makes the true objective non-increasing across passes by construction.
 
-Both loops are cores that take a precomputed standardization and Gram matrix
-(:class:`Design`) and a starting point. ``enet_linear_path`` and
-``enet_logistic_path`` solve a whole penalty grid on one design, from the
-strongest penalty down, each solve warm-started from the one before (the
-regularization paths of Friedman, Hastie & Tibshirani, JSS 2010);
-``fit_enet_linear`` and ``fit_enet_logistic`` are the one-penalty case,
-solved from zero. Most of a path's saving over separate fits is the shared
-standardization and Gram matrix; the warm starts also trim the sweeps.
+Both solvers are batched cores. Each runs P problems at once; every problem
+has its own :class:`Design` (a precomputed standardization and Gram matrix),
+target, ``l1_ratio`` and penalty grid, and walks its grid from the strongest
+penalty down, each solve warm-started from the one before (the
+regularization paths of Friedman, Hastie & Tibshirani, JSS 2010). Coordinate
+state lives in ``(d, P)`` arrays, so a few numpy operations update
+coordinate j of every live problem; a problem that converges or reaches its
+iteration cap moves on to its next penalty or leaves the batch. Every
+elementwise step is the scalar rule, and sums over a problem's rows (the
+logistic gradient refresh) run one problem at a time, so each problem's fits
+equal bit for bit those of solving it alone. ``enet_linear_paths`` and
+``enet_logistic_paths`` take a batch, ``enet_linear_path`` and
+``enet_logistic_path`` are the one-problem case, and ``fit_enet_linear`` and
+``fit_enet_logistic`` the one-penalty case, solved from zero. A batch costs
+about a dozen numpy calls per coordinate and sweep whatever its width, so it
+pays off when wide: the inner-CV grid of one nuisance is 5 folds times 8
+``l1_ratio`` values, 40 problems.
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ __all__ = [
     "fit_enet_logistic",
     "enet_linear_path",
     "enet_logistic_path",
+    "enet_linear_paths",
+    "enet_logistic_paths",
     "linear_objective_std",
     "logistic_objective_std",
 ]
@@ -57,14 +68,6 @@ def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     scale = X.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
     return (X - mean) / scale, mean, scale
-
-
-def _soft(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
 
 
 def _penalty(w: np.ndarray, alpha: float, l1_ratio: float) -> float:
@@ -140,102 +143,278 @@ def prepare_design(X: np.ndarray) -> Design:
     return Design(Z=Z, mean=mean, scale=scale, cross=Z.T @ Z)
 
 
-def _linear_cd(G, q, w, alpha, l1_ratio, tol, max_sweeps, base=None):
-    """Cyclic coordinate descent on the Gram form, from ``w`` (updated in place).
+class _Walk:
+    """One problem of a batch: its data, its penalty order and the fits so far."""
 
-    ``G = Z'Z/n`` and ``q = Z'yc/n``. Returns ``(sweeps, converged, trace)``;
-    the objective is traced per sweep only when ``base = yc'yc/(2n)`` is given.
+    def __init__(self, X, y, penalties, l1_ratio, strength):
+        self.design = X if isinstance(X, Design) else prepare_design(X)
+        self.y = y
+        self.n = len(y)
+        self.penalties = tuple(penalties)
+        self.l1_ratio = l1_ratio
+        # strongest penalty first: ascending ``strength``, ties in grid order
+        self.order = sorted(range(len(self.penalties)), key=lambda i: strength(self.penalties[i]))
+        self.fits: list = [None] * len(self.penalties)
+        self.at = 0  # position in ``order`` of the penalty being solved
+        self.trace: list[float] = []
+
+    @property
+    def penalty(self):
+        return self.penalties[self.order[self.at]]
+
+    def advance(self, fit) -> bool:
+        """Store the fit at the current penalty; False once the grid is done."""
+        self.fits[self.order[self.at]] = fit
+        self.at += 1
+        return self.at < len(self.order)
+
+
+def _stack(walks: list[_Walk], curvature: list[np.ndarray]):
+    """Diagonals ``(d, P)`` and columns ``cols[j] = (d, P)`` of every problem's Gram."""
+    widths = {walk.design.Z.shape[1] for walk in walks}
+    if len(widths) > 1:
+        raise ValueError("every problem in a batch needs the same number of columns")
+    diag = np.stack([G.diagonal() for G in curvature], axis=1)
+    cols = np.stack([G.T for G in curvature], axis=2)
+    return diag, cols
+
+
+def _denominators(diag: np.ndarray, ridge: float) -> np.ndarray:
+    # a coordinate that is constant on a problem's rows has a zero diagonal
+    # and zero Gram entries; an infinite denominator pins it at zero
+    return np.where(diag > 0, diag + ridge, np.inf)
+
+
+def _sweep(C, U, W, diag, denom, lo, hi, cols) -> np.ndarray:
+    """One cyclic coordinate sweep of every column (problem) of the batch at once.
+
+    ``C`` holds the working correlations and ``U`` the moves made from ``W``
+    (``W=None``: ``U`` is the iterate itself). Coordinate j moves to
+    soft(rho, hi) / denom with rho = C[j] + diag[j] * (W[j] + U[j]); the soft
+    threshold is written ``rho - clip(rho, lo, hi)``, which equals the scalar
+    rule bit for bit. Where a step is zero the move is kept as it was, as a
+    loop that skips zero steps would. Without ``W`` a zero step means the new
+    value equals the stored one (a zero is never stored as -0.0), so it is
+    stored unmasked. Returns each column's largest step.
     """
-    diag = G.diagonal()
-    order = np.flatnonzero(diag > 0)  # constant columns stay at zero
-    denom = diag + alpha * (1.0 - l1_ratio)
-    threshold = alpha * l1_ratio
-    eff_tol = tol if alpha > 0 else min(tol, 1e-12)
-    c = q - G @ w  # (1/n) Z^T (yc - Z w)
-    trace: list[float] = []
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
+    steps = np.empty_like(C)
+    if W is None:
+        for Cj, Uj, dj, nj, gj, sj in zip(C, U, diag, denom, cols, steps):
+            rho = Cj + dj * Uj
+            new = (rho - np.minimum(np.maximum(rho, lo), hi)) / nj
+            np.subtract(new, Uj, out=sj)
+            C -= sj * gj
+            Uj[...] = new
+    else:
+        for Cj, Uj, Wj, dj, nj, gj, sj in zip(C, U, W, diag, denom, cols, steps):
+            cur = Wj + Uj
+            rho = Cj + dj * cur
+            new = (rho - np.minimum(np.maximum(rho, lo), hi)) / nj
+            np.subtract(new, cur, out=sj)
+            C -= sj * gj
+            np.copyto(Uj, new - Wj, where=sj != 0.0)
+    return np.fmax.reduce(np.abs(steps), axis=0, initial=0.0)
+
+
+def _linear_paths(walks: list[_Walk], tol: float, max_sweeps: int, track: bool) -> None:
+    """Cyclic coordinate descent on the Gram form for a batch of linear paths.
+
+    Per problem, ``G = Z'Z/n``, ``q = Z'yc/n`` and ``c = q - G w``; a penalty
+    is solved once the largest coordinate step of a sweep drops below its
+    tolerance, or after ``max_sweeps`` sweeps. Finished problems move on to
+    their next penalty, warm-started, or leave the batch.
+    """
+    y_means = [walk.y.mean() for walk in walks]
+    ycs = [walk.y - m for walk, m in zip(walks, y_means)]
+    Gs = [walk.design.cross / walk.n for walk in walks]
+    qs = [(walk.design.Z.T @ yc) / walk.n for walk, yc in zip(walks, ycs)]
+    bases = [0.5 * float(yc @ yc) / walk.n for walk, yc in zip(walks, ycs)]
+    diag, cols = _stack(walks, Gs)
+    d, P = diag.shape
+    ids = np.arange(P)
+    U = np.zeros((d, P))  # standardized coefficients
+    C = np.empty((d, P))
+    denom = np.empty((d, P))
+    hi = np.empty(P)
+    tols = np.empty(P)
+    sweeps = np.zeros(P, dtype=np.int64)
+
+    def enter(col):
+        p = ids[col]
+        walk, alpha = walks[p], walks[p].penalty
+        denom[:, col] = _denominators(diag[:, col], alpha * (1.0 - walk.l1_ratio))
+        hi[col] = alpha * walk.l1_ratio
+        tols[col] = tol if alpha > 0 else min(tol, 1e-12)
+        C[:, col] = qs[p] - Gs[p] @ np.ascontiguousarray(U[:, col])
+        sweeps[col] = 0
+        walk.trace = []
+
+    for col in range(P):
+        enter(col)
+    while ids.size:
+        delta = _sweep(C, U, None, diag, denom, -hi, hi, cols)
         sweeps += 1
-        delta_max = 0.0
-        for j in order:
-            rho = c[j] + diag[j] * w[j]
-            w_new = _soft(rho, threshold) / denom[j]
-            step = w_new - w[j]
-            if step != 0.0:
-                c -= step * G[:, j]
-                w[j] = w_new
-                adelta = abs(step)
-                if adelta > delta_max:
-                    delta_max = adelta
-        if base is not None:
-            # objective from Gram caches: 0.5 w'Gw - q'w + const + penalty
-            quad = 0.5 * float(w @ (q - c)) - float(q @ w)
-            trace.append(base + quad + _penalty(w, alpha, l1_ratio))
-        if delta_max < eff_tol:
-            converged = True
-            break
-        if sweeps % 1024 == 0:  # kill accumulated float drift in c
-            c = q - G @ w
-    return sweeps, converged, trace
-
-
-def _logistic_cd(Z, y, G4, w, b, alpha, l1_ratio, tol, max_passes, track):
-    """Majorized coordinate descent from ``(w, b)``.
-
-    ``G4 = Z'Z/(4n)`` is the curvature bound of the smooth part. Returns
-    ``(w, b, passes, converged, trace)``.
-    """
-    n, d = Z.shape
-    diag4 = G4.diagonal()
-    order = np.flatnonzero(diag4 > 0)
-    denom = diag4 + alpha * (1.0 - l1_ratio)
-    threshold = alpha * l1_ratio
-    trace: list[float] = []
-    passes = 0
-    converged = False
-    while passes < max_passes:
-        passes += 1
-        eta = b + Z @ w
-        with np.errstate(over="ignore"):
-            p = 1.0 / (1.0 + np.exp(-eta))
-        resid = y - p
         if track:
-            s = 2.0 * y - 1.0
-            trace.append(
-                float(np.logaddexp(0.0, -s * eta).mean()) + _penalty(w, alpha, l1_ratio)
+            for col, p in enumerate(ids):
+                w, c, q = np.ascontiguousarray(U[:, col]), np.ascontiguousarray(C[:, col]), qs[p]
+                # objective from Gram caches: 0.5 w'Gw - q'w + const + penalty
+                quad = 0.5 * float(w @ (q - c)) - float(q @ w)
+                walk = walks[p]
+                walk.trace.append(bases[p] + quad + _penalty(w, walk.penalty, walk.l1_ratio))
+        converged = delta < tols
+        done = converged | (sweeps >= max_sweeps)
+        if sweeps.max() >= 1024:
+            for col in np.flatnonzero(~done & (sweeps % 1024 == 0)):  # kill float drift in c
+                C[:, col] = qs[ids[col]] - Gs[ids[col]] @ np.ascontiguousarray(U[:, col])
+        if not done.any():
+            continue
+        keep = np.ones(len(ids), dtype=bool)
+        for col in np.flatnonzero(done):
+            p = ids[col]
+            walk, w = walks[p], U[:, col].copy()
+            coef = w / walk.design.scale
+            fit = LinearFit(
+                coef=coef,
+                intercept=y_means[p] - float(coef @ walk.design.mean),
+                coef_std=w,
+                alpha=walk.penalty,
+                l1_ratio=walk.l1_ratio,
+                n_sweeps=int(sweeps[col]),
+                converged=bool(converged[col]),
+                objective_trace=tuple(walk.trace),
             )
-        db = 4.0 * float(resid.mean())  # exact minimizer of the surrogate in b
-        b += db
+            if walk.advance(fit):
+                enter(col)
+            else:
+                keep[col] = False
+        if not keep.all():
+            ids, U, C, denom, diag, hi, tols, sweeps, cols = (
+                a[..., keep] for a in (ids, U, C, denom, diag, hi, tols, sweeps, cols)
+            )
 
-        # CD on the surrogate: variables u = w' - w, residual correlations
-        # tracked through the Gram cache. A handful of inner sweeps per pass
-        # amortizes the O(nd) gradient refresh.
-        u = np.zeros(d)
-        c = (Z.T @ resid) / n  # minus the smooth-part gradient in w, at u = 0
-        pass_delta = abs(db)
-        for _ in range(10):
-            delta_max = 0.0
-            for j in order:
-                # working correlation for the coordinate value w_j + u_j
-                rho = c[j] + diag4[j] * (w[j] + u[j])
-                w_new = _soft(rho, threshold) / denom[j]
-                step = w_new - (w[j] + u[j])
-                if step != 0.0:
-                    c -= step * G4[:, j]
-                    u[j] = w_new - w[j]
-                    adelta = abs(step)
-                    if adelta > delta_max:
-                        delta_max = adelta
-            if delta_max > pass_delta:
-                pass_delta = delta_max
-            if delta_max < tol:
-                break
-        w = w + u
-        if pass_delta < tol:
-            converged = True
-            break
-    return w, b, passes, converged, trace
+
+def _logistic_paths(walks: list[_Walk], tol: float, max_passes: int, track: bool) -> None:
+    """Majorized coordinate descent for a batch of logistic paths.
+
+    A problem's pass refreshes its probabilities and gradient on its own rows
+    (one call per problem, so every sum runs in the order of a lone fit),
+    steps the intercept, then runs up to 10 coordinate sweeps on the
+    surrogate with curvature ``Z'Z/(4n)``, stopping early once its largest
+    step drops below ``tol``. Every live problem sweeps once per round, each
+    in its own pass: a problem whose pass ends starts its next pass, with a
+    refresh, in the next round. A penalty is solved once no intercept or
+    coordinate step of a pass reaches ``tol``, or after ``max_passes``
+    passes.
+    """
+    G4s = [walk.design.cross / (4.0 * walk.n) for walk in walks]
+    diag, cols = _stack(walks, G4s)
+    d, P = diag.shape
+    b = []
+    for walk in walks:
+        rate = walk.y.mean()
+        b.append(float(np.log(rate / (1.0 - rate))) if 0.0 < rate < 1.0 else 0.0)
+    ids = np.arange(P)
+    W = np.zeros((d, P))  # standardized coefficients at the start of the pass
+    U = np.zeros((d, P))  # moves made in the pass
+    C = np.empty((d, P))
+    denom = np.empty((d, P))
+    hi = np.empty(P)
+    passes = np.zeros(P, dtype=np.int64)
+    sweeps = np.zeros(P, dtype=np.int64)  # sweeps made in the pass; 0 until it starts
+    delta = np.empty(P)  # largest intercept or coordinate step of the pass
+
+    def enter(col):
+        walk = walks[ids[col]]
+        alpha = 1.0 / (walk.penalty * walk.n)
+        denom[:, col] = _denominators(diag[:, col], alpha * (1.0 - walk.l1_ratio))
+        hi[col] = alpha * walk.l1_ratio
+        passes[col] = 0
+        walk.trace = []
+
+    for col in range(P):
+        enter(col)
+    starting = range(P)  # columns whose next sweep opens a pass
+    with np.errstate(over="ignore"):
+        while ids.size:
+            for col in starting:
+                p = ids[col]
+                walk, w = walks[p], np.ascontiguousarray(W[:, col])
+                eta = b[p] + walk.design.Z @ w
+                resid = walk.y - 1.0 / (1.0 + np.exp(-eta))
+                if track:
+                    loss = float(np.logaddexp(0.0, -(2.0 * walk.y - 1.0) * eta).mean())
+                    alpha = 1.0 / (walk.penalty * walk.n)
+                    walk.trace.append(loss + _penalty(w, alpha, walk.l1_ratio))
+                # exact minimizer of the surrogate in b; sum / n is resid.mean()
+                db = 4.0 * (float(resid.sum()) / walk.n)
+                b[p] += db
+                C[:, col] = (walk.design.Z.T @ resid) / walk.n
+                U[:, col] = 0.0
+                delta[col] = abs(db)
+                passes[col] += 1
+
+            step = _sweep(C, U, W, diag, denom, -hi, hi, cols)
+            delta = np.where(step > delta, step, delta)
+            sweeps += 1
+            starting = np.flatnonzero((step < tol) | (sweeps == 10))
+            if not starting.size:
+                continue
+            W[:, starting] += U[:, starting]
+            sweeps[starting] = 0
+            converged = delta < tol
+            done = starting[converged[starting] | (passes[starting] >= max_passes)]
+            if not done.size:
+                continue
+            keep = np.ones(len(ids), dtype=bool)
+            for col in done:
+                p = ids[col]
+                walk, w = walks[p], W[:, col].copy()
+                fit = LogisticFit(
+                    coef=w / walk.design.scale,
+                    intercept=b[p] - float((w / walk.design.scale) @ walk.design.mean),
+                    coef_std=w,
+                    C=walk.penalty,
+                    l1_ratio=walk.l1_ratio,
+                    n_passes=int(passes[col]),
+                    converged=bool(converged[col]),
+                    objective_trace=tuple(walk.trace),
+                )
+                if walk.advance(fit):
+                    enter(col)
+                else:
+                    keep[col] = False
+            if not keep.all():
+                ids, W, U, C, denom, diag, hi, passes, sweeps, delta, cols = (
+                    a[..., keep]
+                    for a in (ids, W, U, C, denom, diag, hi, passes, sweeps, delta, cols)
+                )
+                starting = np.flatnonzero(sweeps == 0)
+
+
+def enet_linear_paths(
+    problems: Sequence[tuple],
+    tol: float = 1e-7,
+    max_sweeps: int = 100_000,
+    track_objective: bool = False,
+) -> list[list[LinearFit]]:
+    """Several :func:`enet_linear_path` calls solved together.
+
+    Each problem is the ``(X, y, alphas, l1_ratio)`` of one path, and every
+    problem needs the same number of feature columns. The result holds each
+    problem's fits, equal bit for bit to its own :func:`enet_linear_path`.
+    """
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
+    walks = []
+    for X, y, alphas, l1_ratio in problems:
+        if any(alpha < 0 for alpha in alphas) or not 0.0 <= l1_ratio <= 1.0:
+            raise ValueError("need alpha >= 0 and l1_ratio in [0, 1]")
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        walks.append(_Walk(X, y, alphas, l1_ratio, lambda alpha: -alpha))
+    live = [walk for walk in walks if walk.order]
+    if live:
+        _linear_paths(live, tol, max_sweeps, track_objective)
+    return [walk.fits for walk in walks]
 
 
 def enet_linear_path(
@@ -255,33 +434,7 @@ def enet_linear_path(
     paths on the same rows share it. Every solve has the convergence rule of
     :func:`fit_enet_linear`.
     """
-    if any(alpha < 0 for alpha in alphas) or not 0.0 <= l1_ratio <= 1.0:
-        raise ValueError("need alpha >= 0 and l1_ratio in [0, 1]")
-    design = X if isinstance(X, Design) else prepare_design(X)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n = len(y)
-    y_mean = y.mean()
-    yc = y - y_mean
-    G = design.cross / n
-    q = (design.Z.T @ yc) / n
-    base = 0.5 * float(yc @ yc) / n if track_objective else None
-
-    w = np.zeros(design.Z.shape[1])
-    fits: list = [None] * len(alphas)
-    for i in sorted(range(len(alphas)), key=lambda i: -alphas[i]):
-        sweeps, converged, trace = _linear_cd(G, q, w, alphas[i], l1_ratio, tol, max_sweeps, base)
-        coef = w / design.scale
-        fits[i] = LinearFit(
-            coef=coef,
-            intercept=y_mean - float(coef @ design.mean),
-            coef_std=w.copy(),
-            alpha=alphas[i],
-            l1_ratio=l1_ratio,
-            n_sweeps=sweeps,
-            converged=converged,
-            objective_trace=tuple(trace),
-        )
-    return fits
+    return enet_linear_paths([(X, y, alphas, l1_ratio)], tol, max_sweeps, track_objective)[0]
 
 
 def fit_enet_linear(
@@ -303,6 +456,34 @@ def fit_enet_linear(
     return enet_linear_path(X, y, [alpha], l1_ratio, tol, max_sweeps, track_objective)[0]
 
 
+def enet_logistic_paths(
+    problems: Sequence[tuple],
+    tol: float = 1e-7,
+    max_passes: int = 5_000,
+    track_objective: bool = False,
+) -> list[list[LogisticFit]]:
+    """Several :func:`enet_logistic_path` calls solved together.
+
+    Each problem is the ``(X, y, Cs, l1_ratio)`` of one path, as for
+    :func:`enet_linear_paths`; each problem's fits equal its own
+    :func:`enet_logistic_path` bit for bit.
+    """
+    if max_passes < 1:
+        raise ValueError("max_passes must be >= 1")
+    walks = []
+    for X, y, Cs, l1_ratio in problems:
+        if any(C <= 0 for C in Cs) or not 0.0 <= l1_ratio <= 1.0:
+            raise ValueError("need C > 0 and l1_ratio in [0, 1]")
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        if not np.all(np.isin(y, (0.0, 1.0))):
+            raise ValueError("logistic targets must be 0/1")
+        walks.append(_Walk(X, y, Cs, l1_ratio, lambda C: C))
+    live = [walk for walk in walks if walk.order]
+    if live:
+        _logistic_paths(live, tol, max_passes, track_objective)
+    return [walk.fits for walk in walks]
+
+
 def enet_logistic_path(
     X: np.ndarray | Design,
     y: np.ndarray,
@@ -319,34 +500,7 @@ def enet_logistic_path(
     coefficients and intercept. ``X`` may be a prepared :class:`Design`, as
     for :func:`enet_linear_path`.
     """
-    if any(C <= 0 for C in Cs) or not 0.0 <= l1_ratio <= 1.0:
-        raise ValueError("need C > 0 and l1_ratio in [0, 1]")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("logistic targets must be 0/1")
-    design = X if isinstance(X, Design) else prepare_design(X)
-    n = len(y)
-    G4 = design.cross / (4.0 * n)  # curvature-bound Hessian of the smooth part
-
-    w = np.zeros(design.Z.shape[1])
-    b = float(np.log(y.mean() / (1.0 - y.mean()))) if 0.0 < y.mean() < 1.0 else 0.0
-    fits: list = [None] * len(Cs)
-    for i in sorted(range(len(Cs)), key=lambda i: Cs[i]):
-        w, b, passes, converged, trace = _logistic_cd(
-            design.Z, y, G4, w, b, 1.0 / (Cs[i] * n), l1_ratio, tol, max_passes,
-            track_objective,
-        )
-        fits[i] = LogisticFit(
-            coef=w / design.scale,
-            intercept=b - float((w / design.scale) @ design.mean),
-            coef_std=w,
-            C=Cs[i],
-            l1_ratio=l1_ratio,
-            n_passes=passes,
-            converged=converged,
-            objective_trace=tuple(trace),
-        )
-    return fits
+    return enet_logistic_paths([(X, y, Cs, l1_ratio)], tol, max_passes, track_objective)[0]
 
 
 def fit_enet_logistic(

@@ -22,8 +22,8 @@ from .core import ValidationError, derive_seed, make_folds
 from .elasticnet import (
     LinearFit,
     LogisticFit,
-    enet_linear_path,
-    enet_logistic_path,
+    enet_linear_paths,
+    enet_logistic_paths,
     fit_enet_linear,
     fit_enet_logistic,
     prepare_design,
@@ -213,7 +213,8 @@ def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> tuple[n
 
     Elastic-net candidates that share an ``l1_ratio`` are scored from one
     regularization path per inner fold, on one standardization of its
-    training rows; the facts count the path solves that did not converge.
+    training rows, and every (inner fold, ``l1_ratio``) path is solved in one
+    lockstep batch; the facts count the path solves that did not converge.
     Boosting candidates that differ only in ``n_trees`` share one fit per
     fold at their largest count, seeded as the first of them, and each count
     is scored from the staged predictions of that fit. Those fits, one per
@@ -248,20 +249,24 @@ def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> tuple[n
 
 def _path_fold_losses(X, target, family: str, cands: list[dict], plan) -> tuple[np.ndarray, dict]:
     linear = family == Family.ELASTIC_LINEAR
-    penalty, path = ("alpha", enet_linear_path) if linear else ("C", enet_logistic_path)
+    penalty, paths = ("alpha", enet_linear_paths) if linear else ("C", enet_logistic_paths)
     by_ratio: dict = {}
     for ci, cand in enumerate(cands):
         by_ratio.setdefault(cand["l1_ratio"], []).append(ci)
+    problems, scored = [], []
+    for f in range(plan.k):
+        tr = plan.train_rows(f)
+        design, y = prepare_design(X[tr]), target[tr]
+        for ratio, members in by_ratio.items():
+            problems.append((design, y, [cands[ci][penalty] for ci in members], ratio))
+            scored.append((f, members))
     losses = np.empty((len(cands), plan.k))
     nonconverged = 0
-    for f in range(plan.k):
-        tr, te = plan.train_rows(f), plan.test_rows(f)
-        design = prepare_design(X[tr])
-        for ratio, members in by_ratio.items():
-            fits = path(design, target[tr], [cands[ci][penalty] for ci in members], ratio)
-            for ci, model in zip(members, fits):
-                losses[ci, f] = _loss(family, model, X[te], target[te])
-                nonconverged += not model.converged
+    for (f, members), fits in zip(scored, paths(problems)):
+        te = plan.test_rows(f)
+        for ci, model in zip(members, fits):
+            losses[ci, f] = _loss(family, model, X[te], target[te])
+            nonconverged += not model.converged
     return losses, {"nonconverged": nonconverged}
 
 

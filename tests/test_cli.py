@@ -269,6 +269,27 @@ def test_duplicate_reduction_labels_rejected_before_fitting(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "contour"])
+@pytest.mark.parametrize("omit, label, earlier", [("x_0+x_1,x_1+x_0", "x_1+x_0", "x_0+x_1"),
+                                                  ("x_0,x_0+x_0", "x_0+x_0", "x_0")])
+def test_duplicate_omitted_column_sets_rejected_before_fitting(
+        command, omit, label, earlier, data_csv, tmp_path, capsys, monkeypatch):
+    # distinct labels, one set of omitted columns: the same reduction twice
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be featurized, masked or fitted")
+
+    for name in ("estimate_effect", "calibrate_detail", "featurize_texts", "mask_terms"):
+        monkeypatch.setattr(cli, name, never)
+    rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
+               "--omit-features", omit])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: duplicate reduction '{label}': omits the same columns as '{earlier}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_contour_grid_csv(data_csv, tmp_path):
     report = tmp_path / "report.json"
     _estimate(data_csv, report)

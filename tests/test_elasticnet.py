@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from isoeffect.elasticnet import (
     enet_linear_path,
+    enet_linear_paths,
     enet_logistic_path,
+    enet_logistic_paths,
     fit_enet_linear,
     fit_enet_logistic,
     linear_objective_std,
@@ -22,6 +24,7 @@ from isoeffect.elasticnet import (
     prepare_design,
     standardize_columns,
 )
+import scalar_paths
 from reference_solvers import (
     enet_linear_objective,
     enet_logistic_objective,
@@ -314,3 +317,87 @@ def test_path_input_validation():
         enet_logistic_path(X, y, (1.0, 0.0), 0.5)
     with pytest.raises(ValueError, match="0/1"):
         enet_logistic_path(X, y + 2.0, (1.0,), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# batched paths
+# ---------------------------------------------------------------------------
+
+
+def _mixed_batch(loss: str) -> list[tuple]:
+    """Paths with unequal rows and mixed l1_ratio, one of them odd in each way.
+
+    Problem 1 has a column that is constant on its rows. Linear: problem 3
+    ends its grid at alpha=0, where the tolerance tightens to 1e-12.
+    Logistic: problem 3 is separable with a margin, so its C=100 solve runs
+    to the pass cap while the other problems converge.
+    """
+    rng = np.random.default_rng(808)
+    problems = []
+    for p, (n, ratio) in enumerate([(70, 0.0), (90, 0.5), (55, 1.0), (64, 0.5)]):
+        X = rng.standard_normal((n, 3))
+        X[:, 1] = 0.6 * X[:, 0] + 0.4 * X[:, 1]
+        if p == 1:
+            X[:, 2] = 5.0
+        if loss == "linear":
+            y = 0.5 + X @ np.array([1.0, -0.7, 0.3]) + 0.4 * rng.standard_normal(n)
+            grid = (0.5, 0.0) if p == 3 else (1e-2, 1.0, 1e-4, 1e-1)
+        elif p == 3:
+            X[:, 0] += np.sign(X[:, 0])
+            y = (X[:, 0] > 0).astype(float)
+            grid = (100.0, 1.0)
+        else:
+            eta = 0.3 + X @ np.array([1.2, -0.8, 0.4])
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+            grid = (1.0, 0.01, 10.0)
+        problems.append((X, y, grid, ratio))
+    return problems
+
+
+_MAX_PASSES = 400
+
+
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_batched_paths_equal_solo_paths(loss):
+    # every problem of the batch, and the same problem solved alone, equals
+    # the scalar loop's path in every field
+    problems = _mixed_batch(loss)
+    if loss == "linear":
+        batched = enet_linear_paths(problems, track_objective=True)
+        alone = [enet_linear_path(*p, track_objective=True) for p in problems]
+        scalar = [scalar_paths.linear_path(*p, track_objective=True) for p in problems]
+    else:
+        batched = enet_logistic_paths(problems, max_passes=_MAX_PASSES, track_objective=True)
+        alone = [enet_logistic_path(*p, max_passes=_MAX_PASSES, track_objective=True)
+                 for p in problems]
+        scalar = [scalar_paths.logistic_path(*p, max_passes=_MAX_PASSES, track_objective=True)
+                  for p in problems]
+    for fits in (batched, alone):
+        for path, reference in zip(fits, scalar):
+            assert len(path) == len(reference)
+            for a, b in zip(path, reference):
+                assert a.coef.tobytes() == b.coef.tobytes()
+                assert a.coef_std.tobytes() == b.coef_std.tobytes()
+                assert a.intercept == b.intercept and a.converged == b.converged
+                assert a.objective_trace == b.objective_trace and len(a.objective_trace) > 0
+                if loss == "linear":
+                    assert a.n_sweeps == b.n_sweeps and a.alpha == b.alpha
+                else:
+                    assert a.n_passes == b.n_passes and a.C == b.C
+    assert batched[1][0].coef[2] == 0.0  # the column constant on problem 1's rows
+    converged = [[f.converged for f in fits] for fits in batched]
+    if loss == "linear":
+        assert all(map(all, converged)) and batched[3][1].alpha == 0.0
+    else:
+        # only the separable problem's C=100 solve stops at the pass cap
+        assert converged[3] == [False, True] and batched[3][0].n_passes == _MAX_PASSES
+        assert all(map(all, converged[:3]))
+
+
+def test_batched_paths_validation():
+    X, y = _random_problem(16, n=20, d=3)
+    with pytest.raises(ValueError, match="same number of columns"):
+        enet_linear_paths([(X, y, (1.0,), 0.5), (X[:, :2], y, (1.0,), 0.5)])
+    with pytest.raises(ValueError, match="max_passes"):
+        enet_logistic_paths([(X, (y > 0).astype(float), (1.0,), 0.5)], max_passes=0)
+    assert enet_linear_paths([]) == [] and enet_linear_paths([(X, y, (), 0.5)]) == [[]]

@@ -20,6 +20,8 @@ from isoeffect.nuisance import (
     fit_propensity_model,
 )
 
+import scalar_paths
+
 
 def test_default_grids_frozen():
     assert default_grid(Family.ELASTIC_LOGISTIC) == {
@@ -175,6 +177,42 @@ def test_path_selection_matches_per_candidate_scoring(family):
     expected, scores = _per_candidate_choice(X, target, spec)
     assert chosen == expected
     np.testing.assert_allclose(diag["inner_cv"]["scores"], scores, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("family", [Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC])
+def test_path_inner_cv_equals_solo_paths(family):
+    # the batched inner CV scores exactly what one scalar path per (ratio, fold) scores
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((150, 4))
+    X[:, 2] = 0.8 * X[:, 0] + 0.2 * X[:, 2]
+    eta = -0.2 + X @ np.array([0.9, 0.0, -0.5, 0.3])
+    classifier = family == Family.ELASTIC_LOGISTIC
+    if classifier:
+        target = (rng.random(150) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        penalty, path = "C", scalar_paths.logistic_path
+    else:
+        target = eta + 0.6 * rng.standard_normal(150)
+        penalty, path = "alpha", scalar_paths.linear_path
+    spec = ModelSpec(family, seed=8)
+    chosen, diag = _inner_cv_choose(X, target, spec, classifier=classifier)
+
+    cands = spec.candidates()
+    plan = make_folds(len(target), spec.inner_folds, a=target if classifier else None,
+                      seed=derive_seed(spec.seed, "inner-cv"))
+    losses = np.empty((len(cands), plan.k))
+    nonconverged = 0
+    for ratio in spec.hyper_grid["l1_ratio"]:
+        members = [ci for ci, cand in enumerate(cands) if cand["l1_ratio"] == ratio]
+        for f in range(plan.k):
+            tr, te = plan.train_rows(f), plan.test_rows(f)
+            fits = path(X[tr], target[tr], [cands[ci][penalty] for ci in members], ratio)
+            for ci, model in zip(members, fits):
+                losses[ci, f] = _loss(family, model, X[te], target[te])
+                nonconverged += not model.converged
+    scores = tuple(float(np.mean(row)) for row in losses)
+    assert diag["inner_cv"]["scores"] == scores
+    assert chosen == diag["inner_cv"]["chosen"] == cv_select(cands, scores)
+    assert diag["inner_cv"]["nonconverged"] == nonconverged
 
 
 # ---------------------------------------------------------------------------
