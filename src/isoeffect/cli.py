@@ -146,6 +146,9 @@ def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]
         if missing:
             raise ValidationError(f"cannot omit unknown feature(s) {missing}")
         keep = [i for i, nm in enumerate(names) if nm not in members]
+        if not keep and options["model"] == "gbt":
+            raise ValidationError(f"reduction {group!r} omits every feature column, "
+                                  "and --model gbt needs at least one")
         out.append((group, dataset.features[:, keep]))
     if patterns:
         if dataset.texts is None:

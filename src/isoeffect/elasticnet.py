@@ -29,12 +29,19 @@ iteration cap moves on to its next penalty or leaves the batch. Every
 elementwise step is the scalar rule, and sums over a problem's rows (the
 logistic gradient refresh) run one problem at a time, so each problem's fits
 equal bit for bit those of solving it alone. ``enet_linear_paths`` and
-``enet_logistic_paths`` take a batch, ``enet_linear_path`` and
-``enet_logistic_path`` are the one-problem case, and ``fit_enet_linear`` and
-``fit_enet_logistic`` the one-penalty case, solved from zero. A batch costs
-about a dozen numpy calls per coordinate and sweep whatever its width, so it
-pays off when wide: the inner-CV grid of one nuisance is 5 folds times 8
-``l1_ratio`` values, 40 problems.
+``enet_logistic_paths`` take a batch of paths; ``fit_enet_linear`` and
+``fit_enet_logistic`` are the one-path, one-penalty case, solved from zero.
+A batch costs about a dozen numpy calls per coordinate and sweep whatever
+its width, so it pays off when wide: the inner-CV grid of one nuisance is 5
+folds times 8 ``l1_ratio`` values, 40 problems.
+
+The stopping rule is fixed. A linear solve converges once the largest
+coefficient step of a sweep (standardized scale) is below 1e-7, or below
+1e-12 at ``alpha == 0``, where the contract is exact least-squares
+agreement; it stops unconverged after 100,000 sweeps. A logistic solve
+converges once no intercept or coefficient step of a pass reaches 1e-7, and
+stops unconverged after 5,000 passes (``enet_logistic_paths`` can lower
+that cap). Its intercept starts at the log-odds of the base rate.
 """
 
 from __future__ import annotations
@@ -52,40 +59,35 @@ __all__ = [
     "prepare_design",
     "fit_enet_linear",
     "fit_enet_logistic",
-    "enet_linear_path",
-    "enet_logistic_path",
     "enet_linear_paths",
     "enet_logistic_paths",
-    "linear_objective_std",
-    "logistic_objective_std",
 ]
 
 
+_TOL = 1e-7
+_MAX_SWEEPS = 100_000
+_MAX_PASSES = 5_000
+
+
 def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center and scale columns; constant columns become all-zero with scale 1."""
+    """Center and scale columns; constant columns become all-zero with scale 1.
+
+    A column is constant when its standard deviation is at most 1e-12 times
+    its magnitude (``max(|mean|, 1)``): a constant such as 0.1 has a computed
+    mean a rounding error off its value, and so a tiny nonzero deviation.
+    """
     X = np.asarray(X, dtype=np.float64)
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    return (X - mean) / scale, mean, scale
+    dead = scale <= 1e-12 * np.maximum(np.abs(mean), 1.0)
+    scale[dead] = 1.0
+    Z = (X - mean) / scale
+    Z[:, dead] = 0.0
+    return Z, mean, scale
 
 
 def _penalty(w: np.ndarray, alpha: float, l1_ratio: float) -> float:
     return alpha * (l1_ratio * np.abs(w).sum() + 0.5 * (1.0 - l1_ratio) * w @ w)
-
-
-def linear_objective_std(Z, yc, w, alpha, l1_ratio) -> float:
-    """Elastic-net objective on pre-centered data (no intercept term)."""
-    r = yc - Z @ w
-    return 0.5 * (r @ r) / len(yc) + _penalty(w, alpha, l1_ratio)
-
-
-def logistic_objective_std(Z, y, w, b, C, l1_ratio) -> float:
-    """Penalized mean logistic loss on standardized data."""
-    eta = b + Z @ w
-    s = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
-    loss = np.logaddexp(0.0, -s * eta).mean()
-    return loss + _penalty(w, 1.0 / (C * len(y)), l1_ratio)
 
 
 @dataclass(frozen=True)
@@ -216,12 +218,12 @@ def _sweep(C, U, W, diag, denom, lo, hi, cols) -> np.ndarray:
     return np.fmax.reduce(np.abs(steps), axis=0, initial=0.0)
 
 
-def _linear_paths(walks: list[_Walk], tol: float, max_sweeps: int, track: bool) -> None:
+def _linear_paths(walks: list[_Walk], track: bool) -> None:
     """Cyclic coordinate descent on the Gram form for a batch of linear paths.
 
     Per problem, ``G = Z'Z/n``, ``q = Z'yc/n`` and ``c = q - G w``; a penalty
     is solved once the largest coordinate step of a sweep drops below its
-    tolerance, or after ``max_sweeps`` sweeps. Finished problems move on to
+    tolerance, or after ``_MAX_SWEEPS`` sweeps. Finished problems move on to
     their next penalty, warm-started, or leave the batch.
     """
     y_means = [walk.y.mean() for walk in walks]
@@ -244,7 +246,7 @@ def _linear_paths(walks: list[_Walk], tol: float, max_sweeps: int, track: bool) 
         walk, alpha = walks[p], walks[p].penalty
         denom[:, col] = _denominators(diag[:, col], alpha * (1.0 - walk.l1_ratio))
         hi[col] = alpha * walk.l1_ratio
-        tols[col] = tol if alpha > 0 else min(tol, 1e-12)
+        tols[col] = _TOL if alpha > 0 else 1e-12
         C[:, col] = qs[p] - Gs[p] @ np.ascontiguousarray(U[:, col])
         sweeps[col] = 0
         walk.trace = []
@@ -262,7 +264,7 @@ def _linear_paths(walks: list[_Walk], tol: float, max_sweeps: int, track: bool) 
                 walk = walks[p]
                 walk.trace.append(bases[p] + quad + _penalty(w, walk.penalty, walk.l1_ratio))
         converged = delta < tols
-        done = converged | (sweeps >= max_sweeps)
+        done = converged | (sweeps >= _MAX_SWEEPS)
         if sweeps.max() >= 1024:
             for col in np.flatnonzero(~done & (sweeps % 1024 == 0)):  # kill float drift in c
                 C[:, col] = qs[ids[col]] - Gs[ids[col]] @ np.ascontiguousarray(U[:, col])
@@ -293,17 +295,17 @@ def _linear_paths(walks: list[_Walk], tol: float, max_sweeps: int, track: bool) 
             )
 
 
-def _logistic_paths(walks: list[_Walk], tol: float, max_passes: int, track: bool) -> None:
+def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
     """Majorized coordinate descent for a batch of logistic paths.
 
     A problem's pass refreshes its probabilities and gradient on its own rows
     (one call per problem, so every sum runs in the order of a lone fit),
     steps the intercept, then runs up to 10 coordinate sweeps on the
     surrogate with curvature ``Z'Z/(4n)``, stopping early once its largest
-    step drops below ``tol``. Every live problem sweeps once per round, each
+    step drops below ``_TOL``. Every live problem sweeps once per round, each
     in its own pass: a problem whose pass ends starts its next pass, with a
     refresh, in the next round. A penalty is solved once no intercept or
-    coordinate step of a pass reaches ``tol``, or after ``max_passes``
+    coordinate step of a pass reaches ``_TOL``, or after ``max_passes``
     passes.
     """
     G4s = [walk.design.cross / (4.0 * walk.n) for walk in walks]
@@ -356,12 +358,12 @@ def _logistic_paths(walks: list[_Walk], tol: float, max_passes: int, track: bool
             step = _sweep(C, U, W, diag, denom, -hi, hi, cols)
             delta = np.where(step > delta, step, delta)
             sweeps += 1
-            starting = np.flatnonzero((step < tol) | (sweeps == 10))
+            starting = np.flatnonzero((step < _TOL) | (sweeps == 10))
             if not starting.size:
                 continue
             W[:, starting] += U[:, starting]
             sweeps[starting] = 0
-            converged = delta < tol
+            converged = delta < _TOL
             done = starting[converged[starting] | (passes[starting] >= max_passes)]
             if not done.size:
                 continue
@@ -393,18 +395,18 @@ def _logistic_paths(walks: list[_Walk], tol: float, max_passes: int, track: bool
 
 def enet_linear_paths(
     problems: Sequence[tuple],
-    tol: float = 1e-7,
-    max_sweeps: int = 100_000,
     track_objective: bool = False,
 ) -> list[list[LinearFit]]:
-    """Several :func:`enet_linear_path` calls solved together.
+    """Linear elastic-net paths, several solved together.
 
-    Each problem is the ``(X, y, alphas, l1_ratio)`` of one path, and every
-    problem needs the same number of feature columns. The result holds each
-    problem's fits, equal bit for bit to its own :func:`enet_linear_path`.
+    Each problem is the ``(X, y, alphas, l1_ratio)`` of one path: one fit per
+    penalty in ``alphas``, in that order, solved from the strongest penalty
+    down on one standardization and Gram matrix, each solve starting from
+    the previous solution. ``X`` may be a :class:`Design` already prepared
+    from the features, so several paths on the same rows share it. Every
+    problem needs the same number of feature columns, and each problem's
+    fits equal bit for bit those of solving it alone.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     walks = []
     for X, y, alphas, l1_ratio in problems:
         if any(alpha < 0 for alpha in alphas) or not 0.0 <= l1_ratio <= 1.0:
@@ -413,28 +415,8 @@ def enet_linear_paths(
         walks.append(_Walk(X, y, alphas, l1_ratio, lambda alpha: -alpha))
     live = [walk for walk in walks if walk.order]
     if live:
-        _linear_paths(live, tol, max_sweeps, track_objective)
+        _linear_paths(live, track_objective)
     return [walk.fits for walk in walks]
-
-
-def enet_linear_path(
-    X: np.ndarray | Design,
-    y: np.ndarray,
-    alphas: Sequence[float],
-    l1_ratio: float,
-    tol: float = 1e-7,
-    max_sweeps: int = 100_000,
-    track_objective: bool = False,
-) -> list[LinearFit]:
-    """Linear elastic net at every penalty in ``alphas``, one fit each, in that order.
-
-    The penalties are solved from the strongest down on one standardization
-    and Gram matrix, each solve starting from the previous solution. ``X``
-    may be a :class:`Design` already prepared from the features, so several
-    paths on the same rows share it. Every solve has the convergence rule of
-    :func:`fit_enet_linear`.
-    """
-    return enet_linear_paths([(X, y, alphas, l1_ratio)], tol, max_sweeps, track_objective)[0]
 
 
 def fit_enet_linear(
@@ -442,31 +424,23 @@ def fit_enet_linear(
     y: np.ndarray,
     alpha: float,
     l1_ratio: float,
-    tol: float = 1e-7,
-    max_sweeps: int = 100_000,
     track_objective: bool = False,
 ) -> LinearFit:
-    """Cyclic coordinate descent for the linear elastic net, from zero.
-
-    Convergence is declared when the largest coefficient change in a sweep
-    drops below ``tol`` (standardized scale). At ``alpha == 0`` the tolerance
-    tightens to 1e-12 because the zero-penalty contract is exact
-    least-squares agreement, not merely a stationary penalty solution.
-    """
-    return enet_linear_path(X, y, [alpha], l1_ratio, tol, max_sweeps, track_objective)[0]
+    """Cyclic coordinate descent for the linear elastic net, from zero."""
+    return enet_linear_paths([(X, y, [alpha], l1_ratio)], track_objective)[0][0]
 
 
 def enet_logistic_paths(
     problems: Sequence[tuple],
-    tol: float = 1e-7,
-    max_passes: int = 5_000,
+    max_passes: int = _MAX_PASSES,
     track_objective: bool = False,
 ) -> list[list[LogisticFit]]:
-    """Several :func:`enet_logistic_path` calls solved together.
+    """Logistic elastic-net paths, several solved together.
 
-    Each problem is the ``(X, y, Cs, l1_ratio)`` of one path, as for
-    :func:`enet_linear_paths`; each problem's fits equal its own
-    :func:`enet_logistic_path` bit for bit.
+    Each problem is the ``(X, y, Cs, l1_ratio)`` of one path, solved from the
+    strongest penalty (smallest ``C``) up, each solve starting from the
+    previous coefficients and intercept; otherwise as
+    :func:`enet_linear_paths`.
     """
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
@@ -480,27 +454,8 @@ def enet_logistic_paths(
         walks.append(_Walk(X, y, Cs, l1_ratio, lambda C: C))
     live = [walk for walk in walks if walk.order]
     if live:
-        _logistic_paths(live, tol, max_passes, track_objective)
+        _logistic_paths(live, max_passes, track_objective)
     return [walk.fits for walk in walks]
-
-
-def enet_logistic_path(
-    X: np.ndarray | Design,
-    y: np.ndarray,
-    Cs: Sequence[float],
-    l1_ratio: float,
-    tol: float = 1e-7,
-    max_passes: int = 5_000,
-    track_objective: bool = False,
-) -> list[LogisticFit]:
-    """Logistic elastic net at every ``C`` in ``Cs``, one fit each, in that order.
-
-    Solved from the strongest penalty (smallest ``C``) up on one
-    standardization and Gram matrix, each solve starting from the previous
-    coefficients and intercept. ``X`` may be a prepared :class:`Design`, as
-    for :func:`enet_linear_path`.
-    """
-    return enet_logistic_paths([(X, y, Cs, l1_ratio)], tol, max_passes, track_objective)[0]
 
 
 def fit_enet_logistic(
@@ -508,16 +463,7 @@ def fit_enet_logistic(
     y: np.ndarray,
     C: float,
     l1_ratio: float,
-    tol: float = 1e-7,
-    max_passes: int = 5_000,
     track_objective: bool = False,
 ) -> LogisticFit:
-    """Majorized coordinate descent for the logistic elastic net, from zero.
-
-    Each outer pass refreshes probabilities, minimizes the curvature-bound
-    quadratic surrogate over the intercept, and runs coordinate-descent
-    sweeps on the cached Gram matrix. The surrogate touches the objective at
-    the current iterate, so every pass is a descent step. The intercept
-    starts at the log-odds of the base rate.
-    """
-    return enet_logistic_path(X, y, [C], l1_ratio, tol, max_passes, track_objective)[0]
+    """Majorized coordinate descent for the logistic elastic net, from zero."""
+    return enet_logistic_paths([(X, y, [C], l1_ratio)], track_objective=track_objective)[0][0]

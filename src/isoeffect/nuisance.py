@@ -27,6 +27,7 @@ from .elasticnet import (
     fit_enet_linear,
     fit_enet_logistic,
     prepare_design,
+    standardize_columns,
 )
 
 __all__ = [
@@ -289,11 +290,8 @@ def _inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict
 
 
 def _design_is_singular(X: np.ndarray) -> bool:
-    Z = X - X.mean(axis=0)
-    live = Z.std(axis=0) > 0
-    if live.sum() < X.shape[1]:
-        return True
-    return np.linalg.matrix_rank(Z) < X.shape[1]
+    # a constant column standardizes to zeros, so it lowers the rank too
+    return np.linalg.matrix_rank(standardize_columns(X)[0]) < X.shape[1]
 
 
 def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:

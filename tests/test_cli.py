@@ -290,6 +290,34 @@ def test_duplicate_omitted_column_sets_rejected_before_fitting(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "contour"])
+def test_gbt_reduction_without_columns_rejected_before_fitting(
+        command, data_csv, tmp_path, capsys, monkeypatch):
+    # boosting needs a feature column; the elastic net fits an intercept-only model
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be fitted")
+
+    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "calibrate_detail", never)
+    rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"), "--model", "gbt",
+               "--omit-features", "x_0,x_0+x_1+x_2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: reduction 'x_0+x_1+x_2' omits every feature column" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_elastic_reduction_without_columns_is_intercept_only(data_csv, tmp_path):
+    out = tmp_path / "cal.json"
+    rc = main(["calibrate", "--data", data_csv, "--out", str(out), "--folds", "3", "--seed", "1",
+               "--omit-features", "x_0+x_1+x_2"])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["calibrations"]["x_0+x_1+x_2"]["sigma2_reduced"] > payload["sigma2"]
+
+
 def test_contour_grid_csv(data_csv, tmp_path):
     report = tmp_path / "report.json"
     _estimate(data_csv, report)

@@ -13,14 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoeffect.elasticnet import (
-    enet_linear_path,
     enet_linear_paths,
-    enet_logistic_path,
     enet_logistic_paths,
     fit_enet_linear,
     fit_enet_logistic,
-    linear_objective_std,
-    logistic_objective_std,
     prepare_design,
     standardize_columns,
 )
@@ -84,17 +80,6 @@ def test_matches_projected_gradient_reference(alpha, l1_ratio):
     assert f_cd <= f_pg + 1e-9  # coordinate descent should not be worse
 
 
-def test_package_objective_matches_reference_formula():
-    X, y = _random_problem(2)
-    Z, _, _ = standardize_columns(X)
-    yc = y - y.mean()
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal(X.shape[1])
-    ours = linear_objective_std(Z, yc, w, 0.3, 0.6)
-    theirs = enet_linear_objective(Z, yc, w, 0.3, 0.6)
-    assert abs(ours - theirs) < 1e-12
-
-
 def test_hand_solved_single_feature():
     # Z = X (already standardized), q = Z'y/n = 2; with alpha=1, r=0.5 the
     # coordinate solution is soft(2, 0.5) / (1 + 0.5) = 1 exactly.
@@ -118,6 +103,21 @@ def test_constant_column_gets_zero_coefficient():
     fit = fit_enet_linear(X, y, alpha=0.01, l1_ratio=0.5)
     assert fit.coef[2] == 0.0
     assert fit.coef_std[2] == 0.0
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 1.0 / 3.0, 2.2])
+def test_near_constant_column_is_dead(value):
+    # the computed mean of a constant like 0.1 is a rounding error off it, so
+    # its std is ~1e-17, not 0; it must still standardize to zeros
+    Z, _, scale = standardize_columns(np.full((100, 1), value))
+    assert scale[0] == 1.0 and np.all(Z == 0.0)
+    X, y = _random_logistic(9, n=100, d=1)
+    with_const = np.column_stack([X, np.full(100, value)])
+    fit = fit_enet_logistic(with_const, y, C=1.0, l1_ratio=0.0)
+    alone = fit_enet_logistic(X, y, C=1.0, l1_ratio=0.0)
+    assert fit.coef[1] == 0.0
+    np.testing.assert_allclose(fit.predict_proba(with_const), alone.predict_proba(X),
+                               rtol=0, atol=1e-12)
 
 
 def test_linear_objective_trace_nonincreasing():
@@ -185,16 +185,6 @@ def _std_intercept(fit, X) -> float:
     return float(fit.intercept + fit.coef @ np.asarray(X).mean(axis=0))
 
 
-def test_logistic_package_objective_matches_reference_formula():
-    X, y = _random_logistic(1)
-    Z, _, _ = standardize_columns(X)
-    rng = np.random.default_rng(2)
-    w = 0.5 * rng.standard_normal(X.shape[1])
-    ours = logistic_objective_std(Z, y, w, 0.2, 2.0, 0.4)
-    theirs = enet_logistic_objective(Z, y, w, 0.2, 2.0, 0.4)
-    assert abs(ours - theirs) < 1e-12
-
-
 def test_logistic_objective_trace_nonincreasing():
     X, y = _random_logistic(3, n=120, d=5)
     fit = fit_enet_logistic(X, y, C=1.0, l1_ratio=0.5, track_objective=True)
@@ -258,7 +248,7 @@ _CS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 def test_linear_path_matches_cold_fits(l1_ratio):
     X, y = _random_problem(11, n=80, d=6)
     alphas = (1e-2, 1.0, 1e-4, 1e-1, 1e-3)  # any order; solved strongest first
-    path = enet_linear_path(X, y, alphas, l1_ratio)
+    path = enet_linear_paths([(X, y, alphas, l1_ratio)])[0]
     assert [f.alpha for f in path] == list(alphas)
     Z, _, _ = standardize_columns(X)
     yc = y - y.mean()
@@ -267,15 +257,15 @@ def test_linear_path_matches_cold_fits(l1_ratio):
         assert warm.converged
         np.testing.assert_allclose(warm.coef_std, cold.coef_std, atol=1e-6)
         assert abs(warm.intercept - cold.intercept) < 1e-6
-        gap = (linear_objective_std(Z, yc, warm.coef_std, alpha, l1_ratio)
-               - linear_objective_std(Z, yc, cold.coef_std, alpha, l1_ratio))
+        gap = (enet_linear_objective(Z, yc, warm.coef_std, alpha, l1_ratio)
+               - enet_linear_objective(Z, yc, cold.coef_std, alpha, l1_ratio))
         assert abs(gap) < 1e-10
 
 
 @pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
 def test_logistic_path_matches_cold_fits(l1_ratio):
     X, y = _random_logistic(12, n=150, d=5)
-    path = enet_logistic_path(X, y, _CS, l1_ratio)
+    path = enet_logistic_paths([(X, y, _CS, l1_ratio)])[0]
     assert [f.C for f in path] == list(_CS)
     Z, _, _ = standardize_columns(X)
     for C, warm in zip(_CS, path):
@@ -284,22 +274,22 @@ def test_logistic_path_matches_cold_fits(l1_ratio):
         np.testing.assert_allclose(warm.coef_std, cold.coef_std, atol=1e-5)
         b_warm, b_cold = _std_intercept(warm, X), _std_intercept(cold, X)
         assert abs(b_warm - b_cold) < 1e-5
-        gap = (logistic_objective_std(Z, y, warm.coef_std, b_warm, C, l1_ratio)
-               - logistic_objective_std(Z, y, cold.coef_std, b_cold, C, l1_ratio))
+        gap = (enet_logistic_objective(Z, y, warm.coef_std, b_warm, C, l1_ratio)
+               - enet_logistic_objective(Z, y, cold.coef_std, b_cold, C, l1_ratio))
         assert abs(gap) < 1e-10
 
 
 def test_path_accepts_a_prepared_design():
     X, y = _random_problem(13)
     design = prepare_design(X)
-    for a, b in zip(enet_linear_path(design, y, _ALPHAS, 0.5),
-                    enet_linear_path(X, y, _ALPHAS, 0.5)):
+    with_design, with_array = enet_linear_paths([(design, y, _ALPHAS, 0.5), (X, y, _ALPHAS, 0.5)])
+    for a, b in zip(with_design, with_array):
         assert a.coef.tobytes() == b.coef.tobytes() and a.intercept == b.intercept
 
 
 def test_zero_penalty_at_path_end_meets_least_squares_contract():
     X, y = _random_problem(0, n=40, d=5)
-    fit = enet_linear_path(X, y, (1.0, 0.1, 0.0), 0.5)[-1]
+    fit = enet_linear_paths([(X, y, (1.0, 0.1, 0.0), 0.5)])[0][-1]
     design = np.column_stack([np.ones(len(y)), X])
     ols, *_ = np.linalg.lstsq(design, y, rcond=None)
     assert fit.converged and fit.alpha == 0.0
@@ -312,11 +302,11 @@ def test_zero_penalty_at_path_end_meets_least_squares_contract():
 def test_path_input_validation():
     X, y = _random_logistic(14, n=30, d=2)
     with pytest.raises(ValueError, match="alpha >= 0"):
-        enet_linear_path(X, y, (0.1, -1.0), 0.5)
+        enet_linear_paths([(X, y, (0.1, -1.0), 0.5)])
     with pytest.raises(ValueError, match="C > 0"):
-        enet_logistic_path(X, y, (1.0, 0.0), 0.5)
+        enet_logistic_paths([(X, y, (1.0, 0.0), 0.5)])
     with pytest.raises(ValueError, match="0/1"):
-        enet_logistic_path(X, y + 2.0, (1.0,), 0.5)
+        enet_logistic_paths([(X, y + 2.0, (1.0,), 0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +354,11 @@ def test_batched_paths_equal_solo_paths(loss):
     problems = _mixed_batch(loss)
     if loss == "linear":
         batched = enet_linear_paths(problems, track_objective=True)
-        alone = [enet_linear_path(*p, track_objective=True) for p in problems]
+        alone = [enet_linear_paths([p], track_objective=True)[0] for p in problems]
         scalar = [scalar_paths.linear_path(*p, track_objective=True) for p in problems]
     else:
         batched = enet_logistic_paths(problems, max_passes=_MAX_PASSES, track_objective=True)
-        alone = [enet_logistic_path(*p, max_passes=_MAX_PASSES, track_objective=True)
+        alone = [enet_logistic_paths([p], max_passes=_MAX_PASSES, track_objective=True)[0]
                  for p in problems]
         scalar = [scalar_paths.logistic_path(*p, max_passes=_MAX_PASSES, track_objective=True)
                   for p in problems]
