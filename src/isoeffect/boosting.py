@@ -23,16 +23,27 @@ gain G_L^2/H_L + G_R^2/H_R - G^2/H, in the histogram style of Ke et al.,
   subsample; the left side is the node total minus the right side. Tasks of
   different shapes are not padded into one stack: BLAS sums a padded
   product in a different order, which can flip a near-tied split. A task
-  shallower than the deepest stops splitting at its own depth, and each
-  task draws its subsample from its own generator, so every task grows
-  exactly the trees of its solo fit. The inner-CV fits of one inner fold
-  share its rows, so they always share a shape.
+  shallower than the deepest stops splitting at its own depth, so every
+  task grows exactly the trees of its solo fit. The inner-CV fits of one
+  inner fold share its rows, so they always share a shape.
+- **Subsamples, drawn a block of stages at a time.** A task with a
+  subsample of m of its n rows draws ``block`` stages' uniform keys at
+  once from its own generator, a (block, n) array, and each stage's
+  subsample is the m rows of smallest key (Friedman, "Stochastic gradient
+  boosting", CSDA 2002, needs only a uniform m-of-n draw per stage). The
+  generator fills the array in stream order, so a task's subsamples depend
+  neither on ``block`` nor on the tasks that share its group, and
+  :func:`fit_gbt_batch` and :func:`fit_gbt_core` draw the same ones.
 - **Bounded memory.** ``R`` takes rows x columns x 9 bytes per task (8-byte
   floats plus a 1-byte copy for routing rows): 160 rows x 16 cuts is 23 kB,
   4,000 rows x 10 continuous columns of 255 cuts is 92 MB. A lockstep group
   holds at most :data:`_LOCKSTEP_BYTES` of stacked ``R``, its routing copy
   and deepest-level matmul operand; a larger batch runs as several groups,
-  and a task larger than the bound runs alone.
+  and a task larger than the bound runs alone. A subsample draw holds at
+  most :data:`_DRAW_BYTES` (64 KiB) of 8-byte keys per task, or one
+  stage's keys where those are more: ``block`` is 51 stages at 160 rows
+  and 1 stage from 4,097 rows on. The block's subsamples are kept as one
+  byte per row and stage.
 - **Flat trees.** A tree of depth D is stored in heap order (children of
   node i at 2i+1 and 2i+2) as a split column and threshold per internal
   node and a value per leaf; a node that does not split sends every row
@@ -60,6 +71,7 @@ MAX_CUTS = 255
 MAX_DEPTH = 8
 _PREDICT_BLOCK = 1 << 18  # trees x rows walked per step of GBTModel.raw
 _LOCKSTEP_BYTES = 1 << 23  # stacked R, its routing copy and level sums per lockstep group
+_DRAW_BYTES = 1 << 16  # subsample keys drawn per task at a time
 
 
 def _column_cuts(col: np.ndarray) -> np.ndarray:
@@ -189,7 +201,8 @@ class GBTModel:
 
     ``feature`` and ``threshold`` are (trees, 2**depth - 1) in heap order;
     ``value`` is (trees, 2**depth) leaf steps with the learning rate
-    already applied.
+    already applied. ``n_features`` is the training width, which every
+    ``X`` to score must have.
     """
 
     feature: np.ndarray
@@ -198,6 +211,7 @@ class GBTModel:
     init: float
     learning_rate: float
     classification: bool
+    n_features: int
     diagnostics: dict = field(default_factory=dict)
 
     def raw(self, X: np.ndarray, stages: Sequence[int] | None = None) -> np.ndarray:
@@ -208,6 +222,9 @@ class GBTModel:
         then (len(stages), rows).
         """
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"X must be 2-D with {self.n_features} columns, "
+                             f"got shape {X.shape}")
         n_trees, n_leaves = self.value.shape
         if stages is None:
             counts = np.array([n_trees])
@@ -357,15 +374,19 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
     score = np.repeat(np.array(init)[:, None], n, axis=1)
     flip = 1.0 - 2.0 * target  # logistic loss is log(1 + exp(flip * score))
     stats = np.empty((B, 3, n))
-    stats[:, 2] = 1.0
 
     live = np.arange(B)
     rngs = [np.random.default_rng(t.seed) for t in tasks]
-    m_sub = [max(1, int(round(t.subsample * n))) for t in tasks]
+    m_sub = np.array([max(1, int(round(t.subsample * n))) for t in tasks])
     depths = np.array([t.depth for t in tasks])
     rates = np.array([t.learning_rate for t in tasks], dtype=np.float64)
     stop_at = np.array([t.n_trees for t in tasks])
     longest = int(stop_at.max())
+    # each stage's subsample is the m_sub rows of smallest key; keys are drawn
+    # for `block` stages at a time, in stream order, so the masks depend on
+    # neither `block` nor the other tasks
+    block = min(longest, max(1, _DRAW_BYTES // (8 * n)))
+    masks = np.ones((B, block, n), dtype=bool)
     cut_hist = np.empty((B, longest, (1 << depth) - 1), dtype=np.intp)
     value_hist = np.empty((B, longest, 1 << depth))
     loss_hist = np.empty((B, longest + 1))
@@ -383,18 +404,20 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
                 keep = ~done
                 if not keep.any():
                     break
-                live, R, right_of, target, score, flip, stats, depths, rates, stop_at = (
-                    a[keep] for a in (live, R, right_of, target, score, flip, stats,
-                                      depths, rates, stop_at))
+                (live, R, right_of, target, score, flip, stats, masks, m_sub, depths, rates,
+                 stop_at) = (a[keep] for a in (live, R, right_of, target, score, flip, stats,
+                                              masks, m_sub, depths, rates, stop_at))
                 rngs = [r for r, k in zip(rngs, keep) if k]
-                m_sub = [m for m, k in zip(m_sub, keep) if k]
                 g_full, hess = _gradient(classification, target, score)
 
-            drawn = [(3 * j + 2) * n + rng.choice(n, size=m, replace=False)
-                     for j, (rng, m) in enumerate(zip(rngs, m_sub)) if m < n]
-            if drawn:
-                stats[[j for j, m in enumerate(m_sub) if m < n], 2] = 0.0
-                stats.reshape(-1)[np.concatenate(drawn)] = 1.0
+            at = stage % block
+            if not at:
+                for j in np.flatnonzero(m_sub < n):
+                    keys = rngs[j].random((block, n))
+                    smallest = np.argpartition(keys, m_sub[j] - 1, axis=1)[:, :m_sub[j]]
+                    masks[j] = False
+                    np.put_along_axis(masks[j], smallest, True, axis=1)
+            stats[:, 2] = masks[:, at]
             np.multiply(g_full, stats[:, 2], out=stats[:, 0])
             np.multiply(hess, stats[:, 2], out=stats[:, 1])
             cut, leaf = _grow(R, right_of, stats, depth, depths)
@@ -418,6 +441,7 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
             init=init[b],
             learning_rate=t.learning_rate,
             classification=classification,
+            n_features=X.shape[1],
             diagnostics={
                 "train_loss": tuple(loss_hist[b, :k + 1].tolist()),
                 "subsample": t.subsample,

@@ -168,6 +168,40 @@ def test_subsampling_is_seed_deterministic():
     assert not np.array_equal(m1.predict(X), m3.predict(X))
 
 
+def _stage_masks(*fit_args, **fit_kwargs):
+    """The row mask of every stage of one fit, as ``_grow`` receives it."""
+    masks = []
+    grow = boosting._grow
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boosting, "_grow", lambda R, right_of, stats, *rest:
+                   masks.append(stats[0, 2].copy()) or grow(R, right_of, stats, *rest))
+        fit_gbt_core(*fit_args, **fit_kwargs)
+    return np.array(masks)
+
+
+def test_every_stage_subsamples_exactly_m_rows():
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((150, 3))
+    y = X[:, 0] + rng.standard_normal(150)
+    masks = _stage_masks(X, y, classification=False, n_trees=40, subsample=0.7, seed=5)
+    assert masks.shape == (40, 150)
+    assert np.isin(masks, (0.0, 1.0)).all()
+    np.testing.assert_array_equal(masks.sum(axis=1), 105)
+    # the stages draw different subsamples, and every row is drawn at some stage
+    assert len({m.tobytes() for m in masks}) == 40
+    assert masks.max(axis=0).min() == 1.0
+
+
+def test_stage_masks_are_seed_deterministic():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((90, 2))
+    y = X[:, 1] + rng.standard_normal(90)
+    first, again, other = (_stage_masks(X, y, classification=False, n_trees=25,
+                                        subsample=0.5, seed=seed) for seed in (8, 8, 9))
+    np.testing.assert_array_equal(first, again)
+    assert not np.array_equal(first, other)
+
+
 def test_no_split_when_features_uninformative():
     X = np.ones((40, 2))  # constant features: nothing to split on
     y = np.random.default_rng(3).standard_normal(40)
@@ -211,6 +245,20 @@ def test_gbt_input_validation():
     for rows in ([0, 5], [-1, 2]):
         with pytest.raises(ValueError, match="must index the 5 rows"):
             fit_gbt_batch(X, y, False, [GBTTask(np.array(rows))])
+
+
+def test_prediction_rejects_input_of_another_width():
+    X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0]] * 10)
+    y = 3.0 * X[:, 2] * (X[:, 0] == 1.0)
+    model = fit_gbt_core(X, y, classification=False, depth=2, n_trees=1,
+                         learning_rate=1.0, subsample=1.0)
+    assert model.n_features == 3
+    np.testing.assert_allclose(model.predict(X[:4]), [0.0, 0.0, 0.0, 3.0], atol=1e-12)
+    for bad in ([[1.0, 0.0], [0.0, 0.0]], np.ones((2, 4)), [1.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="3 columns"):
+            model.predict(bad)
+        with pytest.raises(ValueError, match="3 columns"):
+            model.raw(bad, stages=[1])
 
 
 def test_model_predict_proba_only_for_classifiers():
@@ -390,3 +438,21 @@ def test_lockstep_byte_bound_splits_batch_without_changing_models(monkeypatch):
         assert sizes == expected
         for a, b in zip(whole, split):
             _assert_same_model(a, b)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_draw_block_does_not_change_models(monkeypatch, block):
+    X, y = _batch_data(False)
+    half = np.arange(0, 150, 2)
+    tasks = [
+        GBTTask(np.arange(150), depth=3, n_trees=30, learning_rate=0.1, seed=1),
+        GBTTask(np.arange(150), depth=2, n_trees=12, learning_rate=0.1, seed=2),
+        GBTTask(np.arange(150), depth=2, n_trees=25, learning_rate=0.1, seed=3, subsample=1.0),
+        GBTTask(half, depth=2, n_trees=20, learning_rate=0.05, seed=4),
+        GBTTask(np.arange(25), depth=2, n_trees=10, learning_rate=0.1, seed=6),
+    ]
+    default = fit_gbt_batch(X, y, False, tasks)
+    assert min(30, boosting._DRAW_BYTES // (8 * 150)) == 30  # one draw per 150-row fit
+    monkeypatch.setattr(boosting, "_DRAW_BYTES", 8 * 150 * block)
+    for a, b in zip(default, fit_gbt_batch(X, y, False, tasks)):
+        _assert_same_model(a, b)
