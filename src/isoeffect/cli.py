@@ -37,7 +37,7 @@ from .core import (
 from .estimator import estimate_effect, estimate_naive
 from .featurize import featurize_texts, load_lexicon, mask_terms, restrict_dims, select_intervention
 from .nuisance import ClipPolicy, Family, ModelSpec
-from .sensitivity import audit, calibrate_detail, contour_grid, ovb_bounds
+from .sensitivity import audit, calibrate_detail, check_contour_grid, contour_grid, ovb_bounds
 from .synth import generate, oracle_tau, spec_from_json_file
 
 __all__ = ["build_parser", "main"]
@@ -289,12 +289,13 @@ def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
 
 
 def _cmd_contour(opt: dict) -> int:
+    check_contour_grid(opt["cy_max"], opt["cd_max"], opt["steps"])
     _reject_general_calibration(opt)
     dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
     bound = (est.tau_hat, report.sigma2, report.nu2)
-    # before any calibration refit: fails on a bad grid or nu2 <= 0
+    # before any calibration refit: fails on nu2 <= 0
     grid = contour_grid(*bound, cy_max=opt["cy_max"], cd_max=opt["cd_max"], steps=opt["steps"])
     rows = []
     for i, cy in enumerate(grid.cy_axis):

@@ -40,8 +40,9 @@ coefficient step of a sweep (standardized scale) is below 1e-7, or below
 1e-12 at ``alpha == 0``, where the contract is exact least-squares
 agreement; it stops unconverged after 100,000 sweeps. A logistic solve
 converges once no intercept or coefficient step of a pass reaches 1e-7, and
-stops unconverged after 5,000 passes (``enet_logistic_paths`` can lower
-that cap). Its intercept starts at the log-odds of the base rate.
+stops unconverged after 5,000 passes. Neither the tolerance nor the caps
+can be set by a caller. Its intercept starts at the log-odds of the base
+rate.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return Z, mean, scale
 
 
-def _penalty(w: np.ndarray, alpha: float, l1_ratio: float) -> float:
-    return alpha * (l1_ratio * np.abs(w).sum() + 0.5 * (1.0 - l1_ratio) * w @ w)
-
-
 @dataclass(frozen=True)
 class LinearFit:
     """Solution of the linear elastic net, coefficients on the original scale."""
@@ -101,7 +98,6 @@ class LinearFit:
     l1_ratio: float
     n_sweeps: int
     converged: bool
-    objective_trace: tuple[float, ...]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef + self.intercept
@@ -118,7 +114,6 @@ class LogisticFit:
     l1_ratio: float
     n_passes: int
     converged: bool
-    objective_trace: tuple[float, ...]
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef + self.intercept
@@ -158,7 +153,6 @@ class _Walk:
         self.order = sorted(range(len(self.penalties)), key=lambda i: strength(self.penalties[i]))
         self.fits: list = [None] * len(self.penalties)
         self.at = 0  # position in ``order`` of the penalty being solved
-        self.trace: list[float] = []
 
     @property
     def penalty(self):
@@ -218,7 +212,7 @@ def _sweep(C, U, W, diag, denom, lo, hi, cols) -> np.ndarray:
     return np.fmax.reduce(np.abs(steps), axis=0, initial=0.0)
 
 
-def _linear_paths(walks: list[_Walk], track: bool) -> None:
+def _linear_paths(walks: list[_Walk]) -> None:
     """Cyclic coordinate descent on the Gram form for a batch of linear paths.
 
     Per problem, ``G = Z'Z/n``, ``q = Z'yc/n`` and ``c = q - G w``; a penalty
@@ -230,7 +224,6 @@ def _linear_paths(walks: list[_Walk], track: bool) -> None:
     ycs = [walk.y - m for walk, m in zip(walks, y_means)]
     Gs = [walk.design.cross / walk.n for walk in walks]
     qs = [(walk.design.Z.T @ yc) / walk.n for walk, yc in zip(walks, ycs)]
-    bases = [0.5 * float(yc @ yc) / walk.n for walk, yc in zip(walks, ycs)]
     diag, cols = _stack(walks, Gs)
     d, P = diag.shape
     ids = np.arange(P)
@@ -249,20 +242,12 @@ def _linear_paths(walks: list[_Walk], track: bool) -> None:
         tols[col] = _TOL if alpha > 0 else 1e-12
         C[:, col] = qs[p] - Gs[p] @ np.ascontiguousarray(U[:, col])
         sweeps[col] = 0
-        walk.trace = []
 
     for col in range(P):
         enter(col)
     while ids.size:
         delta = _sweep(C, U, None, diag, denom, -hi, hi, cols)
         sweeps += 1
-        if track:
-            for col, p in enumerate(ids):
-                w, c, q = np.ascontiguousarray(U[:, col]), np.ascontiguousarray(C[:, col]), qs[p]
-                # objective from Gram caches: 0.5 w'Gw - q'w + const + penalty
-                quad = 0.5 * float(w @ (q - c)) - float(q @ w)
-                walk = walks[p]
-                walk.trace.append(bases[p] + quad + _penalty(w, walk.penalty, walk.l1_ratio))
         converged = delta < tols
         done = converged | (sweeps >= _MAX_SWEEPS)
         if sweeps.max() >= 1024:
@@ -283,7 +268,6 @@ def _linear_paths(walks: list[_Walk], track: bool) -> None:
                 l1_ratio=walk.l1_ratio,
                 n_sweeps=int(sweeps[col]),
                 converged=bool(converged[col]),
-                objective_trace=tuple(walk.trace),
             )
             if walk.advance(fit):
                 enter(col)
@@ -295,7 +279,7 @@ def _linear_paths(walks: list[_Walk], track: bool) -> None:
             )
 
 
-def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
+def _logistic_paths(walks: list[_Walk]) -> None:
     """Majorized coordinate descent for a batch of logistic paths.
 
     A problem's pass refreshes its probabilities and gradient on its own rows
@@ -305,7 +289,7 @@ def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
     step drops below ``_TOL``. Every live problem sweeps once per round, each
     in its own pass: a problem whose pass ends starts its next pass, with a
     refresh, in the next round. A penalty is solved once no intercept or
-    coordinate step of a pass reaches ``_TOL``, or after ``max_passes``
+    coordinate step of a pass reaches ``_TOL``, or after ``_MAX_PASSES``
     passes.
     """
     G4s = [walk.design.cross / (4.0 * walk.n) for walk in walks]
@@ -331,7 +315,6 @@ def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
         denom[:, col] = _denominators(diag[:, col], alpha * (1.0 - walk.l1_ratio))
         hi[col] = alpha * walk.l1_ratio
         passes[col] = 0
-        walk.trace = []
 
     for col in range(P):
         enter(col)
@@ -343,10 +326,6 @@ def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
                 walk, w = walks[p], np.ascontiguousarray(W[:, col])
                 eta = b[p] + walk.design.Z @ w
                 resid = walk.y - 1.0 / (1.0 + np.exp(-eta))
-                if track:
-                    loss = float(np.logaddexp(0.0, -(2.0 * walk.y - 1.0) * eta).mean())
-                    alpha = 1.0 / (walk.penalty * walk.n)
-                    walk.trace.append(loss + _penalty(w, alpha, walk.l1_ratio))
                 # exact minimizer of the surrogate in b; sum / n is resid.mean()
                 db = 4.0 * (float(resid.sum()) / walk.n)
                 b[p] += db
@@ -364,7 +343,7 @@ def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
             W[:, starting] += U[:, starting]
             sweeps[starting] = 0
             converged = delta < _TOL
-            done = starting[converged[starting] | (passes[starting] >= max_passes)]
+            done = starting[converged[starting] | (passes[starting] >= _MAX_PASSES)]
             if not done.size:
                 continue
             keep = np.ones(len(ids), dtype=bool)
@@ -379,7 +358,6 @@ def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
                     l1_ratio=walk.l1_ratio,
                     n_passes=int(passes[col]),
                     converged=bool(converged[col]),
-                    objective_trace=tuple(walk.trace),
                 )
                 if walk.advance(fit):
                     enter(col)
@@ -393,10 +371,7 @@ def _logistic_paths(walks: list[_Walk], max_passes: int, track: bool) -> None:
                 starting = np.flatnonzero(sweeps == 0)
 
 
-def enet_linear_paths(
-    problems: Sequence[tuple],
-    track_objective: bool = False,
-) -> list[list[LinearFit]]:
+def enet_linear_paths(problems: Sequence[tuple]) -> list[list[LinearFit]]:
     """Linear elastic-net paths, several solved together.
 
     Each problem is the ``(X, y, alphas, l1_ratio)`` of one path: one fit per
@@ -415,26 +390,16 @@ def enet_linear_paths(
         walks.append(_Walk(X, y, alphas, l1_ratio, lambda alpha: -alpha))
     live = [walk for walk in walks if walk.order]
     if live:
-        _linear_paths(live, track_objective)
+        _linear_paths(live)
     return [walk.fits for walk in walks]
 
 
-def fit_enet_linear(
-    X: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    l1_ratio: float,
-    track_objective: bool = False,
-) -> LinearFit:
+def fit_enet_linear(X: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float) -> LinearFit:
     """Cyclic coordinate descent for the linear elastic net, from zero."""
-    return enet_linear_paths([(X, y, [alpha], l1_ratio)], track_objective)[0][0]
+    return enet_linear_paths([(X, y, [alpha], l1_ratio)])[0][0]
 
 
-def enet_logistic_paths(
-    problems: Sequence[tuple],
-    max_passes: int = _MAX_PASSES,
-    track_objective: bool = False,
-) -> list[list[LogisticFit]]:
+def enet_logistic_paths(problems: Sequence[tuple]) -> list[list[LogisticFit]]:
     """Logistic elastic-net paths, several solved together.
 
     Each problem is the ``(X, y, Cs, l1_ratio)`` of one path, solved from the
@@ -442,8 +407,6 @@ def enet_logistic_paths(
     previous coefficients and intercept; otherwise as
     :func:`enet_linear_paths`.
     """
-    if max_passes < 1:
-        raise ValueError("max_passes must be >= 1")
     walks = []
     for X, y, Cs, l1_ratio in problems:
         if any(C <= 0 for C in Cs) or not 0.0 <= l1_ratio <= 1.0:
@@ -454,16 +417,10 @@ def enet_logistic_paths(
         walks.append(_Walk(X, y, Cs, l1_ratio, lambda C: C))
     live = [walk for walk in walks if walk.order]
     if live:
-        _logistic_paths(live, max_passes, track_objective)
+        _logistic_paths(live)
     return [walk.fits for walk in walks]
 
 
-def fit_enet_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    C: float,
-    l1_ratio: float,
-    track_objective: bool = False,
-) -> LogisticFit:
+def fit_enet_logistic(X: np.ndarray, y: np.ndarray, C: float, l1_ratio: float) -> LogisticFit:
     """Majorized coordinate descent for the logistic elastic net, from zero."""
-    return enet_logistic_paths([(X, y, [C], l1_ratio)], track_objective=track_objective)[0][0]
+    return enet_logistic_paths([(X, y, [C], l1_ratio)])[0][0]

@@ -124,7 +124,10 @@ def crossfit_nuisances(
     full-representation plan so paired quantities stay comparable).
 
     For the general estimand the target corpus is dealt into pseudo-folds
-    and a source-vs-target corpus classifier is cross-fitted alongside.
+    and stacked under the source rows, and a source-vs-target corpus
+    classifier is cross-fitted alongside. Each fold predicts all of its
+    held-out rows, source then target, with one call per model and quantity;
+    IATE and IATT are the case of an empty target.
     """
     estimand = estimand or Estimand(EstimandKind.IATE)
     outcome_spec, propensity_spec = _default_specs(outcome_spec, propensity_spec)
@@ -141,6 +144,7 @@ def crossfit_nuisances(
     a = dataset.a.astype(np.float64)
     design = np.column_stack([feats, a])
 
+    rows, assign = feats, fold_plan.assignment
     general = estimand.kind == EstimandKind.GENERAL
     if general:
         tgt = np.asarray(estimand.target_features, dtype=np.float64)
@@ -154,23 +158,23 @@ def crossfit_nuisances(
                 f"target corpus too small for the folds: cannot split {m} rows into {k} folds"
             )
         tgt_assign = make_folds(m, k, seed=derive_seed(seed, "target-folds")).assignment
+        rows = np.vstack([feats, tgt])
+        assign = np.concatenate([fold_plan.assignment, tgt_assign])
+        is_target = np.concatenate([np.zeros(n), np.ones(m)])
+        q_raw = np.empty(len(rows))
+        frac_t_by_fold = np.empty(k)
+        corpus_models: list = []
 
     ghat_obs = np.empty(n)
-    ghat1 = np.empty(n)
-    ghat0 = np.empty(n)
-    p_raw = np.empty(n)
+    ghat1, ghat0, p_raw = (np.empty(len(rows)) for _ in range(3))
     pi1_by_fold = np.empty(k)
     outcome_models: list = []
     propensity_models: list = []
-    if general:
-        t_ghat1, t_ghat0, t_p_raw, t_q_raw = (np.empty(m) for _ in range(4))
-        s_q_raw = np.empty(n)
-        frac_t_by_fold = np.empty(k)
-        corpus_models: list = []
 
     for f in range(k):
         tr = fold_plan.train_rows(f)
         te = fold_plan.test_rows(f)
+        held = np.flatnonzero(assign == f)  # ``te``, then the fold's target rows
         om = fit_outcome_model(
             design[tr], y[tr], replace(outcome_spec, seed=derive_seed(seed, f"outcome-f{f}"))
         )
@@ -179,33 +183,26 @@ def crossfit_nuisances(
         )
         outcome_models.append(om)
         propensity_models.append(pm)
-        fe = feats[te]
-        ghat_obs[te] = om.predict(np.column_stack([fe, a[te]]))
-        ghat1[te] = om.predict(np.column_stack([fe, np.ones(len(te))]))
-        ghat0[te] = om.predict(np.column_stack([fe, np.zeros(len(te))]))
+        x = rows[held]
+        ghat_obs[te] = om.predict(np.column_stack([feats[te], a[te]]))
+        ghat1[held] = om.predict(np.column_stack([x, np.ones(len(held))]))
+        ghat0[held] = om.predict(np.column_stack([x, np.zeros(len(held))]))
         # keep the raw probabilities for clip diagnostics; clip once below
-        p_raw[te] = pm.predict_proba(fe)
+        p_raw[held] = pm.predict_proba(x)
         pi1_by_fold[f] = a[tr].mean()
         if general:
-            t_tr = np.flatnonzero(tgt_assign != f)
-            t_te = np.flatnonzero(tgt_assign == f)
-            cx = np.vstack([feats[tr], tgt[t_tr]])
-            cl = np.concatenate([np.zeros(len(tr)), np.ones(len(t_tr))])
+            train = assign != f
             cm = fit_propensity_model(
-                cx, cl, replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}"))
+                rows[train], is_target[train],
+                replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}")),
             )
             corpus_models.append(cm)
-            frac_t_by_fold[f] = len(t_tr) / (len(tr) + len(t_tr))
-            s_q_raw[te] = cm.predict_proba(fe)
-            te_feats = tgt[t_te]
-            t_q_raw[t_te] = cm.predict_proba(te_feats)
-            t_p_raw[t_te] = pm.predict_proba(te_feats)
-            t_ghat1[t_te] = om.predict(np.column_stack([te_feats, np.ones(len(t_te))]))
-            t_ghat0[t_te] = om.predict(np.column_stack([te_feats, np.zeros(len(t_te))]))
+            frac_t_by_fold[f] = is_target[train].mean()
+            q_raw[held] = cm.predict_proba(x)
 
-    p_hat = clip.apply(p_raw)
+    p_hat = clip.apply(p_raw[:n])
     diagnostics = {
-        "clipped_frac": clip.clipped_fraction(p_raw),
+        "clipped_frac": clip.clipped_fraction(p_raw[:n]),
         "p_min": float(p_hat.min()),
         "p_max": float(p_hat.max()),
         "pi1": float(a.mean()),
@@ -215,25 +212,24 @@ def crossfit_nuisances(
     }
     general_fits = None
     if general:
+        q_hat = clip.apply(q_raw)
         general_fits = GeneralFits(
             target_assignment=tgt_assign,
-            target_ghat1=_readonly(t_ghat1),
-            target_ghat0=_readonly(t_ghat0),
-            target_p_hat=_readonly(clip.apply(t_p_raw)),
-            target_prob_t=_readonly(clip.apply(t_q_raw)),
-            source_prob_t=_readonly(clip.apply(s_q_raw)),
+            target_ghat1=_readonly(ghat1[n:]),
+            target_ghat0=_readonly(ghat0[n:]),
+            target_p_hat=_readonly(clip.apply(p_raw[n:])),
+            target_prob_t=_readonly(q_hat[n:]),
+            source_prob_t=_readonly(q_hat[:n]),
             frac_t_by_fold=_readonly(frac_t_by_fold),
             corpus_models=tuple(corpus_models),
         )
-        diagnostics["corpus_clipped_frac"] = clip.clipped_fraction(
-            np.concatenate([s_q_raw, t_q_raw])
-        )
+        diagnostics["corpus_clipped_frac"] = clip.clipped_fraction(q_raw)
 
     return NuisanceFits(
         fold_plan=fold_plan,
         ghat_obs=_readonly(ghat_obs),
-        ghat1=_readonly(ghat1),
-        ghat0=_readonly(ghat0),
+        ghat1=_readonly(ghat1[:n]),
+        ghat0=_readonly(ghat0[:n]),
         p_hat=_readonly(p_hat),
         pi1_by_fold=_readonly(pi1_by_fold),
         outcome_models=tuple(outcome_models),

@@ -85,9 +85,14 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in Family.ALL:
             raise ValueError(f"unknown model family {self.family!r}")
-        grid = dict(self.hyper_grid) if self.hyper_grid is not None else default_grid(self.family)
+        default = default_grid(self.family)
+        grid = dict(self.hyper_grid) if self.hyper_grid is not None else default
         if not grid or any(len(tuple(v)) == 0 for v in grid.values()):
             raise ValueError("hyper_grid must have at least one value per key")
+        if grid.keys() != default.keys():  # a misspelt key would multiply the candidates
+            raise ValueError(f"hyper_grid for {self.family!r} is missing keys "
+                             f"{sorted(default.keys() - grid.keys())} and has unknown keys "
+                             f"{sorted(grid.keys() - default.keys())}")
         object.__setattr__(self, "hyper_grid", {k: tuple(v) for k, v in grid.items()})
         if self.inner_folds < 2:
             raise ValueError("inner_folds must be >= 2")

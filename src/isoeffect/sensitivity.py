@@ -48,6 +48,7 @@ __all__ = [
     "nu2_plugin",
     "robustness_value",
     "ovb_bounds",
+    "check_contour_grid",
     "contour_grid",
     "calibrate_detail",
     "audit",
@@ -148,6 +149,14 @@ def ovb_bounds(tau_hat: float, sigma2: float, nu2: float, params: SensitivityPar
     return (tau_hat - half, tau_hat + half)
 
 
+def check_contour_grid(cy_max: float, cd_max: float, steps: int) -> None:
+    """Raise ``ValueError`` unless the grid has >= 2 steps and finite positive maxima."""
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    if not (0 < cy_max < np.inf and 0 < cd_max < np.inf):
+        raise ValueError("grid maxima must be positive and finite")
+
+
 def contour_grid(
     tau_hat: float, sigma2: float, nu2: float, cy_max: float, cd_max: float, steps: int
 ) -> ContourGrid:
@@ -156,10 +165,7 @@ def contour_grid(
     Cell (0, 0) is exactly ``tau_hat``; the bound is non-increasing in both
     axes.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if cy_max <= 0 or cd_max <= 0:
-        raise ValueError("grid maxima must be positive")
+    check_contour_grid(cy_max, cd_max, steps)
     scale = _bound_scale(sigma2, nu2, required=True)
     cy = np.linspace(0.0, cy_max, steps)
     cd = np.linspace(0.0, cd_max, steps)

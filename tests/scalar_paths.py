@@ -22,18 +22,13 @@ def _soft(z: float, t: float) -> float:
     return 0.0
 
 
-def _penalty(w, alpha, l1_ratio) -> float:
-    return alpha * (l1_ratio * np.abs(w).sum() + 0.5 * (1.0 - l1_ratio) * w @ w)
-
-
-def _linear_cd(G, q, w, alpha, l1_ratio, tol, max_sweeps, base=None):
+def _linear_cd(G, q, w, alpha, l1_ratio, tol, max_sweeps):
     diag = G.diagonal()
     order = np.flatnonzero(diag > 0)  # constant columns stay at zero
     denom = diag + alpha * (1.0 - l1_ratio)
     threshold = alpha * l1_ratio
     eff_tol = tol if alpha > 0 else min(tol, 1e-12)
     c = q - G @ w
-    trace: list[float] = []
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -47,24 +42,20 @@ def _linear_cd(G, q, w, alpha, l1_ratio, tol, max_sweeps, base=None):
                 c -= step * G[:, j]
                 w[j] = w_new
                 delta_max = max(delta_max, abs(step))
-        if base is not None:
-            quad = 0.5 * float(w @ (q - c)) - float(q @ w)
-            trace.append(base + quad + _penalty(w, alpha, l1_ratio))
         if delta_max < eff_tol:
             converged = True
             break
         if sweeps % 1024 == 0:
             c = q - G @ w
-    return sweeps, converged, trace
+    return sweeps, converged
 
 
-def _logistic_cd(Z, y, G4, w, b, alpha, l1_ratio, tol, max_passes, track):
+def _logistic_cd(Z, y, G4, w, b, alpha, l1_ratio, tol, max_passes):
     n, d = Z.shape
     diag4 = G4.diagonal()
     order = np.flatnonzero(diag4 > 0)
     denom = diag4 + alpha * (1.0 - l1_ratio)
     threshold = alpha * l1_ratio
-    trace: list[float] = []
     passes = 0
     converged = False
     while passes < max_passes:
@@ -73,9 +64,6 @@ def _logistic_cd(Z, y, G4, w, b, alpha, l1_ratio, tol, max_passes, track):
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(-eta))
         resid = y - p
-        if track:
-            s = 2.0 * y - 1.0
-            trace.append(float(np.logaddexp(0.0, -s * eta).mean()) + _penalty(w, alpha, l1_ratio))
         db = 4.0 * float(resid.mean())
         b += db
         u = np.zeros(d)
@@ -98,10 +86,10 @@ def _logistic_cd(Z, y, G4, w, b, alpha, l1_ratio, tol, max_passes, track):
         if pass_delta < tol:
             converged = True
             break
-    return w, b, passes, converged, trace
+    return w, b, passes, converged
 
 
-def linear_path(X, y, alphas, l1_ratio, tol=1e-7, max_sweeps=100_000, track_objective=False):
+def linear_path(X, y, alphas, l1_ratio, tol=1e-7, max_sweeps=100_000):
     design = X if isinstance(X, Design) else prepare_design(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = len(y)
@@ -109,21 +97,19 @@ def linear_path(X, y, alphas, l1_ratio, tol=1e-7, max_sweeps=100_000, track_obje
     yc = y - y_mean
     G = design.cross / n
     q = (design.Z.T @ yc) / n
-    base = 0.5 * float(yc @ yc) / n if track_objective else None
     w = np.zeros(design.Z.shape[1])
     fits: list = [None] * len(alphas)
     for i in sorted(range(len(alphas)), key=lambda i: -alphas[i]):
-        sweeps, converged, trace = _linear_cd(G, q, w, alphas[i], l1_ratio, tol, max_sweeps, base)
+        sweeps, converged = _linear_cd(G, q, w, alphas[i], l1_ratio, tol, max_sweeps)
         coef = w / design.scale
         fits[i] = LinearFit(
             coef=coef, intercept=y_mean - float(coef @ design.mean), coef_std=w.copy(),
             alpha=alphas[i], l1_ratio=l1_ratio, n_sweeps=sweeps, converged=converged,
-            objective_trace=tuple(trace),
         )
     return fits
 
 
-def logistic_path(X, y, Cs, l1_ratio, tol=1e-7, max_passes=5_000, track_objective=False):
+def logistic_path(X, y, Cs, l1_ratio, tol=1e-7, max_passes=5_000):
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     design = X if isinstance(X, Design) else prepare_design(X)
     n = len(y)
@@ -132,12 +118,11 @@ def logistic_path(X, y, Cs, l1_ratio, tol=1e-7, max_passes=5_000, track_objectiv
     b = float(np.log(y.mean() / (1.0 - y.mean()))) if 0.0 < y.mean() < 1.0 else 0.0
     fits: list = [None] * len(Cs)
     for i in sorted(range(len(Cs)), key=lambda i: Cs[i]):
-        w, b, passes, converged, trace = _logistic_cd(
-            design.Z, y, G4, w, b, 1.0 / (Cs[i] * n), l1_ratio, tol, max_passes, track_objective,
+        w, b, passes, converged = _logistic_cd(
+            design.Z, y, G4, w, b, 1.0 / (Cs[i] * n), l1_ratio, tol, max_passes,
         )
         fits[i] = LogisticFit(
             coef=w / design.scale, intercept=b - float((w / design.scale) @ design.mean),
             coef_std=w, C=Cs[i], l1_ratio=l1_ratio, n_passes=passes, converged=converged,
-            objective_trace=tuple(trace),
         )
     return fits

@@ -318,6 +318,7 @@ def test_elastic_reduction_without_columns_is_intercept_only(data_csv, tmp_path)
     assert payload["calibrations"]["x_0+x_1+x_2"]["sigma2_reduced"] > payload["sigma2"]
 
 
+@pytest.mark.filterwarnings("ignore:weight second moment decreased")
 def test_contour_grid_csv(data_csv, tmp_path):
     report = tmp_path / "report.json"
     _estimate(data_csv, report)
@@ -348,6 +349,26 @@ def test_contour_grid_csv(data_csv, tmp_path):
     assert np.all(np.diff(lb, axis=1) <= 1e-15)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--steps", "1", "steps must be >= 2"),
+    ("--cy-max", "0", "grid maxima must be positive"),
+    ("--cd-max", "-1", "grid maxima must be positive"),
+    ("--cy-max", "nan", "grid maxima must be positive"),
+])
+def test_contour_rejects_bad_grid_before_fitting(data_csv, tmp_path, capsys, monkeypatch,
+                                                 flag, value, message):
+    import isoeffect.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "estimate_effect", lambda *a, **k: calls.append(a))
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--data", data_csv, "--out", str(out), "--folds", "3",
+                 "--seed", "1", flag, value]) == 1
+    assert calls == [] and not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:weight second moment decreased")
 def test_calibrate_json(data_csv, tmp_path):
     out = tmp_path / "cal.json"
     rc = main(["calibrate", "--data", data_csv, "--out", str(out),
@@ -391,6 +412,7 @@ def test_contour_with_nonpositive_nu2_exits_before_calibrating(data_csv, tmp_pat
     assert f"error: {exc.value}" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:weight second moment decreased")
 def test_calibrate_json_withholds_halfwidth_when_reduced_nu2_nonpositive(
         data_csv, tmp_path, monkeypatch):
     import isoeffect.sensitivity as sensitivity
@@ -490,6 +512,7 @@ def text_corpus(tmp_path):
     return str(data), str(schema), str(lex)
 
 
+@pytest.mark.filterwarnings("ignore:weight second moment decreased")
 def test_mask_pattern_calibration_end_to_end(text_corpus, tmp_path):
     data, schema, lex = text_corpus
     out = tmp_path / "mask.json"

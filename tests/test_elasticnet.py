@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoeffect import elasticnet
 from isoeffect.elasticnet import (
     enet_linear_paths,
     enet_logistic_paths,
@@ -120,12 +121,33 @@ def test_near_constant_column_is_dead(value):
                                rtol=0, atol=1e-12)
 
 
-def test_linear_objective_trace_nonincreasing():
+def _capped_objectives(monkeypatch, cap, fit, objective, count, t_max=60):
+    """Objective of each fit capped at t = 1, 2, ... sweeps or passes until it
+    converges; asserts at every t that the objective has not risen."""
+    objectives = [np.inf]
+    for t in range(1, t_max + 1):
+        monkeypatch.setattr(elasticnet, cap, t)
+        result = fit()
+        assert count(result) == t
+        objectives.append(objective(result))
+        assert objectives[-1] <= objectives[-2] + 1e-12, f"objective rose at t={t}"
+        if result.converged:
+            return objectives[1:]
+    raise AssertionError(f"not converged within {t_max}")
+
+
+def test_linear_sweeps_descend(monkeypatch):
+    # a solve capped at t sweeps returns its t-th iterate; the objective of
+    # those iterates never rises as t grows
     X, y = _random_problem(7, n=80, d=8)
-    fit = fit_enet_linear(X, y, alpha=0.05, l1_ratio=0.3, track_objective=True)
-    trace = np.array(fit.objective_trace)
-    assert len(trace) >= 2
-    assert np.all(np.diff(trace) <= 1e-12)
+    Z, _, _ = standardize_columns(X)
+    objectives = _capped_objectives(
+        monkeypatch, "_MAX_SWEEPS",
+        lambda: fit_enet_linear(X, y, alpha=0.05, l1_ratio=0.3),
+        lambda fit: enet_linear_objective(Z, y - y.mean(), fit.coef_std, 0.05, 0.3),
+        lambda fit: fit.n_sweeps,
+    )
+    assert len(objectives) >= 2 and objectives[-1] < objectives[0]
 
 
 def test_linear_input_validation():
@@ -185,12 +207,18 @@ def _std_intercept(fit, X) -> float:
     return float(fit.intercept + fit.coef @ np.asarray(X).mean(axis=0))
 
 
-def test_logistic_objective_trace_nonincreasing():
+def test_logistic_passes_descend(monkeypatch):
+    # a solve capped at t passes returns its t-th iterate, intercept included;
+    # the majorization makes its objective non-increasing in t
     X, y = _random_logistic(3, n=120, d=5)
-    fit = fit_enet_logistic(X, y, C=1.0, l1_ratio=0.5, track_objective=True)
-    trace = np.array(fit.objective_trace)
-    assert len(trace) >= 2
-    assert np.all(np.diff(trace) <= 1e-12)
+    Z, _, _ = standardize_columns(X)
+    objectives = _capped_objectives(
+        monkeypatch, "_MAX_PASSES",
+        lambda: fit_enet_logistic(X, y, C=1.0, l1_ratio=0.5),
+        lambda fit: enet_logistic_objective(Z, y, fit.coef_std, _std_intercept(fit, X), 1.0, 0.5),
+        lambda fit: fit.n_passes,
+    )
+    assert len(objectives) >= 2 and objectives[-1] < objectives[0]
 
 
 def test_logistic_balanced_coin_with_constant_feature():
@@ -348,20 +376,19 @@ _MAX_PASSES = 400
 
 
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
-def test_batched_paths_equal_solo_paths(loss):
+def test_batched_paths_equal_solo_paths(loss, monkeypatch):
     # every problem of the batch, and the same problem solved alone, equals
     # the scalar loop's path in every field
     problems = _mixed_batch(loss)
     if loss == "linear":
-        batched = enet_linear_paths(problems, track_objective=True)
-        alone = [enet_linear_paths([p], track_objective=True)[0] for p in problems]
-        scalar = [scalar_paths.linear_path(*p, track_objective=True) for p in problems]
+        batched = enet_linear_paths(problems)
+        alone = [enet_linear_paths([p])[0] for p in problems]
+        scalar = [scalar_paths.linear_path(*p) for p in problems]
     else:
-        batched = enet_logistic_paths(problems, max_passes=_MAX_PASSES, track_objective=True)
-        alone = [enet_logistic_paths([p], max_passes=_MAX_PASSES, track_objective=True)[0]
-                 for p in problems]
-        scalar = [scalar_paths.logistic_path(*p, max_passes=_MAX_PASSES, track_objective=True)
-                  for p in problems]
+        monkeypatch.setattr(elasticnet, "_MAX_PASSES", _MAX_PASSES)
+        batched = enet_logistic_paths(problems)
+        alone = [enet_logistic_paths([p])[0] for p in problems]
+        scalar = [scalar_paths.logistic_path(*p, max_passes=_MAX_PASSES) for p in problems]
     for fits in (batched, alone):
         for path, reference in zip(fits, scalar):
             assert len(path) == len(reference)
@@ -369,7 +396,6 @@ def test_batched_paths_equal_solo_paths(loss):
                 assert a.coef.tobytes() == b.coef.tobytes()
                 assert a.coef_std.tobytes() == b.coef_std.tobytes()
                 assert a.intercept == b.intercept and a.converged == b.converged
-                assert a.objective_trace == b.objective_trace and len(a.objective_trace) > 0
                 if loss == "linear":
                     assert a.n_sweeps == b.n_sweeps and a.alpha == b.alpha
                 else:
@@ -388,6 +414,4 @@ def test_batched_paths_validation():
     X, y = _random_problem(16, n=20, d=3)
     with pytest.raises(ValueError, match="same number of columns"):
         enet_linear_paths([(X, y, (1.0,), 0.5), (X[:, :2], y, (1.0,), 0.5)])
-    with pytest.raises(ValueError, match="max_passes"):
-        enet_logistic_paths([(X, (y > 0).astype(float), (1.0,), 0.5)], max_passes=0)
     assert enet_linear_paths([]) == [] and enet_linear_paths([(X, y, (), 0.5)]) == [[]]

@@ -320,6 +320,33 @@ def test_general_close_to_iate_for_same_distribution_target():
     assert est_gen.n == ds.n + 1500
 
 
+def test_general_predictions_come_from_each_folds_models(synth_small):
+    # source and target rows held out of fold f are predicted by fold f's
+    # models, and the corpus classifier trains on the rest of both corpora;
+    # k = 3 does not divide m = 50, so the target folds are unequal
+    target = generate(SynthSpec(n=50, d=synth_small.features.shape[1], seed=41)).features
+    fits = crossfit_nuisances(synth_small, Estimand("general", target_features=target),
+                              outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
+                              k=3, seed=2)
+    g = fits.general
+    clip = fits.clip.apply
+    assert len(set(np.bincount(g.target_assignment))) == 2
+    for f in range(3):
+        om, pm, cm = fits.outcome_models[f], fits.propensity_models[f], g.corpus_models[f]
+        t_te = np.flatnonzero(g.target_assignment == f)
+        x = target[t_te]
+        for arm, ghat in ((1.0, g.target_ghat1), (0.0, g.target_ghat0)):
+            expected = om.predict(np.column_stack([x, np.full(len(t_te), arm)]))
+            assert ghat[t_te].tobytes() == expected.tobytes()
+        assert g.target_p_hat[t_te].tobytes() == clip(pm.predict_proba(x)).tobytes()
+        assert g.target_prob_t[t_te].tobytes() == clip(cm.predict_proba(x)).tobytes()
+        te = fits.fold_plan.test_rows(f)
+        expected = clip(cm.predict_proba(synth_small.features[te]))
+        assert g.source_prob_t[te].tobytes() == expected.tobytes()
+        n_src, n_tgt = synth_small.n - len(te), len(target) - len(t_te)
+        assert g.frac_t_by_fold[f] == n_tgt / (n_src + n_tgt)
+
+
 def replace_seed(spec: SynthSpec, seed: int) -> SynthSpec:
     from dataclasses import replace as _replace
 

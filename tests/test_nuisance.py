@@ -49,6 +49,13 @@ def test_model_spec_validation():
         ModelSpec(Family.ELASTIC_LINEAR, {"alpha": []})
     with pytest.raises(ValueError, match="inner_folds"):
         ModelSpec(Family.ELASTIC_LINEAR, inner_folds=1)
+    # a missing key would fail at the first fit; a misspelt one would
+    # multiply the candidates
+    with pytest.raises(ValueError, match=r"missing keys \['l1_ratio'\] and has unknown keys \[\]"):
+        ModelSpec(Family.ELASTIC_LINEAR, {"alpha": (0.1,)})
+    with pytest.raises(ValueError, match=r"missing keys \[\] and has unknown keys \['alpah'\]"):
+        ModelSpec(Family.ELASTIC_LINEAR,
+                  {"alpha": (0.1, 1.0), "l1_ratio": (0.5,), "alpah": (1, 2, 3)})
     spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.1, 1.0], "l1_ratio": [0.0]})
     assert spec.candidates() == [
         {"alpha": 0.1, "l1_ratio": 0.0},
@@ -130,7 +137,7 @@ def test_inner_cv_picks_informative_model():
 
 def test_inner_cv_counts_nonconverged_path_solves():
     # perfectly separable with a margin: at C=100 the penalty barely holds the
-    # logistic coefficients back, and the path solve stops at max_passes
+    # logistic coefficients back, and the path solve stops at the pass cap
     rng = np.random.default_rng(1)
     X = rng.standard_normal((400, 3))
     X[:, 0] += np.sign(X[:, 0])
