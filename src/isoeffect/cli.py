@@ -35,7 +35,10 @@ from .core import (
     write_csv,
 )
 from .estimator import estimate_effect, estimate_naive
-from .featurize import featurize_texts, load_lexicon, mask_terms, restrict_dims, select_intervention
+from .featurize import (_validate_pattern, featurize_masked, load_lexicon, restrict_dims,
+                        select_intervention)
+# no longer called here, but bench/spans.py wraps these names
+from .featurize import featurize_texts, mask_terms
 from .nuisance import ClipPolicy, Family, ModelSpec
 from .sensitivity import audit, calibrate_detail, check_contour_grid, contour_grid, ovb_bounds
 from .synth import generate, oracle_tau, spec_from_json_file
@@ -133,6 +136,12 @@ def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValidationError(f"duplicate reduction label {label!r}")
+    masked: dict[str, str] = {}  # a pattern's lowercased form -> its label
+    for pat in patterns:
+        earlier = masked.setdefault(_validate_pattern(pat, "--mask-patterns"), pat)
+        if earlier != pat:
+            raise ValidationError(
+                f"duplicate reduction {pat!r}: masks the same terms as {earlier!r}")
     out: list[tuple[str, np.ndarray]] = []
     names = list(dataset.feature_names)
     omitted: dict[frozenset, str] = {}  # a group's set of columns -> its label
@@ -156,9 +165,7 @@ def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]
         if not options["lexicon"]:
             raise ValidationError("--mask-patterns requires --lexicon to refeaturize")
         lexicon = load_lexicon(options["lexicon"])
-        for pat in patterns:
-            masked = mask_terms(dataset.texts, [pat])
-            out.append((pat, featurize_texts(masked, lexicon, mode="binary")))
+        out.extend(zip(patterns, featurize_masked(dataset.texts, lexicon, [[p] for p in patterns])))
     return out
 
 

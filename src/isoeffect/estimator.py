@@ -10,7 +10,9 @@ where e are the non-focal features, the target sample {e*_j} is what the
 estimand fixes (every row for IATE, the treated rows for IATT, an external
 corpus for the general transported estimand), and gamma are transporting
 inverse probability weights. Nuisances are cross-fitted: every row's
-predictions come from models trained on the other folds.
+predictions come from models trained on the other folds. The K fold models
+of a nuisance are fitted together, in one solver batch for all their inner
+cross-validations and one for all their final fits.
 
 Standard errors come from the influence-function variance with 1/n CLT
 scaling (n + m stacked rows for the general estimand); ``ci95`` is the
@@ -20,7 +22,7 @@ usual two-sided normal interval.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,13 +36,16 @@ from .core import (
     derive_seed,
     make_folds,
 )
+# the one-fold fits are no longer called here; bench/spans.py wraps them by name
 from .nuisance import (
     ClipPolicy,
     Family,
     FittedModel,
     ModelSpec,
     fit_outcome_model,
+    fit_outcome_models,
     fit_propensity_model,
+    fit_propensity_models,
 )
 
 __all__ = [
@@ -125,9 +130,11 @@ def crossfit_nuisances(
 
     For the general estimand the target corpus is dealt into pseudo-folds
     and stacked under the source rows, and a source-vs-target corpus
-    classifier is cross-fitted alongside. Each fold predicts all of its
-    held-out rows, source then target, with one call per model and quantity;
-    IATE and IATT are the case of an empty target.
+    classifier is cross-fitted alongside. Each nuisance's K fold models are
+    fitted together (:func:`~isoeffect.nuisance.fit_outcome_models`): one
+    solver batch for every fold's inner CV, one for every final fit. Each
+    fold predicts all of its held-out rows, source then target, with one call
+    per model and quantity; IATE and IATT are the case of an empty target.
     """
     estimand = estimand or Estimand(EstimandKind.IATE)
     outcome_spec, propensity_spec = _default_specs(outcome_spec, propensity_spec)
@@ -163,26 +170,22 @@ def crossfit_nuisances(
         is_target = np.concatenate([np.zeros(n), np.ones(m)])
         q_raw = np.empty(len(rows))
         frac_t_by_fold = np.empty(k)
-        corpus_models: list = []
 
+    train = [fold_plan.train_rows(f) for f in range(k)]
+    outcome_models = fit_outcome_models(design, y, outcome_spec, [
+        (tr, derive_seed(seed, f"outcome-f{f}")) for f, tr in enumerate(train)])
+    propensity_models = fit_propensity_models(feats, a, propensity_spec, [
+        (tr, derive_seed(seed, f"propensity-f{f}")) for f, tr in enumerate(train)])
+    if general:
+        corpus_models = fit_propensity_models(rows, is_target, propensity_spec, [
+            (np.flatnonzero(assign != f), derive_seed(seed, f"corpus-f{f}")) for f in range(k)])
     ghat_obs = np.empty(n)
     ghat1, ghat0, p_raw = (np.empty(len(rows)) for _ in range(3))
     pi1_by_fold = np.empty(k)
-    outcome_models: list = []
-    propensity_models: list = []
 
-    for f in range(k):
-        tr = fold_plan.train_rows(f)
+    for f, (tr, om, pm) in enumerate(zip(train, outcome_models, propensity_models)):
         te = fold_plan.test_rows(f)
         held = np.flatnonzero(assign == f)  # ``te``, then the fold's target rows
-        om = fit_outcome_model(
-            design[tr], y[tr], replace(outcome_spec, seed=derive_seed(seed, f"outcome-f{f}"))
-        )
-        pm = fit_propensity_model(
-            feats[tr], a[tr], replace(propensity_spec, seed=derive_seed(seed, f"propensity-f{f}"))
-        )
-        outcome_models.append(om)
-        propensity_models.append(pm)
         x = rows[held]
         ghat_obs[te] = om.predict(np.column_stack([feats[te], a[te]]))
         ghat1[held] = om.predict(np.column_stack([x, np.ones(len(held))]))
@@ -191,14 +194,8 @@ def crossfit_nuisances(
         p_raw[held] = pm.predict_proba(x)
         pi1_by_fold[f] = a[tr].mean()
         if general:
-            train = assign != f
-            cm = fit_propensity_model(
-                rows[train], is_target[train],
-                replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}")),
-            )
-            corpus_models.append(cm)
-            frac_t_by_fold[f] = is_target[train].mean()
-            q_raw[held] = cm.predict_proba(x)
+            frac_t_by_fold[f] = is_target[assign != f].mean()
+            q_raw[held] = corpus_models[f].predict_proba(x)
 
     p_hat = clip.apply(p_raw[:n])
     diagnostics = {

@@ -11,6 +11,8 @@ is tokenized once, each distinct token is tested once against each category,
 and the category columns are counted from the token occurrences with
 ``np.bincount``. The cost is one matcher call per (distinct token, category)
 rather than per (token occurrence, category).
+Masking reuses that work: :func:`featurize_masked` featurizes under several
+masks from one tokenization, giving the tokens a mask matches zero weight.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "load_lexicon",
     "tokenize",
     "featurize_texts",
+    "featurize_masked",
     "select_intervention",
     "restrict_dims",
     "mask_terms",
@@ -44,14 +47,12 @@ def tokenize(text: str) -> list[str]:
     return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
 
 
-def _validate_pattern(pattern: str, category: str) -> str:
+def _validate_pattern(pattern: str, where: str) -> str:
     pat = pattern.lower()
     if not pat or pat == "*":
-        raise ValidationError(f"category {category!r}: empty pattern")
+        raise ValidationError(f"{where}: empty pattern")
     if "*" in pat[:-1]:
-        raise ValidationError(
-            f"category {category!r}: '*' is only allowed as a trailing wildcard in {pattern!r}"
-        )
+        raise ValidationError(f"{where}: '*' is only allowed as a trailing wildcard in {pattern!r}")
     return pat
 
 
@@ -87,7 +88,7 @@ class Lexicon:
             raise ValidationError("lexicon must define at least one category")
         cleaned: dict[str, tuple[str, ...]] = {}
         for name, patterns in self.categories.items():
-            patterns = tuple(_validate_pattern(p, name) for p in patterns)
+            patterns = tuple(_validate_pattern(p, f"category {name!r}") for p in patterns)
             if not patterns:
                 raise ValidationError(f"category {name!r} has no patterns")
             cleaned[name] = patterns
@@ -133,10 +134,23 @@ def featurize_texts(
 
     ``binary`` marks presence of any matching token; ``count`` counts matching
     tokens. Unknown tokens and the ``[MASK]`` placeholder that
-    :func:`mask_terms` writes contribute nothing.
+    :func:`mask_terms` writes contribute nothing. This is
+    :func:`featurize_masked` with one empty mask.
+    """
+    return featurize_masked(texts, lexicon, [()], mode)[0]
+
+
+def featurize_masked(texts: Sequence[str], lexicon: Lexicon, masks: Sequence[Sequence[str]],
+                     mode: str = "binary") -> list[np.ndarray]:
+    """One category matrix per mask (a sequence of term patterns), from one tokenization.
+
+    Matrix i equals ``featurize_texts(mask_terms(texts, masks[i]), lexicon,
+    mode)`` byte for byte: the tokens mask i matches count with zero weight.
+    Every pattern is checked before any text is read.
     """
     if mode not in ("binary", "count"):
         raise ValueError(f"mode must be 'binary' or 'count', got {mode!r}")
+    hidden = [_Matcher([_validate_pattern(p, "mask pattern") for p in mask]) for mask in masks]
     texts = list(texts)
     if not texts:
         raise ValueError("featurize_texts requires at least one text")
@@ -152,11 +166,12 @@ def featurize_texts(
     member = np.array([[match(w) for w in words] for match in matchers], dtype=np.float64)
     rows = np.repeat(np.arange(len(texts)), lengths)
     ids = np.asarray(ids, dtype=np.int64)
-    out = np.empty((len(texts), len(matchers)), dtype=np.float64)
-    for j in range(len(matchers)):
-        out[:, j] = np.bincount(rows, weights=member[j, ids], minlength=len(texts))
-    if mode == "binary":
-        out = (out > 0).astype(np.float64)
+    out = []
+    for match in hidden:
+        kept = member * np.array([not match(w) for w in words], dtype=np.float64)
+        counts = np.stack([np.bincount(rows, weights=w[ids], minlength=len(texts)) for w in kept],
+                          axis=1)
+        out.append((counts > 0).astype(np.float64) if mode == "binary" else counts)
     return out
 
 
@@ -237,7 +252,7 @@ def mask_terms(texts: Sequence[str], patterns: Sequence[str]) -> list[str]:
     byte; matching is case-insensitive on the token. Each distinct token is
     matched once per call.
     """
-    match = _Matcher([_validate_pattern(p, "<mask>") for p in patterns])
+    match = _Matcher([_validate_pattern(p, "mask pattern") for p in patterns])
     replacement: dict[str, str] = {}
 
     def replace(m: re.Match) -> str:

@@ -5,18 +5,24 @@ gradient-boosted trees. Hyperparameters are chosen by inner k-fold
 cross-validation on the training split; ties are broken toward the stronger
 regularization (elastic net) or the smaller model (boosting), so the
 selected model never gets more complex than it has to be.
+
+A cross-fit needs one model per outer fold, so :func:`fit_outcome_models` and
+:func:`fit_propensity_models` fit all of them in two phases: the inner CV of
+every fold in one solver call, then every final fit in another. Each model is
+bit for bit the one a fit on its fold alone gives; the single-model
+functions are the one-fold case.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+# the single-fit seams are no longer called here; bench/spans.py wraps them by name
 from .boosting import GBTModel, GBTTask, fit_gbt_batch, fit_gbt_core
 from .core import ValidationError, derive_seed, make_folds
 from .elasticnet import (
@@ -38,7 +44,9 @@ __all__ = [
     "default_grid",
     "cv_select",
     "fit_outcome_model",
+    "fit_outcome_models",
     "fit_propensity_model",
+    "fit_propensity_models",
 ]
 
 
@@ -188,22 +196,6 @@ def cv_select(candidates: Sequence[Mapping], scores: Sequence[float]) -> dict:
     return max(tied, key=_reg_strength)
 
 
-def _fit_one(family: str, X, target, cand: Mapping, seed: int):
-    if family == Family.ELASTIC_LINEAR:
-        return fit_enet_linear(X, target, alpha=cand["alpha"], l1_ratio=cand["l1_ratio"])
-    if family == Family.ELASTIC_LOGISTIC:
-        return fit_enet_logistic(X, target, C=cand["C"], l1_ratio=cand["l1_ratio"])
-    return fit_gbt_core(
-        X,
-        target,
-        classification=(family == Family.GBT_CLF),
-        depth=int(cand["depth"]),
-        n_trees=int(cand["n_trees"]),
-        learning_rate=float(cand["learning_rate"]),
-        seed=seed,
-    )
-
-
 def _loss(family: str, model, X, target, stages=None):
     """Mean held-out loss; with ``stages``, one per boosting tree count."""
     staged = {} if stages is None else {"stages": stages}
@@ -214,84 +206,106 @@ def _loss(family: str, model, X, target, stages=None):
     return np.mean(resid * resid, axis=-1)
 
 
-def _fold_losses(X, target, spec: ModelSpec, cands: list[dict], plan) -> tuple[np.ndarray, dict]:
-    """Held-out loss of every candidate on every inner fold, plus solver facts.
+def _fold_losses(X, target, family: str, cands: list[dict], cvs: list) -> list:
+    """Held-out loss of every candidate on every inner fold, plus solver facts, per CV.
 
-    Elastic-net candidates that share an ``l1_ratio`` are scored from one
-    regularization path per inner fold, on one standardization of its
-    training rows, and every (inner fold, ``l1_ratio``) path is solved in one
-    lockstep batch; the facts count the path solves that did not converge.
-    Boosting candidates that differ only in ``n_trees`` share one fit per
-    fold at their largest count, seeded as the first of them, and each count
-    is scored from the staged predictions of that fit. Those fits, one per
-    (candidate group, inner fold), grow in lockstep; the facts count them and
-    their trees.
+    ``cvs`` holds one ``(seed, splits)`` per outer fold, ``splits`` its inner
+    folds as ``(training rows, test rows)`` of ``X``. Elastic-net candidates
+    that share an ``l1_ratio`` are scored from one regularization path per
+    inner fold, on one standardization of its training rows, and every (CV,
+    inner fold, ``l1_ratio``) path is solved in one lockstep batch; the facts
+    count the path solves that did not converge. Boosting candidates that
+    differ only in ``n_trees`` share one fit per inner fold at their largest
+    count, seeded as the first of them, and each count is scored from the
+    staged predictions of that fit. Those fits, one per (CV, candidate
+    group, inner fold), grow in lockstep; the facts count them and their trees.
     """
-    if spec.family in (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC):
-        return _path_fold_losses(X, target, spec.family, cands, plan)
+    if family in (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC):
+        return _path_fold_losses(X, target, family, cands, cvs)
     groups: dict = {}
     for ci, cand in enumerate(cands):
         key = tuple((k, v) for k, v in cand.items() if k != "n_trees")
         groups.setdefault(key, []).append(ci)
     tasks, scored = [], []
-    for members in groups.values():
-        stages = [int(cands[ci]["n_trees"]) for ci in members]
-        first = cands[members[0]]
-        for f in range(plan.k):
-            tasks.append(GBTTask(
-                plan.train_rows(f), depth=int(first["depth"]), n_trees=max(stages),
-                learning_rate=float(first["learning_rate"]),
-                seed=derive_seed(spec.seed, f"inner-{members[0]}-{f}"),
-            ))
-            scored.append((members, stages, f))
-    models = fit_gbt_batch(X, target, spec.family == Family.GBT_CLF, tasks)
-    losses = np.empty((len(cands), plan.k))
-    for (members, stages, f), model in zip(scored, models):
-        te = plan.test_rows(f)
-        losses[members, f] = _loss(spec.family, model, X[te], target[te], stages)
-    trees = sum(model.diagnostics["n_trees_fit"] for model in models)
-    return losses, {"fits": len(models), "trees": trees}
+    for c, (seed, splits) in enumerate(cvs):
+        for members in groups.values():
+            stages = [int(cands[ci]["n_trees"]) for ci in members]
+            first = cands[members[0]]
+            for f, (tr, te) in enumerate(splits):
+                tasks.append(GBTTask(
+                    tr, depth=int(first["depth"]), n_trees=max(stages),
+                    learning_rate=float(first["learning_rate"]),
+                    seed=derive_seed(seed, f"inner-{members[0]}-{f}"),
+                ))
+                scored.append((c, f, te, members, stages))
+    out = [(np.empty((len(cands), len(splits))), {"fits": 0, "trees": 0}) for _, splits in cvs]
+    for (c, f, te, members, stages), model in zip(
+            scored, fit_gbt_batch(X, target, family == Family.GBT_CLF, tasks)):
+        losses, facts = out[c]
+        losses[members, f] = _loss(family, model, X[te], target[te], stages)
+        facts["fits"] += 1
+        facts["trees"] += model.diagnostics["n_trees_fit"]
+    return out
 
 
-def _path_fold_losses(X, target, family: str, cands: list[dict], plan) -> tuple[np.ndarray, dict]:
+def _path_fold_losses(X, target, family: str, cands: list[dict], cvs: list) -> list:
     linear = family == Family.ELASTIC_LINEAR
     penalty, paths = ("alpha", enet_linear_paths) if linear else ("C", enet_logistic_paths)
     by_ratio: dict = {}
     for ci, cand in enumerate(cands):
         by_ratio.setdefault(cand["l1_ratio"], []).append(ci)
     problems, scored = [], []
-    for f in range(plan.k):
-        tr = plan.train_rows(f)
-        design, y = prepare_design(X[tr]), target[tr]
-        for ratio, members in by_ratio.items():
-            problems.append((design, y, [cands[ci][penalty] for ci in members], ratio))
-            scored.append((f, members))
-    losses = np.empty((len(cands), plan.k))
-    nonconverged = 0
-    for (f, members), fits in zip(scored, paths(problems)):
-        te = plan.test_rows(f)
+    for c, (_, splits) in enumerate(cvs):
+        for f, (tr, te) in enumerate(splits):
+            design, y = prepare_design(X[tr]), target[tr]
+            for ratio, members in by_ratio.items():
+                problems.append((design, y, [cands[ci][penalty] for ci in members], ratio))
+                scored.append((c, f, te, members))
+    out = [(np.empty((len(cands), len(splits))), {"nonconverged": 0}) for _, splits in cvs]
+    for (c, f, te, members), fits in zip(scored, paths(problems)):
+        losses, facts = out[c]
         for ci, model in zip(members, fits):
             losses[ci, f] = _loss(family, model, X[te], target[te])
-            nonconverged += not model.converged
-    return losses, {"nonconverged": nonconverged}
+            facts["nonconverged"] += not model.converged
+    return out
 
 
-def _inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict, dict]:
+def _choose(X, target, spec: ModelSpec, classifier: bool, folds: list) -> list[tuple[dict, dict]]:
+    """Phase 1: each ``(rows, seed)`` fold's choice and facts, every inner CV in one batch."""
     cands = spec.candidates()
-    if len(cands) == 1:
-        return dict(cands[0]), {"inner_cv": None}
-    n = X.shape[0]
-    if n < 2 * spec.inner_folds:
-        # too little data to split meaningfully; fall back to the most
-        # regularized candidate rather than guessing from noise
-        choice = max(cands, key=_reg_strength)
-        return dict(choice), {"inner_cv": "skipped_small_n"}
-    strat = target if classifier else None
-    plan = make_folds(n, spec.inner_folds, a=strat, seed=derive_seed(spec.seed, "inner-cv"))
-    losses, facts = _fold_losses(X, target, spec, cands, plan)
-    scores = [float(np.mean(row)) for row in losses]
-    choice = cv_select(cands, scores)
-    return choice, {"inner_cv": {"scores": tuple(scores), "chosen": dict(choice), **facts}}
+    out: list = [None] * len(folds)
+    cvs, at = [], []
+    for j, (rows, seed) in enumerate(folds):
+        if len(cands) == 1:
+            out[j] = dict(cands[0]), {"inner_cv": None}
+        elif rows.size < 2 * spec.inner_folds:
+            # too little data to split meaningfully; fall back to the most
+            # regularized candidate rather than guessing from noise
+            out[j] = dict(max(cands, key=_reg_strength)), {"inner_cv": "skipped_small_n"}
+        else:
+            strat = target[rows] if classifier else None
+            plan = make_folds(rows.size, spec.inner_folds, a=strat,
+                              seed=derive_seed(seed, "inner-cv"))
+            cvs.append((seed, [(rows[plan.train_rows(f)], rows[plan.test_rows(f)])
+                               for f in range(plan.k)]))
+            at.append(j)
+    for j, (losses, facts) in zip(at, _fold_losses(X, target, spec.family, cands, cvs)):
+        scores = [float(np.mean(row)) for row in losses]
+        choice = cv_select(cands, scores)
+        out[j] = choice, {"inner_cv": {"scores": tuple(scores), "chosen": dict(choice), **facts}}
+    return out
+
+
+def _final_fits(X, target, family: str, fits: list) -> list:
+    """Phase 2: one model per ``(rows, chosen, seed)``, all in one solver batch."""
+    if family in (Family.GBT_REG, Family.GBT_CLF):
+        return fit_gbt_batch(X, target, family == Family.GBT_CLF, [
+            GBTTask(rows, depth=int(c["depth"]), n_trees=int(c["n_trees"]),
+                    learning_rate=float(c["learning_rate"]), seed=seed) for rows, c, seed in fits])
+    linear = family == Family.ELASTIC_LINEAR
+    penalty, paths = ("alpha", enet_linear_paths) if linear else ("C", enet_logistic_paths)
+    return [path[0] for path in paths([(X[rows], target[rows], [c[penalty]], c["l1_ratio"])
+                                       for rows, c, _ in fits])]
 
 
 def _design_is_singular(X: np.ndarray) -> bool:
@@ -299,57 +313,78 @@ def _design_is_singular(X: np.ndarray) -> bool:
     return np.linalg.matrix_rank(standardize_columns(X)[0]) < X.shape[1]
 
 
-def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
-    """Fit the outcome regression ``g(features) ~ y``.
+def _fit_models(X, target, spec: ModelSpec, folds, classifier: bool) -> list[FittedModel]:
+    folds = [(np.asarray(rows, dtype=np.intp), seed) for rows, seed in folds]
+    models: list = [None] * len(folds)
+    live = []
+    for j, (rows, _) in enumerate(folds):
+        if classifier or np.ptp(target[rows]) != 0.0:
+            live.append(j)
+            continue
+        warnings.warn("constant outcome target; returning an intercept-only model")
+        models[j] = FittedModel(family=spec.family, model=None, chosen={},
+                                constant=float(target[rows[0]]),
+                                diagnostics={"warning": "constant_target"})
+    finals, diags = [], []
+    for j, (chosen, diag) in zip(live, _choose(X, target, spec, classifier,
+                                              [folds[j] for j in live])):
+        rows, seed = folds[j]
+        if (spec.family == Family.ELASTIC_LINEAR and chosen.get("alpha", 1.0) == 0.0
+                and _design_is_singular(X[rows])):
+            nonzero = sorted(a for a in spec.hyper_grid.get("alpha", ()) if a > 0)
+            fallback = nonzero[0] if nonzero else 1e-6
+            warnings.warn(f"singular design with zero penalty; refitting with alpha={fallback}")
+            chosen = dict(chosen, alpha=fallback)
+            diag = dict(diag, singular_fallback=fallback)
+        finals.append((rows, chosen, derive_seed(seed, "final")))
+        diags.append(diag)
+    fitted = _final_fits(X, target, spec.family, finals) if finals else []
+    for j, (_, chosen, _), model, diag in zip(live, finals, fitted, diags):
+        models[j] = FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
+    return models
 
-    Constant targets short-circuit to an intercept-only model with a
-    warning. A zero-penalty elastic net on a singular design falls back to
-    the smallest nonzero penalty in the grid (the least-squares solution
-    would not be unique).
+
+def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
+                       folds: Sequence[tuple]) -> list[FittedModel]:
+    """Fit the outcome regression ``g(features) ~ y`` once per ``(rows, seed)`` fold.
+
+    Fold j's model is :func:`fit_outcome_model` on ``X[rows]``, ``y[rows]``
+    with ``spec.seed = seed``, bit for bit. A fold with a constant target
+    short-circuits to an intercept-only model with a warning. A zero-penalty
+    elastic net on a singular design falls back to the smallest nonzero
+    penalty in the grid (the least-squares solution would not be unique).
     """
     if spec.family not in Family.REGRESSORS:
         raise ValueError(f"{spec.family!r} is not an outcome-regression family")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if X.shape[0] != y.shape[0] or X.shape[0] < 2:
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64).reshape(-1)
+    if X.shape[0] != y.shape[0] or any(len(rows) < 2 for rows, _ in folds):
         raise ValidationError("outcome fitting needs >= 2 aligned rows")
-
-    if np.ptp(y) == 0.0:
-        warnings.warn("constant outcome target; returning an intercept-only model")
-        return FittedModel(
-            family=spec.family, model=None, chosen={}, constant=float(y[0]),
-            diagnostics={"warning": "constant_target"},
-        )
-
-    chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
-    if spec.family == Family.ELASTIC_LINEAR and chosen.get("alpha", 1.0) == 0.0:
-        if _design_is_singular(X):
-            nonzero = sorted(a for a in spec.hyper_grid.get("alpha", ()) if a > 0)
-            fallback = nonzero[0] if nonzero else 1e-6
-            warnings.warn(
-                f"singular design with zero penalty; refitting with alpha={fallback}"
-            )
-            chosen = dict(chosen, alpha=fallback)
-            diag = dict(diag, singular_fallback=fallback)
-    model = _fit_one(spec.family, X, y, chosen, derive_seed(spec.seed, "final"))
-    return FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
+    return _fit_models(X, y, spec, folds, classifier=False)
 
 
-def fit_propensity_model(X: np.ndarray, a: np.ndarray, spec: ModelSpec) -> FittedModel:
-    """Fit the propensity classifier ``P(a = 1 | features)``.
+def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
+    """Fit the outcome regression on every row: :func:`fit_outcome_models` with one fold."""
+    return fit_outcome_models(X, y, spec, [(np.arange(np.size(y)), spec.seed)])[0]
 
-    Raises when only one class is present: a propensity on a single arm is
-    never usable downstream, so this fails loudly instead of degenerating.
+
+def fit_propensity_models(X: np.ndarray, a: np.ndarray, spec: ModelSpec,
+                          folds: Sequence[tuple]) -> list[FittedModel]:
+    """Fit the propensity classifier ``P(a = 1 | features)`` per fold, as the outcome models.
+
+    Raises, before any fit, when a fold's rows hold only one class: a
+    propensity on a single arm is never usable downstream, so this fails
+    loudly instead of degenerating.
     """
     if spec.family not in Family.CLASSIFIERS:
         raise ValueError(f"{spec.family!r} is not a propensity family")
-    X = np.asarray(X, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    X, a = np.asarray(X, dtype=np.float64), np.asarray(a, dtype=np.float64).reshape(-1)
     if not np.all(np.isin(a, (0.0, 1.0))):
         raise ValidationError("treatment labels must be 0/1")
-    if a.min() == a.max():
+    if any(a[rows].min() == a[rows].max() for rows, _ in folds):
         raise ValidationError("propensity fitting requires both treatment arms")
+    return _fit_models(X, a, spec, folds, classifier=True)
 
-    chosen, diag = _inner_cv_choose(X, a, spec, classifier=True)
-    model = _fit_one(spec.family, X, a, chosen, derive_seed(spec.seed, "final"))
-    return FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
+
+def fit_propensity_model(X: np.ndarray, a: np.ndarray, spec: ModelSpec) -> FittedModel:
+    """Fit the propensity classifier on every row: :func:`fit_propensity_models` with one fold."""
+    return fit_propensity_models(X, a, spec, [(np.arange(np.size(a)), spec.seed)])[0]

@@ -12,6 +12,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))  # make reference_solvers importable
 
 from isoeffect import Dataset, Family, ModelSpec, SynthSpec, generate
+from isoeffect.nuisance import _choose
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # reproduces exactly; no example database is read or written.
@@ -22,6 +23,11 @@ settings.load_profile("derandomized")
 # exercising the full cross-fitting path.
 FAST_LINEAR = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [1e-3], "l1_ratio": [0.5]})
 FAST_LOGISTIC = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [100.0], "l1_ratio": [0.0]})
+
+
+def inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict, dict]:
+    """The hyperparameter choice and inner-CV facts of one fit on every row of ``X``."""
+    return _choose(X, target, spec, classifier, [(np.arange(len(target)), spec.seed)])[0]
 
 
 @pytest.fixture

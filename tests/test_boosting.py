@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import isoeffect.boosting as boosting
+from conftest import inner_cv_choose
 from isoeffect.boosting import (
     MAX_CUTS,
     GBTModel,
@@ -20,7 +21,7 @@ from isoeffect.boosting import (
     fit_gbt_core,
 )
 from isoeffect.core import derive_seed, make_folds
-from isoeffect.nuisance import Family, ModelSpec, _inner_cv_choose, _loss, cv_select
+from isoeffect.nuisance import Family, ModelSpec, _loss, cv_select
 from reference_solvers import (
     best_split_exhaustive,
     reference_boost_regression,
@@ -309,7 +310,7 @@ def test_early_stop_ties_every_count_and_picks_fewer_trees():
     # with the default row subsample, each inner fit still stops after one exact stump
     spec = ModelSpec(Family.GBT_REG,
                      {"depth": [1], "n_trees": [50, 5, 20], "learning_rate": [1.0]})
-    chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
+    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
     scores = diag["inner_cv"]["scores"]
     assert scores[0] == scores[1] == scores[2]
     assert chosen["n_trees"] == 5
@@ -392,7 +393,7 @@ def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
     classifier = family == Family.GBT_CLF
     X, y = _batch_data(classifier)
     spec = ModelSpec(family, seed=3)  # default grid: 4 (depth, rate) groups x 5 folds
-    chosen, diag = _inner_cv_choose(X, y, spec, classifier=classifier)
+    chosen, diag = inner_cv_choose(X, y, spec, classifier=classifier)
 
     cands = spec.candidates()
     plan = make_folds(len(y), spec.inner_folds, a=y if classifier else None,

@@ -280,7 +280,8 @@ def test_duplicate_omitted_column_sets_rejected_before_fitting(
     def never(*args, **kwargs):
         raise AssertionError("nothing may be featurized, masked or fitted")
 
-    for name in ("estimate_effect", "calibrate_detail", "featurize_texts", "mask_terms"):
+    for name in ("estimate_effect", "calibrate_detail", "featurize_masked", "featurize_texts",
+                 "mask_terms"):
         monkeypatch.setattr(cli, name, never)
     rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
                "--omit-features", omit])
@@ -526,6 +527,48 @@ def test_mask_pattern_calibration_end_to_end(text_corpus, tmp_path):
         assert entry["c_y"] >= 0
     # masking the dominant fitness pattern should cost outcome fidelity
     assert payload["calibrations"]["run*"]["c_y"] > 0
+
+
+def _never_featurized_or_fitted(monkeypatch):
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be featurized, masked or fitted")
+
+    for name in ("estimate_effect", "calibrate_detail", "featurize_masked", "featurize_texts",
+                 "mask_terms"):
+        monkeypatch.setattr(cli, name, never)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "contour"])
+@pytest.mark.parametrize("patterns, label, earlier", [("run*,RUN*", "RUN*", "run*"),
+                                                      ("Protein,gym,protein", "protein", "Protein")])
+def test_duplicate_mask_patterns_rejected_before_fitting(
+        command, patterns, label, earlier, text_corpus, tmp_path, capsys, monkeypatch):
+    # patterns are lowercased, so these would mask the same terms twice
+    data, schema, lex = text_corpus
+    _never_featurized_or_fitted(monkeypatch)
+    rc = main([command, "--data", data, "--schema", schema, "--out", str(tmp_path / "out"),
+               "--mask-patterns", patterns, "--lexicon", lex])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: duplicate reduction '{label}': masks the same terms as '{earlier}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patterns, message", [
+    ("run*,cook*x", "--mask-patterns: '*' is only allowed as a trailing wildcard in 'cook*x'"),
+    ("protein,*", "--mask-patterns: empty pattern"),
+])
+def test_invalid_mask_pattern_rejected_before_masking(
+        patterns, message, text_corpus, tmp_path, capsys, monkeypatch):
+    data, schema, lex = text_corpus
+    _never_featurized_or_fitted(monkeypatch)
+    rc = main(["calibrate", "--data", data, "--schema", schema, "--out", str(tmp_path / "out"),
+               "--mask-patterns", patterns, "--lexicon", lex])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,10 @@ from isoeffect import (
     weights_iate,
     weights_iatt,
 )
+from isoeffect.boosting import GBTModel
+from isoeffect.core import derive_seed
 from isoeffect.estimator import GeneralFits, NuisanceFits
+from isoeffect.nuisance import Family, ModelSpec, fit_outcome_model, fit_propensity_model
 
 
 def _zeroed(arr):
@@ -345,6 +348,75 @@ def test_general_predictions_come_from_each_folds_models(synth_small):
         assert g.source_prob_t[te].tobytes() == expected.tobytes()
         n_src, n_tgt = synth_small.n - len(te), len(target) - len(t_te)
         assert g.frac_t_by_fold[f] == n_tgt / (n_src + n_tgt)
+
+
+def _assert_same_fitted(batch, solo):
+    """Bit-for-bit equality of two fitted nuisance models, solver state included."""
+    assert (batch.family, batch.chosen, batch.constant) == (solo.family, solo.chosen, solo.constant)
+    assert batch.diagnostics == solo.diagnostics
+    assert type(batch.model) is type(solo.model)
+    if isinstance(solo.model, GBTModel):
+        names = ("feature", "threshold", "value", "init", "diagnostics")
+    else:
+        names = [f.name for f in fields(solo.model)] if solo.model is not None else []
+    for name in names:
+        got, want = getattr(batch.model, name), getattr(solo.model, name)
+        if isinstance(want, dict):
+            assert got == want, name
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+_GRIDS = {
+    "elastic": (ModelSpec(Family.ELASTIC_LINEAR, {"alpha": (1e-3, 0.1), "l1_ratio": (0.0, 0.5)}),
+                ModelSpec(Family.ELASTIC_LOGISTIC, {"C": (0.1, 10.0), "l1_ratio": (0.0, 0.9)})),
+    "gbt": (ModelSpec(Family.GBT_REG, {"depth": (2,), "n_trees": (5, 15), "learning_rate": (0.1,)}),
+            ModelSpec(Family.GBT_CLF, {"depth": (1, 2), "n_trees": (10,), "learning_rate": (0.1,)})),
+}
+
+
+@pytest.mark.parametrize("model", ["elastic", "gbt"])
+@pytest.mark.parametrize("kind", ["iate", "general"])
+def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypatch):
+    # every fold of a nuisance is fitted in one inner-CV call and one final-fit
+    # call, and each fold's model is the one a fit on its training rows alone gives
+    import isoeffect.nuisance as nuisance
+
+    calls = []
+    for name in ("enet_linear_paths", "enet_logistic_paths", "fit_gbt_batch"):
+        def counted(*args, _name=name, _fn=getattr(nuisance, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(nuisance, name, counted)
+    outcome_spec, propensity_spec = _GRIDS[model]
+    target = generate(SynthSpec(n=90, d=synth_small.features.shape[1], seed=43)).features
+    estimand = Estimand(kind, target_features=target if kind == "general" else None)
+    seed, k = 6, 3
+    fits = crossfit_nuisances(synth_small, estimand, outcome_spec, propensity_spec, k=k, seed=seed)
+    nuisances = 3 if kind == "general" else 2
+    if model == "gbt":
+        assert calls == ["fit_gbt_batch"] * 2 * nuisances
+    else:
+        assert calls == (["enet_linear_paths"] * 2
+                         + ["enet_logistic_paths"] * 2 * (nuisances - 1))
+    monkeypatch.undo()
+
+    feats, y, a = synth_small.features, synth_small.y, synth_small.a.astype(float)
+    design = np.column_stack([feats, a])
+    for f in range(k):
+        tr = fits.fold_plan.train_rows(f)
+        assert fits.outcome_models[f].diagnostics["inner_cv"]["scores"]
+        _assert_same_fitted(fits.outcome_models[f], fit_outcome_model(
+            design[tr], y[tr], replace(outcome_spec, seed=derive_seed(seed, f"outcome-f{f}"))))
+        _assert_same_fitted(fits.propensity_models[f], fit_propensity_model(
+            feats[tr], a[tr], replace(propensity_spec, seed=derive_seed(seed, f"propensity-f{f}"))))
+        if kind == "general":
+            train = np.concatenate([fits.fold_plan.assignment, fits.general.target_assignment]) != f
+            rows = np.vstack([feats, target])
+            is_target = np.arange(len(rows)) >= synth_small.n
+            _assert_same_fitted(fits.general.corpus_models[f], fit_propensity_model(
+                rows[train], is_target[train].astype(float),
+                replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}"))))
 
 
 def replace_seed(spec: SynthSpec, seed: int) -> SynthSpec:

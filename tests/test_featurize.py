@@ -18,7 +18,7 @@ from isoeffect import (
     restrict_dims,
     select_intervention,
 )
-from isoeffect.featurize import tokenize
+from isoeffect.featurize import featurize_masked, tokenize
 from reference_solvers import featurize_reference
 
 LEX = Lexicon(
@@ -252,25 +252,46 @@ ORACLE_LEX = Lexicon(
 _WORDS = ["run", "Running", "GYM", "exercise", "calories", "protein", "mask", "Masks",
           "kettle", "10kg", "7", "77", "walk", "[MASK]", "épatant", "\u212aettle", "naïve"]
 _GLUE = [" ", "  ", ", ", "!", "-", "\t", "(", ")", "...", "", "\u00a0"]
+_CORPORA = st.lists(
+    st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_GLUE)), max_size=12)
+    .map(lambda parts: "".join(w + g for w, g in parts))
+    | st.text(max_size=40),
+    min_size=1,
+    max_size=6,
+)
+_PATTERNS = ["run*", "mask*", "k*", "protein", "10kg"]
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_GLUE)), max_size=12)
-        .map(lambda parts: "".join(w + g for w, g in parts))
-        | st.text(max_size=40),
-        min_size=1,
-        max_size=6,
-    ),
-    st.sampled_from(["run*", "mask*", "k*", "protein", "10kg"]),
-)
+@given(_CORPORA, st.sampled_from(_PATTERNS))
 def test_featurize_matches_per_token_reference(texts, pattern):
     for corpus in (texts, mask_terms(texts, [pattern])):
         for mode in ("binary", "count"):
             out = featurize_texts(corpus, ORACLE_LEX, mode=mode)
             ref = featurize_reference(corpus, ORACLE_LEX, mode=mode)
             assert out.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CORPORA, st.lists(st.sampled_from(_PATTERNS), min_size=1, max_size=3))
+def test_one_pass_masking_equals_masking_then_featurizing(texts, patterns):
+    # one tokenization for every mask gives the bytes of masking the texts and
+    # featurizing them again, mask by mask; the last mask holds every pattern
+    masks = [[p] for p in patterns] + [patterns, []]
+    for mode in ("binary", "count"):
+        got = featurize_masked(texts, ORACLE_LEX, masks, mode=mode)
+        assert len(got) == len(masks)
+        for mask, out in zip(masks, got):
+            masked = mask_terms(texts, mask)
+            assert out.tobytes() == featurize_texts(masked, ORACLE_LEX, mode=mode).tobytes()
+            assert out.tobytes() == featurize_reference(masked, ORACLE_LEX, mode=mode).tobytes()
+
+
+def test_one_pass_masking_checks_every_pattern_first():
+    with pytest.raises(ValidationError, match=r"mask pattern: '\*' is only allowed"):
+        featurize_masked(["run"], ORACLE_LEX, [["run*"], ["run*x"]])
+    with pytest.raises(ValidationError, match="mask pattern: empty pattern"):
+        featurize_masked([], ORACLE_LEX, [["*"]])
 
 
 def test_featurize_kelvin_sign_is_not_case_folded():

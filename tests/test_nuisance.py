@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,15 +15,17 @@ from isoeffect.nuisance import (
     ClipPolicy,
     Family,
     ModelSpec,
-    _inner_cv_choose,
     _loss,
     cv_select,
     default_grid,
     fit_outcome_model,
+    fit_outcome_models,
     fit_propensity_model,
+    fit_propensity_models,
 )
 
 import scalar_paths
+from conftest import inner_cv_choose
 
 
 def test_default_grids_frozen():
@@ -106,7 +111,7 @@ def test_single_candidate_skips_inner_cv():
     X = rng.standard_normal((40, 3))
     y = X[:, 0] + 0.1 * rng.standard_normal(40)
     spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.01], "l1_ratio": [0.5]})
-    chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
+    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
     assert chosen == {"alpha": 0.01, "l1_ratio": 0.5}
     assert diag == {"inner_cv": None}
 
@@ -117,7 +122,7 @@ def test_small_sample_falls_back_to_most_regularized():
     y = rng.standard_normal(6)
     spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.01, 1.0], "l1_ratio": [0.5]},
                      inner_folds=5)
-    chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
+    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
     assert chosen["alpha"] == 1.0
     assert diag == {"inner_cv": "skipped_small_n"}
 
@@ -129,7 +134,7 @@ def test_inner_cv_picks_informative_model():
     spec = ModelSpec(
         Family.ELASTIC_LINEAR, {"alpha": [1e-4, 100.0], "l1_ratio": [0.0]}, seed=0
     )
-    chosen, diag = _inner_cv_choose(X, y, spec, classifier=False)
+    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
     assert chosen["alpha"] == 1e-4  # shrinking a strong signal to zero loses badly
     assert len(diag["inner_cv"]["scores"]) == 2
     assert diag["inner_cv"]["nonconverged"] == 0
@@ -144,7 +149,7 @@ def test_inner_cv_counts_nonconverged_path_solves():
     a = (X[:, 0] > 0).astype(float)
     spec = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [1.0, 100.0], "l1_ratio": [0.0]},
                      inner_folds=2)
-    _, diag = _inner_cv_choose(X, a, spec, classifier=True)
+    _, diag = inner_cv_choose(X, a, spec, classifier=True)
     assert 0 < diag["inner_cv"]["nonconverged"] <= 2
 
 
@@ -180,7 +185,7 @@ def test_path_selection_matches_per_candidate_scoring(family):
     else:
         target = (rng.random(160) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     spec = ModelSpec(family, seed=3)
-    chosen, diag = _inner_cv_choose(X, target, spec, classifier=family in Family.CLASSIFIERS)
+    chosen, diag = inner_cv_choose(X, target, spec, classifier=family in Family.CLASSIFIERS)
     expected, scores = _per_candidate_choice(X, target, spec)
     assert chosen == expected
     np.testing.assert_allclose(diag["inner_cv"]["scores"], scores, rtol=0, atol=1e-7)
@@ -201,7 +206,7 @@ def test_path_inner_cv_equals_solo_paths(family):
         target = eta + 0.6 * rng.standard_normal(150)
         penalty, path = "alpha", scalar_paths.linear_path
     spec = ModelSpec(family, seed=8)
-    chosen, diag = _inner_cv_choose(X, target, spec, classifier=classifier)
+    chosen, diag = inner_cv_choose(X, target, spec, classifier=classifier)
 
     cands = spec.candidates()
     plan = make_folds(len(target), spec.inner_folds, a=target if classifier else None,
@@ -265,6 +270,49 @@ def test_zero_penalty_singular_design_falls_back():
     with pytest.warns(UserWarning, match="singular design"):
         fm = fit_outcome_model(X, y, spec)
     assert fm.chosen["alpha"] > 0
+
+
+def test_batched_folds_equal_solo_fits_with_degenerate_folds():
+    # one batch holds a constant-target fold, a zero-penalty singular fold,
+    # a regular fold and a fold too small for inner CV; each model is the solo fit's
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((100, 3))
+    X[:30, 2] = X[:30, 0]  # rows 0..29: duplicate column
+    y = 2.0 * X[:, 0] - X[:, 1] + 0.1 * rng.standard_normal(100)
+    y[60:90] = 1.5
+    spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.0, 10.0], "l1_ratio": [0.5]})
+    folds = [(np.arange(30), 11), (np.arange(60, 90), 12), (np.arange(30, 60), 13),
+             (np.arange(90, 98), 14)]
+    with pytest.warns(UserWarning) as caught:
+        batch = fit_outcome_models(X, y, spec, folds)
+    assert sorted(str(w.message).split(";")[0] for w in caught) == [
+        "constant outcome target", "singular design with zero penalty"]
+    assert batch[0].chosen == {"alpha": 10.0, "l1_ratio": 0.5}
+    assert batch[0].diagnostics["singular_fallback"] == 10.0
+    assert batch[1].constant == 1.5
+    assert batch[2].chosen == {"alpha": 0.0, "l1_ratio": 0.5}
+    assert batch[3].diagnostics == {"inner_cv": "skipped_small_n"}
+    for (rows, seed), model in zip(folds, batch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solo = fit_outcome_model(X[rows], y[rows], replace(spec, seed=seed))
+        assert (model.chosen, model.constant) == (solo.chosen, solo.constant)
+        assert model.diagnostics == solo.diagnostics
+        if solo.model is not None:
+            for name in ("coef", "intercept", "coef_std", "n_sweeps", "converged"):
+                got, want = getattr(model.model, name), getattr(solo.model, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def test_batched_propensity_folds_validated_before_fitting(monkeypatch):
+    import isoeffect.nuisance as nuisance
+
+    monkeypatch.setattr(nuisance, "_fit_models", lambda *args: pytest.fail("fitted"))
+    X = np.random.default_rng(2).standard_normal((10, 2))
+    a = np.array([0.0, 1.0] * 5)
+    spec = ModelSpec(Family.ELASTIC_LOGISTIC)
+    with pytest.raises(ValidationError, match="both treatment arms"):
+        fit_propensity_models(X, a, spec, [(np.arange(10), 1), (np.array([0, 2, 4]), 2)])
 
 
 def test_outcome_family_guard():
