@@ -34,12 +34,10 @@ from .estimator import (
     weights_iatt,
 )
 from .featurize import (
-    InterventionSplit,
     Lexicon,
     featurize_texts,
     load_lexicon,
     mask_terms,
-    restrict_dims,
     select_intervention,
 )
 from .nuisance import (
@@ -87,9 +85,7 @@ __all__ = [
     "crossfit_nuisances", "estimate_dr", "estimate_effect",
     "estimate_naive", "variance_ci",
     "weights_for", "weights_general", "weights_iate", "weights_iatt",
-    "InterventionSplit", "Lexicon",
-    "featurize_texts", "load_lexicon", "mask_terms", "restrict_dims",
-    "select_intervention",
+    "Lexicon", "featurize_texts", "load_lexicon", "mask_terms", "select_intervention",
     "ClipPolicy", "Family", "FittedModel", "ModelSpec",
     "cv_select", "default_grid", "fit_outcome_model",
     "fit_propensity_model",

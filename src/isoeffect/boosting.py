@@ -282,10 +282,10 @@ def fit_gbt_core(
     """Fit a boosted tree ensemble; deterministic given ``seed``.
 
     Training stops early once the full-sample gradient vanishes (constant
-    targets fit exactly). The per-stage training loss on the full sample is
-    recorded in ``diagnostics['train_loss']``. The first k trees of a fit
-    do not depend on ``n_trees``, so they are the trees a k-tree fit with
-    the same seed would grow. This is :func:`fit_gbt_batch` with one task.
+    targets fit exactly); ``diagnostics['n_trees_fit']`` is the number of
+    trees grown. The first k trees of a fit do not depend on ``n_trees``, so
+    they are the trees a k-tree fit with the same seed would grow. This is
+    :func:`fit_gbt_batch` with one task.
     """
     rows = np.arange(np.shape(X)[0])
     task = GBTTask(rows, depth, n_trees, learning_rate, seed, subsample)
@@ -298,10 +298,10 @@ def fit_gbt_batch(
     """Fit one boosted ensemble per task, growing the tasks in lockstep.
 
     Task t sees only ``X[t.rows]`` and ``y[t.rows]``, and its model has the
-    trees, leaf values and training losses that :func:`fit_gbt_core` fits
-    on those rows with the task's settings. Tasks whose ``R`` has the same
-    shape grow together, in groups of at most :data:`_LOCKSTEP_BYTES`; the
-    models come back in task order.
+    trees and leaf values that :func:`fit_gbt_core` fits on those rows with
+    the task's settings. Tasks whose ``R`` has the same shape grow together,
+    in groups of at most :data:`_LOCKSTEP_BYTES`; the models come back in
+    task order.
     """
     for t in tasks:
         if not 1 <= t.depth <= MAX_DEPTH:
@@ -372,7 +372,6 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
         else:
             init.append(float(row.mean()))
     score = np.repeat(np.array(init)[:, None], n, axis=1)
-    flip = 1.0 - 2.0 * target  # logistic loss is log(1 + exp(flip * score))
     stats = np.empty((B, 3, n))
 
     live = np.arange(B)
@@ -389,24 +388,21 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
     masks = np.ones((B, block, n), dtype=bool)
     cut_hist = np.empty((B, longest, (1 << depth) - 1), dtype=np.intp)
     value_hist = np.empty((B, longest, 1 << depth))
-    loss_hist = np.empty((B, longest + 1))
     fitted = np.zeros(B, dtype=np.intp)
     stage = 0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g_full, hess = _gradient(classification, target, score)
         while True:
-            terms = np.logaddexp(0.0, flip * score) if classification else g_full * g_full
-            loss_hist[live, stage] = terms.mean(axis=1)
             done = (stop_at == stage) | (np.abs(g_full).max(axis=1) < 1e-12)
             if done.any():
                 fitted[live[done]] = stage
                 keep = ~done
                 if not keep.any():
                     break
-                (live, R, right_of, target, score, flip, stats, masks, m_sub, depths, rates,
-                 stop_at) = (a[keep] for a in (live, R, right_of, target, score, flip, stats,
-                                              masks, m_sub, depths, rates, stop_at))
+                (live, R, right_of, target, score, stats, masks, m_sub, depths, rates,
+                 stop_at) = (a[keep] for a in (live, R, right_of, target, score, stats, masks,
+                                              m_sub, depths, rates, stop_at))
                 rngs = [r for r, k in zip(rngs, keep) if k]
                 g_full, hess = _gradient(classification, target, score)
 
@@ -442,12 +438,6 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
             learning_rate=t.learning_rate,
             classification=classification,
             n_features=X.shape[1],
-            diagnostics={
-                "train_loss": tuple(loss_hist[b, :k + 1].tolist()),
-                "subsample": t.subsample,
-                "n_trees_fit": k,
-                "depth": t.depth,
-                "learning_rate": t.learning_rate,
-            },
+            diagnostics={"n_trees_fit": k},
         ))
     return models

@@ -35,8 +35,7 @@ from .core import (
     write_csv,
 )
 from .estimator import estimate_effect, estimate_naive
-from .featurize import (_validate_pattern, featurize_masked, load_lexicon, restrict_dims,
-                        select_intervention)
+from .featurize import _validate_pattern, featurize_masked, load_lexicon, select_intervention
 # no longer called here, but bench/spans.py wraps these names
 from .featurize import featurize_texts, mask_terms
 from .nuisance import ClipPolicy, Family, ModelSpec
@@ -108,6 +107,15 @@ def _load_schema(path: str | None) -> dict | None:
     if not isinstance(schema, dict):
         raise SchemaError("schema JSON must be an object")
     return schema
+
+
+def _check_flags(opt: dict) -> None:
+    """Fail before any work on an ``--out`` in a missing directory or a stray ``--target-data``."""
+    directory = os.path.dirname(os.path.abspath(opt["out"]))
+    if not os.path.isdir(directory):
+        raise ValidationError(f"--out {opt['out']!r}: directory {directory!r} does not exist")
+    if opt["target_data"] and opt["estimand"] != EstimandKind.GENERAL:
+        raise ValidationError("--target-data is only used with --estimand general")
 
 
 def _model_specs(model: str) -> tuple[ModelSpec, ModelSpec]:
@@ -255,17 +263,17 @@ def _cmd_estimate(opt: dict) -> int:
 def _cmd_sweep(opt: dict) -> int:
     if opt["estimand"] == EstimandKind.GENERAL:
         raise ValidationError("sweep supports the iate and iatt estimands")
-    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
-    split = select_intervention(dataset.features, dataset.feature_names, opt["focal"])
-    lo, hi = _parse_dims(opt["dims"] if opt["dims"] is not None
-                         else f"1..{len(split.nonfocal_names)}")
-    subsets = [(dims, restrict_dims(split, dims)) for dims in range(lo, hi + 1)]
+    dataset = select_intervention(load_csv(opt["data"], _load_schema(opt["schema"])),
+                                  opt["focal"])
+    lo, hi = _parse_dims(opt["dims"] if opt["dims"] is not None else f"1..{dataset.d}")
+    if hi > dataset.d:
+        raise ValueError(f"dims {hi} exceeds the {dataset.d} non-focal columns")
 
     rows = []
-    for dims, sub in subsets:
-        sub_data = Dataset(y=dataset.y, a=sub.a, features=sub.features,
-                           feature_names=sub.nonfocal_names)
-        est, fits, weights, report = _estimate_with_audit(sub_data, opt)
+    for dims in range(lo, hi + 1):
+        sub = replace(dataset, features=dataset.features[:, :dims],
+                      feature_names=dataset.feature_names[:dims])
+        est, fits, weights, report = _estimate_with_audit(sub, opt)
         rows.append([
             str(dims), _fmt(est.tau_hat), _fmt(est.ci95[0]), _fmt(est.ci95[1]),
             _fmt(report.sigma2), _fmt(report.nu2), _fmt(report.rv),
@@ -422,6 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     options = {k: v for k, v in vars(args).items() if k != "command"}
     try:
+        if args.command != "synth":  # synth's --out is a directory it creates
+            _check_flags(options)
         return _COMMANDS[args.command](options)
     except (SchemaError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -217,11 +217,24 @@ def _column(header: list[str], name: str, what: str) -> int:
         raise SchemaError(f"{what} column {name!r} not found in header {header}") from None
 
 
+def _one_role_each(header: list[str], roles: Sequence[tuple[int | None, str]]) -> None:
+    """Raise if two ``(column index, role)`` pairs name the same column."""
+    seen: dict[int, str] = {}
+    for idx, role in roles:
+        if idx in seen:
+            raise SchemaError(f"column {header[idx]!r} is used twice: as {seen[idx]} and as {role}")
+        if idx is not None:
+            seen[idx] = role
+
+
 def _feature_columns(header: list[str], schema: Mapping) -> list[int]:
     if schema.get("feature_columns"):
-        return [_column(header, str(c), "feature") for c in schema["feature_columns"]]
-    prefix = str(schema.get("feature_prefix", "x_"))
-    return [i for i, name in enumerate(header) if name.startswith(prefix)]
+        feat_idx = [_column(header, str(c), "feature") for c in schema["feature_columns"]]
+    else:
+        prefix = str(schema.get("feature_prefix", "x_"))
+        feat_idx = [i for i, name in enumerate(header) if name.startswith(prefix)]
+    _one_role_each(header, [(j, "feature") for j in feat_idx])
+    return feat_idx
 
 
 def _resolve_columns(header: list[str], schema: Mapping) -> tuple[int, int, list[int], int | None]:
@@ -233,6 +246,8 @@ def _resolve_columns(header: list[str], schema: Mapping) -> tuple[int, int, list
     feat_idx = _feature_columns(header, schema)
     if not feat_idx and text_idx is None:
         raise SchemaError("schema must yield feature columns or a text column")
+    _one_role_each(header, [(y_idx, "outcome"), (a_idx, "treatment"), (text_idx, "text"),
+                            *[(j, "feature") for j in feat_idx]])
     return y_idx, a_idx, feat_idx, text_idx
 
 

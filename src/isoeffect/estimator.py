@@ -179,15 +179,12 @@ def crossfit_nuisances(
     if general:
         corpus_models = fit_propensity_models(rows, is_target, propensity_spec, [
             (np.flatnonzero(assign != f), derive_seed(seed, f"corpus-f{f}")) for f in range(k)])
-    ghat_obs = np.empty(n)
     ghat1, ghat0, p_raw = (np.empty(len(rows)) for _ in range(3))
     pi1_by_fold = np.empty(k)
 
     for f, (tr, om, pm) in enumerate(zip(train, outcome_models, propensity_models)):
-        te = fold_plan.test_rows(f)
-        held = np.flatnonzero(assign == f)  # ``te``, then the fold's target rows
+        held = np.flatnonzero(assign == f)  # the fold's source rows, then its target rows
         x = rows[held]
-        ghat_obs[te] = om.predict(np.column_stack([feats[te], a[te]]))
         ghat1[held] = om.predict(np.column_stack([x, np.ones(len(held))]))
         ghat0[held] = om.predict(np.column_stack([x, np.zeros(len(held))]))
         # keep the raw probabilities for clip diagnostics; clip once below
@@ -197,6 +194,7 @@ def crossfit_nuisances(
             frac_t_by_fold[f] = is_target[assign != f].mean()
             q_raw[held] = corpus_models[f].predict_proba(x)
 
+    ghat_obs = np.where(a == 1, ghat1[:n], ghat0[:n])
     p_hat = clip.apply(p_raw[:n])
     diagnostics = {
         "clipped_frac": clip.clipped_fraction(p_raw[:n]),

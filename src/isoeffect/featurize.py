@@ -24,17 +24,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import Dataset, ValidationError
 
 __all__ = [
     "Lexicon",
-    "InterventionSplit",
     "load_lexicon",
     "tokenize",
     "featurize_texts",
     "featurize_masked",
     "select_intervention",
-    "restrict_dims",
     "mask_terms",
 ]
 
@@ -175,74 +173,27 @@ def featurize_masked(texts: Sequence[str], lexicon: Lexicon, masks: Sequence[Seq
     return out
 
 
-@dataclass(frozen=True)
-class InterventionSplit:
-    """A category matrix split into a focal treatment column and the rest."""
+def select_intervention(dataset: Dataset, focal: str) -> Dataset:
+    """``dataset`` with its focal feature column made the treatment.
 
-    a: np.ndarray
-    features: np.ndarray
-    focal_name: str
-    nonfocal_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a)
-        feats = np.asarray(self.features, dtype=np.float64)
-        if a.shape[0] != feats.shape[0]:
-            raise ValidationError("focal column and features must align")
-        if len(self.nonfocal_names) != feats.shape[1]:
-            raise ValidationError("one name per non-focal column required")
-        object.__setattr__(self, "a", a.astype(np.int64))
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "nonfocal_names", tuple(self.nonfocal_names))
-
-
-def select_intervention(
-    matrix: np.ndarray, names: Sequence[str], focal: str
-) -> InterventionSplit:
-    """Carve the focal category out of a category matrix.
-
-    The focal column becomes the binary treatment; remaining columns (in
-    their original order) become the non-focal representation. The focal
-    column must be binary with both values present, otherwise there is no
-    contrast to estimate.
+    The remaining feature columns, in their original order, become the
+    non-focal representation. The focal column must be binary with both
+    values present, otherwise there is no contrast to estimate.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    names = list(names)
-    if matrix.ndim != 2 or matrix.shape[1] != len(names):
-        raise ValueError("matrix/name mismatch")
+    names = list(dataset.feature_names)
     try:
         j = names.index(focal)
     except ValueError:
         raise ValidationError(
             f"focal {focal!r} is not a feature column: it is not in {names}"
         ) from None
-    col = matrix[:, j]
+    col = dataset.features[:, j]
     if not np.all(np.isin(col, (0.0, 1.0))):
         raise ValidationError(f"focal column {focal!r} must be binary 0/1")
     if col.min() == col.max():
         raise ValidationError(f"focal column {focal!r} has a single value; both arms required")
-    rest = np.delete(np.arange(matrix.shape[1]), j)
-    return InterventionSplit(
-        a=col,
-        features=matrix[:, rest],
-        focal_name=focal,
-        nonfocal_names=tuple(names[i] for i in rest),
-    )
-
-
-def restrict_dims(split: InterventionSplit, dims: int) -> InterventionSplit:
-    """Keep the first ``dims`` non-focal columns (nested prefix order)."""
-    total = split.features.shape[1]
-    if dims < 1:
-        raise ValueError(f"dims must be at least 1, got {dims}")
-    if dims > total:
-        raise ValueError(f"dims {dims} exceeds the {total} non-focal columns")
-    return InterventionSplit(
-        a=split.a,
-        features=split.features[:, :dims],
-        focal_name=split.focal_name,
-        nonfocal_names=split.nonfocal_names[:dims],
-    )
+    return Dataset(y=dataset.y, a=col, features=np.delete(dataset.features, j, axis=1),
+                   feature_names=names[:j] + names[j + 1:], texts=dataset.texts)
 
 
 def mask_terms(texts: Sequence[str], patterns: Sequence[str]) -> list[str]:

@@ -16,8 +16,11 @@ beta_a (+ eta e_j under NONLINEAR), so the averaged effects are exact:
     NONLINEAR  tau_iate = beta_a + eta E[e_j]
                tau_iatt = beta_a + eta E[e_j | a = 1]
 
-The NONLINEAR expectations are Monte Carlo frequencies of (a, e_j) over
-latent draws, with a reported standard error.
+With t_k the latent thresholds, E[e_j] is e_j's marginal and
+E[e_j | a = 1] = Phi_2(t_0, t_{1+j}; rho) / P(a = 1), where Phi_2 is the
+standard bivariate normal CDF with correlation rho (computed as in Genz,
+"Numerical computation of rectangular bivariate and trivariate normal
+probabilities", Stat. Comput. 2004), so every oracle is closed form.
 """
 
 from __future__ import annotations
@@ -48,14 +51,6 @@ class OutcomeForm:
     LINEAR = "linear"
     NONLINEAR = "nonlinear"
     ALL = (LINEAR, NONLINEAR)
-
-
-class OracleMethod:
-    CLOSED_FORM = "closed_form"
-    MONTE_CARLO = "monte_carlo"
-
-
-_CHUNK = 250_000
 
 
 def default_beta(d: int) -> tuple[float, ...]:
@@ -170,64 +165,36 @@ def generate(spec: SynthSpec) -> Dataset:
 
 @dataclass(frozen=True)
 class Oracle:
-    """Ground-truth effects for a spec, with the method that produced them."""
+    """Ground-truth effects for a spec, with the method that produced them.
+
+    Every oracle is closed form, so ``mc_samples`` and ``mc_se`` are always
+    0; they keep the keys of the ``synth`` command's ``oracle.json``.
+    """
 
     tau_iate: float
     tau_iatt: float
-    method: str
+    method: str = "closed_form"
     mc_samples: int = 0
     mc_se: float = 0.0
 
 
-def oracle_tau(spec: SynthSpec, mc_samples: int = 1_000_000, seed: int | None = None) -> Oracle:
-    """Ground-truth tau_iate / tau_iatt for ``spec``.
+def oracle_tau(spec: SynthSpec) -> Oracle:
+    """Exact ground-truth tau_iate / tau_iatt for ``spec``.
 
-    LINEAR is closed form. NONLINEAR needs E[e_j] and E[e_j | a=1] under the
-    latent-Gaussian law, taken as joint frequencies of (a, e_j) over
-    ``mc_samples`` latent draws. The reported ``mc_se`` is the larger of the
-    two effects' Monte Carlo standard errors. The oracle's randomness is
-    independent of the data seed.
+    NONLINEAR needs E[e_j] = P(e_j = 1), the marginal, and
+    E[e_j | a = 1] = P(a = 1, e_j = 1) / P(a = 1), whose numerator is the
+    bivariate normal CDF of the two latent thresholds at correlation rho.
     """
     if spec.outcome_form == OutcomeForm.LINEAR:
-        return Oracle(
-            tau_iate=spec.beta_a, tau_iatt=spec.beta_a,
-            method=OracleMethod.CLOSED_FORM,
-        )
-    if mc_samples < 1_000_000:
-        raise ValueError("oracle Monte Carlo needs at least 1e6 draws")
+        return Oracle(tau_iate=spec.beta_a, tau_iatt=spec.beta_a)
+    from scipy.stats import multivariate_normal  # imported here, as in _thresholds
+
     j, eta = spec.interaction
-    rng = np.random.default_rng(
-        derive_seed(spec.seed if seed is None else seed, "oracle")
-    )
-
-    counts = np.zeros((2, 2), dtype=np.int64)  # joint counts of (a, e_j)
-    done = 0
-    while done < mc_samples:
-        take = min(_CHUNK, mc_samples - done)
-        b = _latent_binary(spec, rng, take)
-        av = b[:, 0].astype(np.int64)
-        ev = b[:, 1 + j].astype(np.int64)
-        counts += np.bincount(av * 2 + ev, minlength=4).reshape(2, 2)
-        done += take
-
-    total = counts.sum()
-    p_ej = float(counts[:, 1].sum() / total)
-    p_a1 = float(counts[1, :].sum() / total)
-    p_both = float(counts[1, 1] / total)
-    if p_a1 <= 0:
-        raise ValidationError("no treated draws in the oracle sample")
-    cond = p_both / p_a1
-    tau_iate = spec.beta_a + eta * p_ej
-    tau_iatt = spec.beta_a + eta * cond
-    n1 = p_a1 * mc_samples
-    se_iate = abs(eta) * float(np.sqrt(max(p_ej * (1 - p_ej), 0.0) / mc_samples))
-    se_iatt = abs(eta) * float(np.sqrt(max(cond * (1 - cond), 0.0) / max(n1, 1.0)))
+    both = multivariate_normal.cdf(_thresholds(spec)[[0, 1 + j]],
+                                   cov=[[1.0, spec.rho], [spec.rho, 1.0]])
     return Oracle(
-        tau_iate=tau_iate,
-        tau_iatt=tau_iatt,
-        method=OracleMethod.MONTE_CARLO,
-        mc_samples=mc_samples,
-        mc_se=max(se_iate, se_iatt),
+        tau_iate=spec.beta_a + eta * spec.marginals[1 + j],
+        tau_iatt=spec.beta_a + eta * float(both) / spec.marginals[0],
     )
 
 

@@ -116,12 +116,20 @@ def test_noiseless_split_high_training_accuracy():
     pred = model.predict(X)
     accuracy = float(((pred > 0.5) == (y > 0.5)).mean())
     assert accuracy >= 0.99
-    assert model.diagnostics["train_loss"][-1] < 1e-4
+    assert np.mean((y - model.raw(X)) ** 2) < 1e-4
 
 
 # ---------------------------------------------------------------------------
 # loss traces, determinism, classification
 # ---------------------------------------------------------------------------
+
+
+def _loss_trace(model: GBTModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Training loss after each of 0..n_trees_fit trees, from the staged scores."""
+    scores = model.raw(X, stages=range(model.diagnostics["n_trees_fit"] + 1))
+    if model.classification:
+        return np.logaddexp(0.0, (1.0 - 2.0 * y) * scores).mean(axis=1)
+    return ((y - scores) ** 2).mean(axis=1)
 
 
 def test_regression_loss_trace_monotone_without_subsampling():
@@ -130,8 +138,8 @@ def test_regression_loss_trace_monotone_without_subsampling():
     y = X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.2 * rng.standard_normal(200)
     model = fit_gbt_core(X, y, classification=False, depth=2, n_trees=40,
                          learning_rate=0.2, subsample=1.0, seed=0)
-    trace = np.array(model.diagnostics["train_loss"])
-    assert len(trace) == model.diagnostics["n_trees_fit"] + 1
+    trace = _loss_trace(model, X, y)
+    assert len(trace) == 41
     assert np.all(np.diff(trace) <= 1e-12)
 
 
@@ -142,7 +150,7 @@ def test_classification_loss_decreases():
     y = (rng.random(300) < p).astype(float)
     model = fit_gbt_core(X, y, classification=True, depth=2, n_trees=60,
                          learning_rate=0.1, subsample=1.0, seed=0)
-    trace = model.diagnostics["train_loss"]
+    trace = _loss_trace(model, X, y)
     assert trace[-1] < trace[0]
     proba = model.predict_proba(X)
     assert np.all((proba > 0) & (proba < 1))

@@ -207,20 +207,109 @@ def test_sweep_csv_format(sweep_csv, tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_rejects_bad_inputs(sweep_csv, tmp_path, capsys):
+def test_sweep_rejects_bad_inputs(sweep_csv, tmp_path, capsys, monkeypatch):
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("every bad input is caught before any fit")
+
+    monkeypatch.setattr(cli, "estimate_effect", never)
     data, schema = sweep_csv
     out = str(tmp_path / "s.csv")
     assert main(["sweep", "--data", data, "--schema", schema, "--focal", "nope",
                  "--out", out]) == 1
     assert "not a feature column" in capsys.readouterr().err
     assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
-                 "--dims", "1..9", "--out", out]) == 1
-    assert "exceeds" in capsys.readouterr().err
+                 "--dims", "2..9", "--out", out]) == 1
+    assert "error: dims 9 exceeds the 4 non-focal columns" in capsys.readouterr().err
+    assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
+                 "--dims", "0..2", "--out", out]) == 1
+    assert "is empty or negative" in capsys.readouterr().err
     assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
                  "--dims", "3", "--out", out]) == 1
     assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
                  "--estimand", "general", "--out", out]) == 1
     assert "iate and iatt" in capsys.readouterr().err
+
+
+def test_sweep_fits_nested_column_prefixes(sweep_csv, tmp_path, monkeypatch):
+    import isoeffect.cli as cli
+
+    fitted = []
+    real = cli.estimate_effect
+
+    def recording(dataset, **kwargs):
+        fitted.append(dataset)
+        return real(dataset, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_effect", recording)
+    data, schema = sweep_csv
+    assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
+                 "--dims", "2..4", "--folds", "2", "--out", str(tmp_path / "s.csv")]) == 0
+    wide = cli.load_csv(data, {"feature_columns": ["treat", "x_0", "x_1", "x_2", "x_3"]})
+    assert [ds.feature_names for ds in fitted] == [("x_0", "x_1"), ("x_0", "x_1", "x_2"),
+                                                   ("x_0", "x_1", "x_2", "x_3")]
+    for ds in fitted:
+        assert np.array_equal(ds.a, wide.features[:, 0])
+        assert np.array_equal(ds.y, wide.y)
+        assert np.array_equal(ds.features, wide.features[:, 1:1 + ds.d])
+
+
+# ---------------------------------------------------------------------------
+# flag and schema mistakes, caught before any work
+# ---------------------------------------------------------------------------
+
+
+def _nothing_loaded_or_fitted(monkeypatch):
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("no data may be loaded and nothing fitted")
+
+    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "load_csv", never)
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep", "contour", "calibrate"])
+def test_out_in_missing_directory_rejected_before_loading(
+        command, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_loaded_or_fitted(monkeypatch)
+    extra = {"sweep": ["--focal", "x_0"], "calibrate": ["--omit-features", "x_0"]}
+    out = tmp_path / "missing" / "out"
+    assert main([command, "--data", data_csv, "--out", str(out), *extra.get(command, [])]) == 1
+    err = capsys.readouterr().err
+    assert f"--out {str(out)!r}: directory" in err and "does not exist" in err
+    assert ".tmp" not in err
+
+
+@pytest.mark.parametrize("estimand", ["iate", "iatt"])
+def test_target_data_without_general_estimand_rejected_before_loading(
+        estimand, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_loaded_or_fitted(monkeypatch)
+    assert _estimate(data_csv, tmp_path / "r.json", "--estimand", estimand,
+                     "--target-data", str(tmp_path / "no-such-target.csv")) == 1
+    assert "error: --target-data is only used with --estimand general" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schema, message", [
+    ({"feature_columns": ["a", "x_0", "x_1"]}, "'a' is used twice: as treatment and as feature"),
+    ({"outcome": "x_0"}, "'x_0' is used twice: as outcome and as feature"),
+    ({"feature_prefix": ""}, "'y' is used twice: as outcome and as feature"),
+    ({"outcome": "a"}, "'a' is used twice: as outcome and as treatment"),
+    ({"feature_columns": ["x_0", "x_1", "x_0"]}, "'x_0' is used twice: as feature and as feature"),
+])
+def test_schema_reusing_a_column_rejected_before_fitting(
+        schema, message, data_csv, tmp_path, capsys, monkeypatch):
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be fitted")
+
+    monkeypatch.setattr(cli, "estimate_effect", never)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    assert _estimate(data_csv, tmp_path / "r.json", "--schema", str(path)) == 1
+    assert f"error: column {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,30 @@ def test_load_csv_requires_features_or_text(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("schema, message", [
+    ({"feature_columns": ["a", "x_0"]}, "column 'a' is used twice: as treatment and as feature"),
+    ({"outcome": "x_0"}, "column 'x_0' is used twice: as outcome and as feature"),
+    ({"feature_prefix": ""}, "column 'y' is used twice: as outcome and as feature"),
+    ({"treatment": "y"}, "column 'y' is used twice: as outcome and as treatment"),
+    ({"text": "x_note"}, "column 'x_note' is used twice: as text and as feature"),
+    ({"feature_columns": ["x_0", "x_note", "x_0"]},
+     "column 'x_0' is used twice: as feature and as feature"),
+])
+def test_load_csv_rejects_a_column_in_two_roles_before_reading_rows(tmp_path, schema, message):
+    path = tmp_path / "roles.csv"
+    # the second row is malformed, so only a check made before reading rows raises SchemaError
+    path.write_text("y,a,x_0,x_note\n1,0,2,hi\noops\n")
+    with pytest.raises(SchemaError, match=message):
+        load_csv(path, schema=schema)
+
+
+def test_load_features_csv_rejects_a_feature_named_twice(tmp_path):
+    path = tmp_path / "target.csv"
+    path.write_text("x_0,x_1\n1,2\n")
+    with pytest.raises(SchemaError, match="column 'x_1' is used twice: as feature and as feature"):
+        load_features_csv(path, schema={"feature_columns": ["x_1", "x_0", "x_1"]})
+
+
 # ---------------------------------------------------------------------------
 # fold plans
 # ---------------------------------------------------------------------------

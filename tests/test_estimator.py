@@ -346,6 +346,13 @@ def test_general_predictions_come_from_each_folds_models(synth_small):
         te = fits.fold_plan.test_rows(f)
         expected = clip(cm.predict_proba(synth_small.features[te]))
         assert g.source_prob_t[te].tobytes() == expected.tobytes()
+        x = synth_small.features[te]
+        for arm, ghat in ((1.0, fits.ghat1), (0.0, fits.ghat0)):
+            expected = om.predict(np.column_stack([x, np.full(len(te), arm)]))
+            assert ghat[te].tobytes() == expected.tobytes()
+        # the observed arm's prediction, not the other arm's
+        expected = om.predict(np.column_stack([x, synth_small.a[te]]))
+        assert fits.ghat_obs[te].tobytes() == expected.tobytes()
         n_src, n_tgt = synth_small.n - len(te), len(target) - len(t_te)
         assert g.frac_t_by_fold[f] == n_tgt / (n_src + n_tgt)
 

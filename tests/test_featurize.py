@@ -1,4 +1,4 @@
-"""Lexicon featurization, intervention carving, nesting, and masking."""
+"""Lexicon featurization, intervention carving, and masking."""
 
 from __future__ import annotations
 
@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoeffect import (
+    Dataset,
     Lexicon,
     ValidationError,
     featurize_texts,
     load_lexicon,
     mask_terms,
-    restrict_dims,
     select_intervention,
 )
 from isoeffect.featurize import featurize_masked, tokenize
@@ -129,42 +129,34 @@ def test_load_lexicon_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# intervention carving and nesting
+# intervention carving
 # ---------------------------------------------------------------------------
 
 
+def _categories(matrix, names):
+    n = len(matrix)
+    return Dataset(y=np.arange(n, dtype=float), a=np.zeros(n), features=matrix,
+                   feature_names=names, texts=[f"t{i}" for i in range(n)])
+
+
 def test_select_intervention_frozen():
-    matrix = np.array([[1.0, 0.5, 0.0], [0.0, 1.5, 1.0], [1.0, 2.5, 0.0]])
-    split = select_intervention(matrix, ["focal", "n1", "n2"], "focal")
-    assert split.focal_name == "focal"
-    assert split.nonfocal_names == ("n1", "n2")
-    assert np.array_equal(split.a, [1, 0, 1])
-    assert np.array_equal(split.features, [[0.5, 0.0], [1.5, 1.0], [2.5, 0.0]])
+    matrix = np.array([[0.5, 1.0, 0.0], [1.5, 0.0, 1.0], [2.5, 1.0, 0.0]])
+    focal = select_intervention(_categories(matrix, ["n1", "focal", "n2"]), "focal")
+    assert focal.feature_names == ("n1", "n2")
+    assert np.array_equal(focal.a, [1, 0, 1])
+    assert np.array_equal(focal.features, [[0.5, 0.0], [1.5, 1.0], [2.5, 0.0]])
+    assert np.array_equal(focal.y, [0.0, 1.0, 2.0])
+    assert focal.texts == ("t0", "t1", "t2")
 
 
 def test_select_intervention_errors():
     m = np.array([[1.0, 2.0], [0.0, 3.0]])
     with pytest.raises(ValidationError, match="not in"):
-        select_intervention(m, ["a", "b"], "missing")
+        select_intervention(_categories(m, ["a", "b"]), "missing")
     with pytest.raises(ValidationError, match="must be binary"):
-        select_intervention(m, ["a", "b"], "b")
-    ones = np.ones((3, 2))
+        select_intervention(_categories(m, ["a", "b"]), "b")
     with pytest.raises(ValidationError, match="single value"):
-        select_intervention(ones, ["a", "b"], "a")
-
-
-def test_restrict_dims_nesting():
-    matrix = np.hstack([np.array([[1.0], [0.0], [1.0]]), np.arange(12.0).reshape(3, 4)])
-    split = select_intervention(matrix, ["f", "c0", "c1", "c2", "c3"], "f")
-    r2 = restrict_dims(split, 2)
-    r4 = restrict_dims(split, 4)
-    assert np.array_equal(r2.features, r4.features[:, :2])
-    assert r2.nonfocal_names == ("c0", "c1")
-    assert np.array_equal(r4.features, split.features)
-    with pytest.raises(ValueError):
-        restrict_dims(split, 0)
-    with pytest.raises(ValueError):
-        restrict_dims(split, 5)
+        select_intervention(_categories(np.ones((3, 2)), ["a", "b"]), "a")
 
 
 # ---------------------------------------------------------------------------

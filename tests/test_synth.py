@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from isoeffect import SynthSpec, ValidationError, generate, oracle_tau
 from isoeffect.synth import (
-    OracleMethod,
     OutcomeForm,
+    _latent_binary,
     default_beta,
     gen_features,
     gen_outcome,
@@ -148,58 +150,87 @@ def test_linear_oracle_closed_form():
     oracle = oracle_tau(spec)
     assert oracle.tau_iate == 1.5
     assert oracle.tau_iatt == 1.5
-    assert oracle.method == OracleMethod.CLOSED_FORM
+    assert oracle.method == "closed_form"
     assert oracle.mc_se == 0.0
+
+
+def _nonlinear(rho, marginals=0.5, d=3, j=1, eta=0.8):
+    return SynthSpec(n=100, d=d, rho=rho, marginals=marginals, beta_a=1.0,
+                     interaction=(j, eta), outcome_form=OutcomeForm.NONLINEAR, seed=2)
 
 
 def test_nonlinear_oracle_at_rho_zero():
     # independence of a and e_j makes both estimands beta_a + eta * p_j
     p_j = 0.35
-    spec = SynthSpec(n=100, d=3, rho=0.0, marginals=(0.5, 0.5, p_j, 0.5),
-                     beta_a=1.0, interaction=(1, 0.8),
-                     outcome_form=OutcomeForm.NONLINEAR, seed=2)
-    oracle = oracle_tau(spec)
+    oracle = oracle_tau(_nonlinear(0.0, marginals=(0.5, 0.5, p_j, 0.5)))
     want = 1.0 + 0.8 * p_j
-    assert oracle.method == OracleMethod.MONTE_CARLO
+    assert oracle.method == "closed_form"
     assert type(oracle.tau_iate) is float and type(oracle.tau_iatt) is float
-    assert oracle.mc_se > 0
-    assert oracle.tau_iate == pytest.approx(want, abs=4 * oracle.mc_se + 1e-4)
-    assert oracle.tau_iatt == pytest.approx(want, abs=4 * oracle.mc_se + 1e-4)
+    assert (oracle.mc_samples, oracle.mc_se) == (0, 0.0)
+    assert oracle.tau_iate == want
+    assert oracle.tau_iatt == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.3, 0.6, 0.9, 0.99])
+def test_nonlinear_oracle_matches_sheppard_at_even_marginals(rho):
+    # Sheppard: P(Z_0 < 0, Z_1 < 0) = 1/4 + asin(rho) / (2 pi) at correlation rho
+    oracle = oracle_tau(_nonlinear(rho))
+    p_both = 0.25 + math.asin(rho) / (2 * math.pi)
+    assert oracle.tau_iate == 1.0 + 0.8 * 0.5
+    assert oracle.tau_iatt == pytest.approx(1.0 + 0.8 * p_both / 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho, marginals", [
+    (0.2, (0.3, 0.5, 0.8, 0.5)),
+    (0.6, (0.1, 0.5, 0.35, 0.5)),
+    (0.85, (0.7, 0.5, 0.05, 0.5)),
+])
+def test_nonlinear_oracle_matches_one_dimensional_integral(rho, marginals):
+    # given the common factor c, a and e_j are independent thresholded normals
+    from scipy import integrate
+    from scipy.stats import norm
+
+    t_a, t_j = norm.ppf([marginals[0], marginals[2]])
+    s, r = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+    def given_c(c):
+        return norm.pdf(c) * norm.cdf((t_a - s * c) / r) * norm.cdf((t_j - s * c) / r)
+
+    p_both = integrate.quad(given_c, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13)[0]
+    oracle = oracle_tau(_nonlinear(rho, marginals))
+    assert oracle.tau_iate == 1.0 + 0.8 * marginals[2]
+    assert oracle.tau_iatt == pytest.approx(1.0 + 0.8 * p_both / marginals[0], abs=1e-10)
+
+
+def test_nonlinear_oracle_matches_latent_draws():
+    # the generator's own law: 10^6 draws of (a, e_j) agree within 4 standard errors
+    spec = _nonlinear(0.6, marginals=(0.3, 0.5, 0.65, 0.5))
+    rng = np.random.default_rng(12)
+    counts = np.zeros((2, 2))
+    for _ in range(4):
+        b = _latent_binary(spec, rng, 250_000)
+        counts += np.histogram2d(b[:, 0], b[:, 2], bins=2, range=[[0, 1], [0, 1]])[0]
+    p_j = counts[:, 1].sum() / counts.sum()
+    cond = counts[1, 1] / counts[1].sum()
+    oracle = oracle_tau(spec)
+    se_iate = 0.8 * math.sqrt(p_j * (1 - p_j) / counts.sum())
+    se_iatt = 0.8 * math.sqrt(cond * (1 - cond) / counts[1].sum())
+    assert abs(oracle.tau_iate - (1.0 + 0.8 * p_j)) < 4 * se_iate
+    assert abs(oracle.tau_iatt - (1.0 + 0.8 * cond)) < 4 * se_iatt
 
 
 def test_nonlinear_oracle_treated_shift():
     # positive latent correlation raises E[e_j | a = 1] above E[e_j], so a
     # positive interaction pushes the treated-group effect above the average
-    spec = SynthSpec(n=100, d=3, rho=0.6, interaction=(0, 0.8),
-                     outcome_form=OutcomeForm.NONLINEAR, seed=2)
-    oracle = oracle_tau(spec)
-    assert oracle.tau_iatt > oracle.tau_iate + 10 * oracle.mc_se
+    oracle = oracle_tau(_nonlinear(0.6, j=0))
+    assert oracle.tau_iatt > oracle.tau_iate + 0.05
 
 
-def test_oracle_monte_carlo_fallback_for_wide_d():
-    spec = SynthSpec(n=100, d=16, rho=0.3, interaction=(2, 0.5),
-                     outcome_form=OutcomeForm.NONLINEAR, seed=2)
-    oracle = oracle_tau(spec)
-    assert oracle.method == OracleMethod.MONTE_CARLO
-    assert oracle.mc_samples == 1_000_000
-    # rho fixed: a wide and a narrow spec share the estimand up to MC error
-    narrow = oracle_tau(SynthSpec(n=100, d=3, rho=0.3, interaction=(2, 0.5),
-                                  outcome_form=OutcomeForm.NONLINEAR, seed=2))
-    tol = 4 * (oracle.mc_se + narrow.mc_se)
-    assert oracle.tau_iate == pytest.approx(narrow.tau_iate, abs=tol)
-
-
-def test_oracle_determinism_and_sample_floor():
-    spec = SynthSpec(n=100, d=3, rho=0.4, interaction=(1, 0.5),
-                     outcome_form=OutcomeForm.NONLINEAR, seed=6)
-    o1 = oracle_tau(spec)
-    o2 = oracle_tau(spec)
-    assert (o1.tau_iate, o1.tau_iatt) == (o2.tau_iate, o2.tau_iatt)
-    o3 = oracle_tau(spec, seed=99)
-    assert o3.tau_iate != o1.tau_iate  # different MC stream
-    assert o3.tau_iate == pytest.approx(o1.tau_iate, abs=4 * (o1.mc_se + o3.mc_se))
-    with pytest.raises(ValueError, match="1e6"):
-        oracle_tau(spec, mc_samples=10_000)
+def test_oracle_wide_and_narrow_specs_agree_exactly():
+    # the effects depend only on rho and the marginals of a and e_j, not on d
+    wide = oracle_tau(_nonlinear(0.3, d=16, j=2, eta=0.5))
+    narrow = oracle_tau(_nonlinear(0.3, d=3, j=2, eta=0.5))
+    assert (wide.tau_iate, wide.tau_iatt) == (narrow.tau_iate, narrow.tau_iatt)
 
 
 def test_generated_dataset_shape_and_focal_column():
