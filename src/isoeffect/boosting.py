@@ -11,21 +11,26 @@ gain G_L^2/H_L + G_R^2/H_R - G^2/H, in the histogram style of Ke et al.,
   between its adjacent distinct training values, so a binary column has the
   single cut 0.5. A column with more than 255 such midpoints keeps 255 of
   them, taken at evenly spaced quantiles of its values.
-- **Fits in lockstep, one matmul per level.** :func:`fit_gbt_batch` grows
-  several fits ("tasks": training rows of one X and y, depth, tree count,
-  learning rate and seed) stage by stage together, and :func:`fit_gbt_core`
-  is its one-task case. Each task has its own cuts and its own ``R``, the
-  rows x cuts 0/1 matrix of "row lies right of cut", built once per fit.
-  Tasks whose ``R`` has the same shape are stacked into one (tasks, rows,
-  columns) array, and every node of every such task at a level gets its
-  right-side gradient, hessian and row-count sums for every cut from one
-  stacked matmul, ``[g*w, h*w, w] * node_onehot @ R``, where ``w`` marks the
-  subsample; the left side is the node total minus the right side. Tasks of
-  different shapes are not padded into one stack: BLAS sums a padded
-  product in a different order, which can flip a near-tied split. A task
-  shallower than the deepest stops splitting at its own depth, so every
-  task grows exactly the trees of its solo fit. The inner-CV fits of one
-  inner fold share its rows, so they always share a shape.
+- **Fits in lockstep.** :func:`fit_gbt_batch` grows several fits ("tasks":
+  training rows of one X and y, depth, tree count, learning rate and seed)
+  stage by stage in one loop, whatever their row counts and cuts, and
+  :func:`fit_gbt_core` is its one-task case. Each task has its own cuts and
+  its own ``R``, the rows x cuts 0/1 matrix of "row lies right of cut",
+  built once per fit. The tasks' ``R`` are stacked into one zero-padded
+  (tasks, rows, columns) array, deepest task first. At each level, every
+  node of every task gets its right-side gradient, hessian and row-count
+  sums for every cut from ``[g*w, h*w, w] * node_onehot @ R``, where ``w``
+  marks the subsample; the left side is the node total minus the right
+  side. Each run of tasks with the same row count and cut count shares one
+  stacked matmul, taken over exactly its own rows and columns, so every
+  product has the operand shapes of a solo fit. Padding never enters a
+  product: BLAS may sum a product over zero-padded rows or columns in
+  another order, which can flip a near-tied split. Everything else (gains,
+  the best cut, routing, leaf values, the gradient and the stopping check)
+  runs once per stage for the whole stack. It is elementwise or per task,
+  and padded rows have weight 0, so every task grows exactly the trees of
+  its solo fit. A task shallower than the deepest stops splitting at its
+  own depth.
 - **Subsamples, drawn a block of stages at a time.** A task with a
   subsample of m of its n rows draws ``block`` stages' uniform keys at
   once from its own generator, a (block, n) array, and each stage's
@@ -38,8 +43,10 @@ gain G_L^2/H_L + G_R^2/H_R - G^2/H, in the histogram style of Ke et al.,
   floats plus a 1-byte copy for routing rows): 160 rows x 16 cuts is 23 kB,
   4,000 rows x 10 continuous columns of 255 cuts is 92 MB. A lockstep group
   holds at most :data:`_LOCKSTEP_BYTES` of stacked ``R``, its routing copy
-  and deepest-level matmul operand; a larger batch runs as several groups,
-  and a task larger than the bound runs alone. A subsample draw holds at
+  and deepest-level matmul operand, each counted at the group's largest row
+  count, width and depth. That bound is the only reason to split a batch: a
+  larger batch runs as several groups, and a task larger than the bound
+  runs alone. A subsample draw holds at
   most :data:`_DRAW_BYTES` (64 KiB) of 8-byte keys per task, or one
   stage's keys where those are more: ``block`` is 51 stages at 160 rows
   and 1 stage from 4,097 rows on. The block's subsamples are kept as one
@@ -70,7 +77,7 @@ _EPS_HESS = 1e-12
 MAX_CUTS = 255
 MAX_DEPTH = 8
 _PREDICT_BLOCK = 1 << 18  # trees x rows walked per step of GBTModel.raw
-_LOCKSTEP_BYTES = 1 << 23  # stacked R, its routing copy and level sums per lockstep group
+_LOCKSTEP_BYTES = 1 << 23  # padded R, its routing copy and level sums per lockstep group
 _DRAW_BYTES = 1 << 16  # subsample keys drawn per task at a time
 
 
@@ -98,19 +105,23 @@ def _cuts(X: np.ndarray):
 
 
 def _bin(Xs: Sequence[np.ndarray], cuts: Sequence[list]) -> np.ndarray:
-    """``R``, the right-of-cut matrices of equal-shape ``(X, cuts)`` pairs, stacked.
+    """``R``, the right-of-cut matrices of ``(X, cuts)`` pairs, stacked and zero-padded.
 
     Each ``R[b]`` has two extra columns after its cuts: all zeros (the "no
-    split" cut, which sends every row left) and all ones (node totals).
+    split" cut, which sends every row left) and all ones (node totals). The
+    stack is as wide as its widest task and as tall as its tallest: a
+    narrower task's columns end at the last column, with zero columns before
+    them, and a shorter task's rows are followed by zero rows.
     """
-    width = sum(c.size for c in cuts[0]) + 2
-    R = np.zeros((len(Xs), Xs[0].shape[0], width))
-    for Rb, X, task_cuts in zip(R, Xs, cuts):
-        start = 0
+    widths = [sum(c.size for c in task_cuts) + 2 for task_cuts in cuts]
+    columns = max(widths)
+    R = np.zeros((len(Xs), max(X.shape[0] for X in Xs), columns))
+    for Rb, X, task_cuts, width in zip(R, Xs, cuts, widths):
+        start = columns - width
         for j, c in enumerate(task_cuts):
-            Rb[:, start:start + c.size] = X[:, j, None] > c
+            Rb[:X.shape[0], start:start + c.size] = X[:, j, None] > c
             start += c.size
-        Rb[:, -1] = 1.0
+        Rb[:X.shape[0], -1] = 1.0
     return R
 
 
@@ -120,9 +131,10 @@ def _split_gains(S: np.ndarray) -> np.ndarray:
     ``S`` is (..., 3, nodes, columns of R): gradient, hessian and row-count
     sums right of every cut, with the node totals in the last column; the
     result is (..., nodes, columns). A cut is valid when both sides hold
-    rows and hessian mass; an invalid one gets ``-inf``. The "no split"
-    column gets the unsplit score ``G^2/H`` plus 1e-12, so a node splits
-    only on a cut that beats it by more than that.
+    rows and hessian mass; an invalid one gets ``-inf``, and so does a zero
+    padding column. The "no split" column gets the unsplit score ``G^2/H``
+    plus 1e-12, so a node splits only on a cut that beats it by more than
+    that.
     Call under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
     L = S[..., -1:] - S
@@ -136,21 +148,26 @@ def _split_gains(S: np.ndarray) -> np.ndarray:
 
 
 def _grow(R: np.ndarray, right_of: np.ndarray, stats: np.ndarray, depth: int,
-          depths: np.ndarray):
+          depths: np.ndarray, blocks: Sequence[tuple] = ()):
     """Grow one ``depth``-deep tree per task level by level; every row of ``R`` is routed.
 
-    ``R`` is (tasks, rows, columns) and ``right_of`` is ``R`` as booleans.
-    ``stats`` is (tasks, 3, rows): weighted gradient, weighted hessian and
-    weight, so rows of weight 0 follow the splits without shaping them.
-    Task b stops splitting past ``depths[b]`` and then sends every row left;
-    ``depths`` is non-increasing, so the tasks still splitting at a level
-    are a prefix. Returns the cut (column of ``R``) of every internal node
-    per task in heap order, and the leaf of every row.
+    ``R`` is (tasks, rows, columns), laid out by :func:`_bin`, and
+    ``right_of`` is ``R`` as booleans. ``stats`` is (tasks, 3, rows):
+    weighted gradient, weighted hessian and weight, so rows of weight 0,
+    padding included, follow the splits without shaping them. Task b stops
+    splitting past ``depths[b]`` and then sends every row left; ``depths``
+    is non-increasing, so the tasks still splitting at a level are a prefix.
+    ``blocks`` splits the tasks into runs ``(stop, rows, width)`` of one row
+    count and ``R`` width (default: one run of ``R``'s shape). Each run gets
+    its level sums from one stacked matmul over exactly its own rows and
+    columns, the operand shapes of a solo fit. Returns the cut (column of
+    ``R``) of every internal node per task in heap order, and the leaf of
+    every row.
     Call under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    tasks, n, width = R.shape
-    no_split = width - 2
-    row_start = np.arange(0, tasks * n * width, width).reshape(tasks, n)
+    tasks, n, columns = R.shape
+    no_split = columns - 2
+    row_start = np.arange(0, tasks * n * columns, columns).reshape(tasks, n)
     cut = np.full((tasks, (1 << depth) - 1), no_split)
     node = np.zeros((tasks, n), dtype=np.intp)
     for level in range(depth):
@@ -163,8 +180,16 @@ def _grow(R: np.ndarray, right_of: np.ndarray, stats: np.ndarray, depth: int,
         if level:
             onehot = node[:k, None, :] == np.arange(nodes)[:, None]
             weighted = (stats[:k, :, None, :] * onehot[:, None]).reshape(k, 3 * nodes, n)
-        sums = (weighted @ R[:k]).reshape(k, 3, nodes, width)
-        chosen = _split_gains(sums).argmax(axis=-1)
+        sums = np.zeros((k, 3 * nodes, columns))
+        start = 0
+        for stop, rows, width in blocks or [(tasks, n, columns)]:
+            stop = min(stop, k)
+            np.matmul(weighted[start:stop, :, :rows], R[start:stop, :rows, -width:],
+                      out=sums[start:stop, :, -width:])
+            if stop == k:
+                break
+            start = stop
+        chosen = _split_gains(sums.reshape(k, 3, nodes, columns)).argmax(axis=-1)
         cut[:k, nodes - 1:2 * nodes - 1] = chosen
         task_node = np.arange(0, k * nodes, nodes)[:, None] + node[:k]
         right = right_of.take(row_start[:k] + chosen.take(task_node))
@@ -299,9 +324,9 @@ def fit_gbt_batch(
 
     Task t sees only ``X[t.rows]`` and ``y[t.rows]``, and its model has the
     trees and leaf values that :func:`fit_gbt_core` fits on those rows with
-    the task's settings. Tasks whose ``R`` has the same shape grow together,
-    in groups of at most :data:`_LOCKSTEP_BYTES`; the models come back in
-    task order.
+    the task's settings. The tasks grow together, whatever their row
+    counts and cuts, in groups of at most :data:`_LOCKSTEP_BYTES`; the
+    models come back in task order.
     """
     for t in tasks:
         if not 1 <= t.depth <= MAX_DEPTH:
@@ -323,17 +348,22 @@ def fit_gbt_batch(
         raise ValueError(f"task rows must index the {y.size} rows of X")
 
     tables = [_cuts(X[t.rows]) for t in tasks]
-    shape = [(t.rows.size, feature.size + 1) for t, (_, feature, _) in zip(tasks, tables)]
-    # one shape per group, deepest first: the tasks still splitting at a level are a prefix
+    # deepest first, so the tasks still splitting at a level are a prefix;
+    # then by R's width and rows, so tasks of one shape are consecutive
+    order = sorted(range(len(tasks)), key=lambda i: (-tasks[i].depth, tables[i][1].size,
+                                                     tasks[i].rows.size))
     groups: list[list[int]] = []
-    for i in sorted(range(len(tasks)), key=lambda i: (shape[i], -tasks[i].depth)):
-        if groups and shape[groups[-1][0]] == shape[i]:
-            rows, width = shape[i]
-            per_task = rows * (9 * width + (25 << (tasks[groups[-1][0]].depth - 1)))
-            if (len(groups[-1]) + 1) * per_task <= _LOCKSTEP_BYTES:
+    for i in order:
+        shape = (tasks[i].rows.size, tables[i][1].size + 1, tasks[i].depth)
+        if groups:
+            # the group's padded R, its routing copy and deepest-level matmul operand
+            rows, width, depth = grown = tuple(map(max, group_shape, shape))
+            if (len(groups[-1]) + 1) * rows * (9 * width + (25 << (depth - 1))) <= _LOCKSTEP_BYTES:
                 groups[-1].append(i)
+                group_shape = grown
                 continue
         groups.append([i])
+        group_shape = shape
     models: list = [None] * len(tasks)
     for group in groups:
         fitted = _fit_lockstep(X, y, classification, [tasks[i] for i in group],
@@ -351,33 +381,48 @@ def _gradient(classification: bool, target: np.ndarray, score: np.ndarray):
     return target - score, 1.0
 
 
+def _blocks(rows: np.ndarray, widths: np.ndarray) -> list[tuple]:
+    """Runs ``(stop, rows, width)`` of consecutive tasks with one row count and ``R`` width."""
+    stops = [*np.flatnonzero((np.diff(rows) != 0) | (np.diff(widths) != 0)) + 1, rows.size]
+    return [(int(stop), int(rows[stop - 1]), int(widths[stop - 1])) for stop in stops]
+
+
 def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
-    """Grow ``tasks`` (one ``R`` shape, deepest first) together, one stage at a time.
+    """Grow ``tasks`` (sorted as :func:`fit_gbt_batch` groups them) together, one stage at a time.
 
     ``tables`` holds each task's :func:`_cuts`. The live tasks' arrays are
-    stacked on a leading axis; a task leaves the stack when its gradient
-    vanishes or its trees are grown. Every per-task slice goes through the
-    same numpy operations, in the same order and shapes, as a solo fit.
+    stacked on a leading axis, zero-padded to the largest row count and
+    ``R`` width; a task leaves the stack when its gradient vanishes or its
+    trees are grown. Padded rows have weight 0 and are left out of the
+    gradient check. Every matmul has a solo fit's operand shapes, and every
+    other step is elementwise or per task, so each task's numbers are those
+    of its solo fit.
     """
-    B, n = len(tasks), tasks[0].rows.size
-    depth = tasks[0].depth
+    B, depth = len(tasks), max(t.depth for t in tasks)
+    rows = np.array([t.rows.size for t in tasks])
+    n = int(rows.max())
     R = _bin([X[t.rows] for t in tasks], [cuts for cuts, _, _ in tables])
     right_of = R > 0
-    target = y[np.stack([t.rows for t in tasks])]
+    valid = np.arange(n) < rows[:, None]
+    target = np.zeros((B, n))
     init = []
-    for row in target:
+    for row, t in zip(target, tasks):
+        row[:t.rows.size] = y[t.rows]
+        mean = row[:t.rows.size].mean()
         if classification:
-            p_bar = min(max(row.mean(), 1e-12), 1.0 - 1e-12)
+            p_bar = min(max(mean, 1e-12), 1.0 - 1e-12)
             init.append(float(np.log(p_bar / (1.0 - p_bar))))
         else:
-            init.append(float(row.mean()))
+            init.append(float(mean))
     score = np.repeat(np.array(init)[:, None], n, axis=1)
     stats = np.empty((B, 3, n))
 
     live = np.arange(B)
     rngs = [np.random.default_rng(t.seed) for t in tasks]
-    m_sub = np.array([max(1, int(round(t.subsample * n))) for t in tasks])
+    m_sub = np.array([max(1, int(round(t.subsample * t.rows.size))) for t in tasks])
     depths = np.array([t.depth for t in tasks])
+    widths = np.array([feature.size + 1 for _, feature, _ in tables])
+    blocks = _blocks(rows, widths)
     rates = np.array([t.learning_rate for t in tasks], dtype=np.float64)
     stop_at = np.array([t.n_trees for t in tasks])
     longest = int(stop_at.max())
@@ -385,7 +430,7 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
     # for `block` stages at a time, in stream order, so the masks depend on
     # neither `block` nor the other tasks
     block = min(longest, max(1, _DRAW_BYTES // (8 * n)))
-    masks = np.ones((B, block, n), dtype=bool)
+    masks = np.repeat(valid[:, None, :], block, axis=1)
     cut_hist = np.empty((B, longest, (1 << depth) - 1), dtype=np.intp)
     value_hist = np.empty((B, longest, 1 << depth))
     fitted = np.zeros(B, dtype=np.intp)
@@ -394,29 +439,32 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g_full, hess = _gradient(classification, target, score)
         while True:
-            done = (stop_at == stage) | (np.abs(g_full).max(axis=1) < 1e-12)
+            steep = np.max(np.abs(g_full), axis=1, where=valid, initial=0.0)
+            done = (stop_at == stage) | (steep < 1e-12)
             if done.any():
                 fitted[live[done]] = stage
                 keep = ~done
                 if not keep.any():
                     break
-                (live, R, right_of, target, score, stats, masks, m_sub, depths, rates,
-                 stop_at) = (a[keep] for a in (live, R, right_of, target, score, stats, masks,
-                                              m_sub, depths, rates, stop_at))
+                (live, R, right_of, valid, target, score, stats, masks, rows, m_sub, depths,
+                 widths, rates, stop_at) = (a[keep] for a in (
+                    live, R, right_of, valid, target, score, stats, masks, rows, m_sub, depths,
+                    widths, rates, stop_at))
                 rngs = [r for r, k in zip(rngs, keep) if k]
+                blocks = _blocks(rows, widths)
                 g_full, hess = _gradient(classification, target, score)
 
             at = stage % block
             if not at:
-                for j in np.flatnonzero(m_sub < n):
-                    keys = rngs[j].random((block, n))
+                for j in np.flatnonzero(m_sub < rows):
+                    keys = rngs[j].random((block, rows[j]))
                     smallest = np.argpartition(keys, m_sub[j] - 1, axis=1)[:, :m_sub[j]]
                     masks[j] = False
                     np.put_along_axis(masks[j], smallest, True, axis=1)
             stats[:, 2] = masks[:, at]
             np.multiply(g_full, stats[:, 2], out=stats[:, 0])
             np.multiply(hess, stats[:, 2], out=stats[:, 1])
-            cut, leaf = _grow(R, right_of, stats, depth, depths)
+            cut, leaf = _grow(R, right_of, stats, depth, depths, blocks)
             values = rates[:, None] * _leaf_values(leaf, stats, depth)
             score += values.take(np.arange(0, values.size, values.shape[1])[:, None] + leaf)
             cut_hist[live, stage] = cut
@@ -428,8 +476,9 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
     for b, (t, (_, feature, threshold)) in enumerate(zip(tasks, tables)):
         k = int(fitted[b])
         # a task shallower than the group keeps every row left past its depth,
-        # so its leaf j is leaf j << (depth - t.depth) of the group's tree
-        cuts = cut_hist[b, :k, :(1 << t.depth) - 1]
+        # so its leaf j is leaf j << (depth - t.depth) of the group's tree; a
+        # task narrower than the group has its columns at the end of R's
+        cuts = cut_hist[b, :k, :(1 << t.depth) - 1] - (R.shape[2] - feature.size - 1)
         models.append(GBTModel(
             feature=feature[cuts],
             threshold=threshold[cuts],

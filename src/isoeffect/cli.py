@@ -109,13 +109,23 @@ def _load_schema(path: str | None) -> dict | None:
     return schema
 
 
-def _check_flags(opt: dict) -> None:
-    """Fail before any work on an ``--out`` in a missing directory or a stray ``--target-data``."""
+def _check_flags(command: str, opt: dict) -> None:
+    """Fail before any data is read on a mistake that the flags alone show."""
     directory = os.path.dirname(os.path.abspath(opt["out"]))
     if not os.path.isdir(directory):
         raise ValidationError(f"--out {opt['out']!r}: directory {directory!r} does not exist")
     if opt["target_data"] and opt["estimand"] != EstimandKind.GENERAL:
         raise ValidationError("--target-data is only used with --estimand general")
+    if opt["folds"] < 2:
+        raise ValidationError(f"need at least 2 folds, got k={opt['folds']}")
+    ClipPolicy(opt["clip_eps"])  # rejects an epsilon outside [0, 0.5)
+    if opt["estimand"] == EstimandKind.GENERAL:
+        if command == "sweep":
+            raise ValidationError("sweep supports the iate and iatt estimands")
+        if opt.get("omit_features") or opt.get("mask_patterns"):
+            raise ValidationError("calibration supports the iate and iatt estimands")
+        if not opt["target_data"]:
+            raise ValidationError("--estimand general requires --target-data")
 
 
 def _model_specs(model: str) -> tuple[ModelSpec, ModelSpec]:
@@ -207,9 +217,7 @@ def _estimate_with_audit(dataset: Dataset, opt: dict):
     outcome_spec, propensity_spec = _model_specs(opt["model"])
     kind = opt["estimand"]
     target = None
-    if kind == EstimandKind.GENERAL:
-        if not opt["target_data"]:
-            raise ValidationError("--estimand general requires --target-data")
+    if kind == EstimandKind.GENERAL:  # _check_flags made sure of --target-data
         target = load_features_csv(opt["target_data"], _load_schema(opt["schema"]))
     est, fits, weights = estimate_effect(
         dataset,
@@ -261,8 +269,6 @@ def _cmd_estimate(opt: dict) -> int:
 
 
 def _cmd_sweep(opt: dict) -> int:
-    if opt["estimand"] == EstimandKind.GENERAL:
-        raise ValidationError("sweep supports the iate and iatt estimands")
     dataset = select_intervention(load_csv(opt["data"], _load_schema(opt["schema"])),
                                   opt["focal"])
     lo, hi = _parse_dims(opt["dims"] if opt["dims"] is not None else f"1..{dataset.d}")
@@ -282,12 +288,6 @@ def _cmd_sweep(opt: dict) -> int:
     return 0
 
 
-def _reject_general_calibration(opt: dict) -> None:
-    """Fail before any work when reductions would be calibrated under the general estimand."""
-    if opt["estimand"] == EstimandKind.GENERAL and (opt["omit_features"] or opt["mask_patterns"]):
-        raise ValidationError("calibration supports the iate and iatt estimands")
-
-
 def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
     """``(label, CalibrationResult)`` for each reduced representation."""
     outcome_spec, propensity_spec = _model_specs(opt["model"])
@@ -305,7 +305,6 @@ def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
 
 def _cmd_contour(opt: dict) -> int:
     check_contour_grid(opt["cy_max"], opt["cd_max"], opt["steps"])
-    _reject_general_calibration(opt)
     dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
@@ -324,7 +323,6 @@ def _cmd_contour(opt: dict) -> int:
 
 
 def _cmd_calibrate(opt: dict) -> int:
-    _reject_general_calibration(opt)
     dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
     if not reductions:
@@ -431,7 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     options = {k: v for k, v in vars(args).items() if k != "command"}
     try:
         if args.command != "synth":  # synth's --out is a directory it creates
-            _check_flags(options)
+            _check_flags(args.command, options)
         return _COMMANDS[args.command](options)
     except (SchemaError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

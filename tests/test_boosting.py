@@ -465,3 +465,59 @@ def test_draw_block_does_not_change_models(monkeypatch, block):
     monkeypatch.setattr(boosting, "_DRAW_BYTES", 8 * 150 * block)
     for a, b in zip(default, fit_gbt_batch(X, y, False, tasks)):
         _assert_same_model(a, b)
+
+
+@pytest.mark.parametrize("classification", [False, True])
+def test_mixed_shape_batch_grows_as_one_group_and_equals_solo_fits(monkeypatch, classification):
+    X, y = _batch_data(classification)
+    if not classification:
+        y[:25] = 2.0  # a constant the zero padding of shorter tasks does not share
+    tasks = [
+        GBTTask(np.arange(150), depth=3, n_trees=30, learning_rate=0.1, seed=1),
+        GBTTask(np.arange(150), depth=3, n_trees=18, learning_rate=0.1, seed=7),
+        GBTTask(np.arange(150), depth=2, n_trees=12, learning_rate=0.1, seed=2),
+        GBTTask(np.arange(0, 150, 2), depth=2, n_trees=40, learning_rate=0.05, seed=3),
+        GBTTask(np.arange(1, 150, 2), depth=3, n_trees=16, learning_rate=0.1, seed=8),
+        GBTTask(np.arange(120), depth=3, n_trees=25, learning_rate=0.05, seed=5, subsample=1.0),
+        GBTTask(np.arange(25), depth=2, n_trees=10, learning_rate=0.1, seed=6),
+    ]
+    groups = []
+    lockstep = boosting._fit_lockstep
+    monkeypatch.setattr(boosting, "_fit_lockstep",
+                        lambda *args: groups.append(args[3:]) or lockstep(*args))
+    models = fit_gbt_batch(X, y, classification, tasks)
+    assert len(groups) == 1 and len(groups[0][0]) == len(tasks)
+    grouped, tables = groups[0]
+    assert len({t.rows.size for t in grouped}) >= 3
+    assert len({feature.size for _, feature, _ in tables}) >= 2
+    assert models[-1].diagnostics["n_trees_fit"] == 0
+    for task, model in zip(tasks, models):
+        solo = fit_gbt_core(X[task.rows], y[task.rows], classification, depth=task.depth,
+                            n_trees=task.n_trees, learning_rate=task.learning_rate,
+                            subsample=task.subsample, seed=task.seed)
+        _assert_same_model(model, solo)
+
+
+def test_blas_assumption_stacked_strided_matmul_equals_solo_product():
+    """The lockstep level sums are exact only if this holds.
+
+    One ``np.matmul`` over a stack of views (rows cut from a taller operand,
+    columns from the right end of a wider one, the result written into the
+    right end of a wider buffer) must give every item, bit for bit, the
+    product that a solo fit computes from its contiguous operands. The sums
+    never zero-pad the rows they add up: with OpenBLAS that can change the
+    blocking or the kernel of the product, and so its bits.
+    """
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        k, m = int(rng.integers(1, 5)), 3 << int(rng.integers(0, 5))
+        n, w = int(rng.integers(2, 1500)), int(rng.integers(2, 300))
+        taller, wider = n + int(rng.integers(0, 40)), w + int(rng.integers(0, 40))
+        A = rng.standard_normal((k, m, taller)) * (rng.random((k, 1, taller)) < 0.7)
+        R = np.zeros((k, taller, wider))
+        R[:, :n, -w:] = rng.random((k, n, w)) < 0.5
+        out = np.zeros((k, m, wider))
+        np.matmul(A[:, :, :n], R[:, :n, -w:], out=out[:, :, -w:])
+        for b in range(k):
+            solo = np.ascontiguousarray(A[b:b + 1, :, :n]) @ np.ascontiguousarray(R[b:b + 1, :n, -w:])
+            assert out[b, :, -w:].tobytes() == solo[0].tobytes(), (k, m, n, w)

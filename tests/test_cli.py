@@ -268,6 +268,33 @@ def _nothing_loaded_or_fitted(monkeypatch):
 
     monkeypatch.setattr(cli, "estimate_effect", never)
     monkeypatch.setattr(cli, "load_csv", never)
+    monkeypatch.setattr(cli, "featurize_masked", never)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--folds", "1"], "need at least 2 folds, got k=1"),
+    (["--folds", "0"], "need at least 2 folds, got k=0"),
+    (["--clip-eps", "0.5"], "epsilon must be in [0, 0.5), got 0.5"),
+    (["--clip-eps", "-0.01"], "epsilon must be in [0, 0.5), got -0.01"),
+])
+@pytest.mark.parametrize("command", ["estimate", "sweep", "contour", "calibrate"])
+def test_bad_folds_or_clip_rejected_before_loading(
+        command, flags, message, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_loaded_or_fitted(monkeypatch)
+    extra = {"sweep": ["--focal", "x_0"],
+             "calibrate": ["--mask-patterns", "run*", "--lexicon", str(tmp_path / "lex.json")]}
+    assert main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
+                 *extra.get(command, []), *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "contour"])
+def test_general_estimand_without_target_rejected_before_loading(
+        command, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_loaded_or_fitted(monkeypatch)
+    assert main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
+                 "--estimand", "general"]) == 1
+    assert "error: --estimand general requires --target-data" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep", "contour", "calibrate"])

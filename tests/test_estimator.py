@@ -426,6 +426,31 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
                 replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}"))))
 
 
+def test_default_gbt_crossfit_grows_each_nuisance_in_two_lockstep_groups(monkeypatch):
+    # the first input set of the estimate-gbt benchmark at seed 21: n=400,
+    # criterion 9's nonlinear spec plus a count column, the default GBT grids,
+    # 2 folds. The 40 inner-CV fits of a nuisance differ in rows and cuts and
+    # still grow as one group, and its 2 final fits as another
+    import isoeffect.boosting as boosting
+
+    spec = SynthSpec(n=400, d=6, rho=0.6, beta_a=1.0, interaction=(2, 0.5),
+                     outcome_form="nonlinear", seed=21000)
+    base = generate(spec)
+    counts = np.random.default_rng(21000).poisson(3.0, size=spec.n).astype(float)
+    dataset = Dataset(y=base.y, a=base.a, features=np.column_stack([base.features, counts]),
+                      feature_names=(*base.feature_names, "x_6"))
+    groups = []
+    lockstep = boosting._fit_lockstep
+    monkeypatch.setattr(boosting, "_fit_lockstep",
+                        lambda *args: groups.append(args[3:]) or lockstep(*args))
+    crossfit_nuisances(dataset, Estimand("iatt"), ModelSpec(Family.GBT_REG),
+                       ModelSpec(Family.GBT_CLF), k=2, seed=0)
+    assert [len(tasks) for tasks, _ in groups] == [40, 2, 40, 2]
+    for tasks, tables in groups[::2]:
+        assert len({t.rows.size for t in tasks}) >= 3
+        assert len({feature.size for _, feature, _ in tables}) >= 2
+
+
 def replace_seed(spec: SynthSpec, seed: int) -> SynthSpec:
     from dataclasses import replace as _replace
 
