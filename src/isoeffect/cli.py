@@ -102,7 +102,7 @@ def _write_rows(path: str, header: Sequence[str], rows: Sequence[Sequence[str]])
 def _load_schema(path: str | None) -> dict | None:
     if path is None:
         return None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # tolerates a BOM
         schema = json.load(fh)
     if not isinstance(schema, dict):
         raise SchemaError("schema JSON must be an object")
@@ -110,7 +110,10 @@ def _load_schema(path: str | None) -> dict | None:
 
 
 def _check_flags(command: str, opt: dict) -> None:
-    """Fail before any data is read on a mistake that the flags alone show."""
+    """Fail before any data is read on a mistake that the flags alone show.
+
+    The reduction flags and ``--dims`` are parsed here once, in place.
+    """
     directory = os.path.dirname(os.path.abspath(opt["out"]))
     if not os.path.isdir(directory):
         raise ValidationError(f"--out {opt['out']!r}: directory {directory!r} does not exist")
@@ -126,6 +129,44 @@ def _check_flags(command: str, opt: dict) -> None:
             raise ValidationError("calibration supports the iate and iatt estimands")
         if not opt["target_data"]:
             raise ValidationError("--estimand general requires --target-data")
+    if command in ("contour", "calibrate"):
+        _parse_reductions(command, opt)
+    if command == "sweep" and opt["dims"] is not None:
+        opt["dims"] = _parse_dims(opt["dims"])
+
+
+def _parse_reductions(command: str, opt: dict) -> None:
+    """Parse the reduction flags in place, rejecting every mistake that needs no data.
+
+    ``omit_features`` becomes ``{label: columns}``, ``mask_patterns`` a list
+    and ``lexicon`` a :class:`Lexicon`.
+    """
+    groups = [g.strip() for g in (opt["omit_features"] or "").split(",") if g.strip()]
+    patterns = [p.strip() for p in (opt["mask_patterns"] or "").split(",") if p.strip()]
+    labels = groups + patterns
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValidationError(f"duplicate reduction label {label!r}")
+    masked: dict[str, str] = {}  # a pattern's lowercased form -> its label
+    for pat in patterns:
+        earlier = masked.setdefault(_validate_pattern(pat, "--mask-patterns"), pat)
+        if earlier != pat:
+            raise ValidationError(
+                f"duplicate reduction {pat!r}: masks the same terms as {earlier!r}")
+    members = {group: [g.strip() for g in group.split("+")] for group in groups}
+    omitted: dict[frozenset, str] = {}  # a group's set of columns -> its label
+    for group in groups:
+        earlier = omitted.setdefault(frozenset(members[group]), group)
+        if earlier != group:
+            raise ValidationError(
+                f"duplicate reduction {group!r}: omits the same columns as {earlier!r}")
+    if command == "calibrate" and not labels:
+        raise ValidationError("calibrate needs --omit-features and/or --mask-patterns")
+    if patterns:
+        if not opt["lexicon"]:
+            raise ValidationError("--mask-patterns requires --lexicon to refeaturize")
+        opt["lexicon"] = load_lexicon(opt["lexicon"])
+    opt["omit_features"], opt["mask_patterns"] = members, patterns
 
 
 def _model_specs(model: str) -> tuple[ModelSpec, ModelSpec]:
@@ -146,44 +187,25 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _reductions(dataset: Dataset, options: dict) -> list[tuple[str, np.ndarray]]:
-    """Labeled reduced representations from --omit-features / --mask-patterns."""
-    groups = [g.strip() for g in (options["omit_features"] or "").split(",") if g.strip()]
-    patterns = [p.strip() for p in (options["mask_patterns"] or "").split(",") if p.strip()]
-    labels = groups + patterns
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ValidationError(f"duplicate reduction label {label!r}")
-    masked: dict[str, str] = {}  # a pattern's lowercased form -> its label
-    for pat in patterns:
-        earlier = masked.setdefault(_validate_pattern(pat, "--mask-patterns"), pat)
-        if earlier != pat:
-            raise ValidationError(
-                f"duplicate reduction {pat!r}: masks the same terms as {earlier!r}")
+def _reductions(dataset: Dataset, opt: dict) -> list[tuple[str, np.ndarray]]:
+    """Labeled reduced representations from the parsed --omit-features / --mask-patterns."""
     out: list[tuple[str, np.ndarray]] = []
     names = list(dataset.feature_names)
-    omitted: dict[frozenset, str] = {}  # a group's set of columns -> its label
-    for group in groups:
-        members = [g.strip() for g in group.split("+")]
-        earlier = omitted.setdefault(frozenset(members), group)
-        if earlier != group:
-            raise ValidationError(
-                f"duplicate reduction {group!r}: omits the same columns as {earlier!r}")
+    for group, members in opt["omit_features"].items():
         missing = [m for m in members if m not in names]
         if missing:
             raise ValidationError(f"cannot omit unknown feature(s) {missing}")
         keep = [i for i, nm in enumerate(names) if nm not in members]
-        if not keep and options["model"] == "gbt":
+        if not keep and opt["model"] == "gbt":
             raise ValidationError(f"reduction {group!r} omits every feature column, "
                                   "and --model gbt needs at least one")
         out.append((group, dataset.features[:, keep]))
+    patterns = opt["mask_patterns"]
     if patterns:
         if dataset.texts is None:
             raise ValidationError("--mask-patterns requires a text column in the data")
-        if not options["lexicon"]:
-            raise ValidationError("--mask-patterns requires --lexicon to refeaturize")
-        lexicon = load_lexicon(options["lexicon"])
-        out.extend(zip(patterns, featurize_masked(dataset.texts, lexicon, [[p] for p in patterns])))
+        masks = [[p] for p in patterns]
+        out.extend(zip(patterns, featurize_masked(dataset.texts, opt["lexicon"], masks)))
     return out
 
 
@@ -271,7 +293,7 @@ def _cmd_estimate(opt: dict) -> int:
 def _cmd_sweep(opt: dict) -> int:
     dataset = select_intervention(load_csv(opt["data"], _load_schema(opt["schema"])),
                                   opt["focal"])
-    lo, hi = _parse_dims(opt["dims"] if opt["dims"] is not None else f"1..{dataset.d}")
+    lo, hi = opt["dims"] or _parse_dims(f"1..{dataset.d}")  # _check_flags parsed --dims
     if hi > dataset.d:
         raise ValueError(f"dims {hi} exceeds the {dataset.d} non-focal columns")
 
@@ -325,8 +347,6 @@ def _cmd_contour(opt: dict) -> int:
 def _cmd_calibrate(opt: dict) -> int:
     dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
     reductions = _reductions(dataset, opt)
-    if not reductions:
-        raise ValidationError("calibrate needs --omit-features and/or --mask-patterns")
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
     payload: dict = {
         "estimand": est.estimand,

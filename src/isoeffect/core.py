@@ -254,7 +254,7 @@ def _resolve_columns(header: list[str], schema: Mapping) -> tuple[int, int, list
 @contextlib.contextmanager
 def _csv_rows(path: str | os.PathLike):
     """Yield ``(header, rows)``; ``rows`` gives ``(row_no, fields)`` checked for width."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)

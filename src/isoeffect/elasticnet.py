@@ -11,7 +11,7 @@ Objectives, for standardized design ``Z`` with n rows:
 - logistic: (1/n) sum log(1 + exp(-s_i eta_i)) + (1/(C n)) * (r ||w||_1 + (1-r)/2 ||w||^2)
 
 with ``s = 2y - 1`` and ``eta = b + Z w``; ``C`` is the usual inverse
-regularization strength for classifiers.
+penalty weight for classifiers.
 
 The linear solver runs cyclic coordinate descent on a cached Gram matrix, so
 each sweep costs O(d^2) instead of O(n d). The logistic solver wraps the same
@@ -25,7 +25,9 @@ penalty down, each solve warm-started from the one before (the
 regularization paths of Friedman, Hastie & Tibshirani, JSS 2010). Coordinate
 state lives in ``(d, P)`` arrays, so a few numpy operations update
 coordinate j of every live problem; a problem that converges or reaches its
-iteration cap moves on to its next penalty or leaves the batch. Every
+iteration cap moves on to its next penalty or leaves the batch. Both losses
+share that lifecycle: ``_Walk.advance`` is where every fit is recorded, back
+on the original scale, and ``_retire`` is where a problem leaves. Every
 elementwise step is the scalar rule, and sums over a problem's rows (the
 logistic gradient refresh) run one problem at a time, so each problem's fits
 equal bit for bit those of solving it alone. ``enet_linear_paths`` and
@@ -143,14 +145,16 @@ def prepare_design(X: np.ndarray) -> Design:
 class _Walk:
     """One problem of a batch: its data, its penalty order and the fits so far."""
 
-    def __init__(self, X, y, penalties, l1_ratio, strength):
+    def __init__(self, X, y, penalties, l1_ratio, fit):
         self.design = X if isinstance(X, Design) else prepare_design(X)
-        self.y = y
-        self.n = len(y)
+        self.y = np.asarray(y, dtype=np.float64).reshape(-1)
+        self.n = len(self.y)
         self.penalties = tuple(penalties)
         self.l1_ratio = l1_ratio
-        # strongest penalty first: ascending ``strength``, ties in grid order
-        self.order = sorted(range(len(self.penalties)), key=lambda i: strength(self.penalties[i]))
+        self.fit = fit  # LinearFit or LogisticFit
+        # strongest penalty first: largest alpha or smallest C, ties in grid order
+        self.order = sorted(range(len(self.penalties)), key=self.penalties.__getitem__,
+                            reverse=fit is LinearFit)
         self.fits: list = [None] * len(self.penalties)
         self.at = 0  # position in ``order`` of the penalty being solved
 
@@ -158,11 +162,27 @@ class _Walk:
     def penalty(self):
         return self.penalties[self.order[self.at]]
 
-    def advance(self, fit) -> bool:
-        """Store the fit at the current penalty; False once the grid is done."""
-        self.fits[self.order[self.at]] = fit
+    def advance(self, w, b, count, converged) -> bool:
+        """Record the fit at the current penalty (``w`` standardized); False once done."""
+        coef = w / self.design.scale
+        self.fits[self.order[self.at]] = self.fit(
+            coef, b - float(coef @ self.design.mean), w, self.penalty, self.l1_ratio,
+            int(count), bool(converged))
         self.at += 1
         return self.at < len(self.order)
+
+
+def _retire(walks, ids, cols, W, b, counts, converged, enter) -> np.ndarray:
+    """Record each finished column's fit, then re-enter the column at its next penalty
+    or mark it to leave; returns the mask of columns that stay in the batch."""
+    keep = np.ones(len(ids), dtype=bool)
+    for col in cols:
+        p = ids[col]
+        if walks[p].advance(W[:, col].copy(), b[p], counts[col], converged[col]):
+            enter(col)
+        else:
+            keep[col] = False
+    return keep
 
 
 def _stack(walks: list[_Walk], curvature: list[np.ndarray]):
@@ -255,24 +275,7 @@ def _linear_paths(walks: list[_Walk]) -> None:
                 C[:, col] = qs[ids[col]] - Gs[ids[col]] @ np.ascontiguousarray(U[:, col])
         if not done.any():
             continue
-        keep = np.ones(len(ids), dtype=bool)
-        for col in np.flatnonzero(done):
-            p = ids[col]
-            walk, w = walks[p], U[:, col].copy()
-            coef = w / walk.design.scale
-            fit = LinearFit(
-                coef=coef,
-                intercept=y_means[p] - float(coef @ walk.design.mean),
-                coef_std=w,
-                alpha=walk.penalty,
-                l1_ratio=walk.l1_ratio,
-                n_sweeps=int(sweeps[col]),
-                converged=bool(converged[col]),
-            )
-            if walk.advance(fit):
-                enter(col)
-            else:
-                keep[col] = False
+        keep = _retire(walks, ids, np.flatnonzero(done), U, y_means, sweeps, converged, enter)
         if not keep.all():
             ids, U, C, denom, diag, hi, tols, sweeps, cols = (
                 a[..., keep] for a in (ids, U, C, denom, diag, hi, tols, sweeps, cols)
@@ -346,29 +349,22 @@ def _logistic_paths(walks: list[_Walk]) -> None:
             done = starting[converged[starting] | (passes[starting] >= _MAX_PASSES)]
             if not done.size:
                 continue
-            keep = np.ones(len(ids), dtype=bool)
-            for col in done:
-                p = ids[col]
-                walk, w = walks[p], W[:, col].copy()
-                fit = LogisticFit(
-                    coef=w / walk.design.scale,
-                    intercept=b[p] - float((w / walk.design.scale) @ walk.design.mean),
-                    coef_std=w,
-                    C=walk.penalty,
-                    l1_ratio=walk.l1_ratio,
-                    n_passes=int(passes[col]),
-                    converged=bool(converged[col]),
-                )
-                if walk.advance(fit):
-                    enter(col)
-                else:
-                    keep[col] = False
+            keep = _retire(walks, ids, done, W, b, passes, converged, enter)
             if not keep.all():
                 ids, W, U, C, denom, diag, hi, passes, sweeps, delta, cols = (
                     a[..., keep]
                     for a in (ids, W, U, C, denom, diag, hi, passes, sweeps, delta, cols)
                 )
                 starting = np.flatnonzero(sweeps == 0)
+
+
+def _solve(problems: Sequence[tuple], fit, core) -> list[list]:
+    """Build each problem's walk and run ``core`` on those with a non-empty grid."""
+    walks = [_Walk(X, y, penalties, l1_ratio, fit) for X, y, penalties, l1_ratio in problems]
+    live = [walk for walk in walks if walk.order]
+    if live:
+        core(live)
+    return [walk.fits for walk in walks]
 
 
 def enet_linear_paths(problems: Sequence[tuple]) -> list[list[LinearFit]]:
@@ -382,16 +378,10 @@ def enet_linear_paths(problems: Sequence[tuple]) -> list[list[LinearFit]]:
     problem needs the same number of feature columns, and each problem's
     fits equal bit for bit those of solving it alone.
     """
-    walks = []
-    for X, y, alphas, l1_ratio in problems:
+    for _, _, alphas, l1_ratio in problems:
         if any(alpha < 0 for alpha in alphas) or not 0.0 <= l1_ratio <= 1.0:
             raise ValueError("need alpha >= 0 and l1_ratio in [0, 1]")
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        walks.append(_Walk(X, y, alphas, l1_ratio, lambda alpha: -alpha))
-    live = [walk for walk in walks if walk.order]
-    if live:
-        _linear_paths(live)
-    return [walk.fits for walk in walks]
+    return _solve(problems, LinearFit, _linear_paths)
 
 
 def fit_enet_linear(X: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float) -> LinearFit:
@@ -407,18 +397,12 @@ def enet_logistic_paths(problems: Sequence[tuple]) -> list[list[LogisticFit]]:
     previous coefficients and intercept; otherwise as
     :func:`enet_linear_paths`.
     """
-    walks = []
-    for X, y, Cs, l1_ratio in problems:
+    for _, y, Cs, l1_ratio in problems:
         if any(C <= 0 for C in Cs) or not 0.0 <= l1_ratio <= 1.0:
             raise ValueError("need C > 0 and l1_ratio in [0, 1]")
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if not np.all(np.isin(y, (0.0, 1.0))):
+        if not np.all(np.isin(np.asarray(y, dtype=np.float64), (0.0, 1.0))):
             raise ValueError("logistic targets must be 0/1")
-        walks.append(_Walk(X, y, Cs, l1_ratio, lambda C: C))
-    live = [walk for walk in walks if walk.order]
-    if live:
-        _logistic_paths(live)
-    return [walk.fits for walk in walks]
+    return _solve(problems, LogisticFit, _logistic_paths)
 
 
 def fit_enet_logistic(X: np.ndarray, y: np.ndarray, C: float, l1_ratio: float) -> LogisticFit:

@@ -201,9 +201,6 @@ def crossfit_nuisances(
         "p_min": float(p_hat.min()),
         "p_max": float(p_hat.max()),
         "pi1": float(a.mean()),
-        "pi1_by_fold": tuple(float(v) for v in pi1_by_fold),
-        "outcome_family": outcome_spec.family,
-        "propensity_family": propensity_spec.family,
     }
     general_fits = None
     if general:
@@ -434,7 +431,6 @@ def estimate_dr(fits: NuisanceFits, weights: Weights, dataset: Dataset) -> Effec
         target = g.target_ghat1 - g.target_ghat0
         total = n + target.size
         psi = np.concatenate([correction * (total / n), target * (total / target.size)])
-        diagnostics["n_source"] = n
     else:
         raise ValueError(f"unknown estimand kind {kind!r}")
     tau = float(target.mean()) + float(correction.mean())

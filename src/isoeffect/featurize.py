@@ -115,7 +115,7 @@ def load_lexicon(path) -> Lexicon:
             seen.add(key)
         return dict(pairs)
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # tolerates a BOM
         try:
             raw = json.load(fh, object_pairs_hook=check_dupes)
         except json.JSONDecodeError as exc:

@@ -220,7 +220,7 @@ def spec_from_json(raw: dict) -> SynthSpec:
 
 
 def spec_from_json_file(path) -> SynthSpec:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # tolerates a BOM
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValidationError("synth spec JSON must be an object")

@@ -309,6 +309,42 @@ def test_out_in_missing_directory_rejected_before_loading(
     assert ".tmp" not in err
 
 
+_MISSING_LEXICON = ["--mask-patterns", "run*", "--lexicon", "no-such-lexicon.json"]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("calibrate", [], "calibrate needs --omit-features and/or --mask-patterns"),
+    ("calibrate", ["--omit-features", ","], "calibrate needs --omit-features and/or --mask-patterns"),
+    ("calibrate", ["--mask-patterns", "run*"], "--mask-patterns requires --lexicon to refeaturize"),
+    ("contour", ["--mask-patterns", "run*"], "--mask-patterns requires --lexicon to refeaturize"),
+    ("calibrate", _MISSING_LEXICON, "[Errno 2] No such file or directory: 'no-such-lexicon.json'"),
+    ("contour", _MISSING_LEXICON, "[Errno 2] No such file or directory: 'no-such-lexicon.json'"),
+    *[(command, flags, message) for command in ("calibrate", "contour") for flags, message in [
+        (["--omit-features", "x_0,x_0"], "duplicate reduction label 'x_0'"),
+        (["--omit-features", "x_0+x_1,x_1+x_0"],
+         "duplicate reduction 'x_1+x_0': omits the same columns as 'x_0+x_1'"),
+        (["--mask-patterns", "cook*,COOK*", "--lexicon", "LEXICON"],
+         "duplicate reduction 'COOK*': masks the same terms as 'cook*'"),
+        (["--mask-patterns", "a*b", "--lexicon", "LEXICON"],
+         "--mask-patterns: '*' is only allowed as a trailing wildcard in 'a*b'"),
+    ]],
+    ("sweep", ["--dims", "3"], "--dims expects 'a..b', got '3'"),
+    ("sweep", ["--dims", "0..2"], "--dims range '0..2' is empty or negative"),
+    ("sweep", ["--dims", "2..1"], "--dims range '2..1' is empty or negative"),
+])
+def test_reduction_and_dims_mistakes_rejected_before_loading(
+        command, flags, message, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_loaded_or_fitted(monkeypatch)
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"food": ["cook*"]}))
+    flags = [str(lexicon) if f == "LEXICON" else f for f in flags]
+    extra = ["--focal", "x_0"] if command == "sweep" else []
+    assert main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
+                 *extra, *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("estimand", ["iate", "iatt"])
 def test_target_data_without_general_estimand_rejected_before_loading(
         estimand, data_csv, tmp_path, capsys, monkeypatch):
@@ -685,6 +721,38 @@ def test_invalid_mask_pattern_rejected_before_masking(
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _comparable(value):
+    if isinstance(value, Dataset):
+        return [_comparable(getattr(value, f)) for f in ("y", "a", "features", "feature_names",
+                                                         "texts")]
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return value
+
+
+@pytest.mark.parametrize("reader", ["data", "target", "schema", "lexicon", "spec"])
+def test_readers_accept_a_utf8_bom(reader, text_corpus, spec_file, tmp_path):
+    # Excel's "CSV UTF-8" export starts a file with a byte-order mark
+    from isoeffect.cli import _load_schema
+    from isoeffect.core import load_csv, load_features_csv
+    from isoeffect.featurize import load_lexicon
+    from isoeffect.synth import spec_from_json_file
+
+    data, schema, lex = text_corpus
+    target = tmp_path / "target.csv"
+    target.write_text(_target_rows(5))
+    read, path = {
+        "data": (lambda p: load_csv(p, _load_schema(schema)), data),
+        "target": (load_features_csv, str(target)),
+        "schema": (_load_schema, schema),
+        "lexicon": (load_lexicon, lex),
+        "spec": (spec_from_json_file, spec_file),
+    }[reader]
+    bom = tmp_path / ("bom-" + Path(path).name)
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    assert _comparable(read(str(bom))) == _comparable(read(path))
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -348,7 +348,8 @@ def _mixed_batch(loss: str) -> list[tuple]:
     Problem 1 has a column that is constant on its rows. Linear: problem 3
     ends its grid at alpha=0, where the tolerance tightens to 1e-12.
     Logistic: problem 3 is separable with a margin, so its C=100 solve runs
-    to the pass cap while the other problems converge.
+    to the pass cap while the other problems converge. Problem 4 has an empty
+    grid and problem 5 repeats a penalty.
     """
     rng = np.random.default_rng(808)
     problems = []
@@ -369,6 +370,14 @@ def _mixed_batch(loss: str) -> list[tuple]:
             y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
             grid = (1.0, 0.01, 10.0)
         problems.append((X, y, grid, ratio))
+    for n, grid in [(48, ()), (81, (0.1, 0.1, 1.0))]:
+        X = rng.standard_normal((n, 3))
+        eta = X @ np.array([0.8, 0.0, -0.5])
+        if loss == "linear":
+            y = eta + 0.5 * rng.standard_normal(n)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        problems.append((X, y, grid, 0.7))
     return problems
 
 
@@ -401,6 +410,7 @@ def test_batched_paths_equal_solo_paths(loss, monkeypatch):
                 else:
                     assert a.n_passes == b.n_passes and a.C == b.C
     assert batched[1][0].coef[2] == 0.0  # the column constant on problem 1's rows
+    assert batched[4] == [] and len(batched[5]) == 3
     converged = [[f.converged for f in fits] for fits in batched]
     if loss == "linear":
         assert all(map(all, converged)) and batched[3][1].alpha == 0.0

@@ -262,7 +262,7 @@ def test_crossfit_diagnostics_and_plan_reuse(synth_small):
     d = fits.diagnostics
     assert 0.0 <= d["clipped_frac"] <= 1.0
     assert 0.0 < d["p_min"] <= d["p_max"] < 1.0
-    assert len(d["pi1_by_fold"]) == 4
+    assert len(fits.pi1_by_fold) == 4
     assert fits.pi1_rows().shape == (synth_small.n,)
     # per-row pi1 values come from the row's fold
     for f in range(4):
