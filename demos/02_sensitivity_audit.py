@@ -26,19 +26,21 @@ from isoeffect import (
     contour_grid,
     estimate_effect,
     generate,
+    ovb_bounds,
 )
 
 dataset = generate(SynthSpec(n=2500, d=6, rho=0.6, beta_a=1.0, seed=7))
 est, fits, weights = estimate_effect(dataset, seed=0, return_parts=True)
 
-report = audit(est, dataset, fits, weights,
-               bounds_at=(SensitivityParams(0.2, 0.2), SensitivityParams(0.5, 0.5)))
+report = audit(est, dataset, fits, weights)
 print(f"tau_hat {est.tau_hat:+.4f}   se {est.standard_error:.4f}")
 print(f"sigma2 (fidelity)     {report.sigma2:.4f}")
 print(f"nu2 (overlap)         {report.nu2:.4f}   plug-in {report.nu2_plugin:.4f}")
 print(f"robustness value      {report.rv:.3f}")
-for params, (lo, hi) in report.bounds:
-    print(f"bias bound at C_Y = C_D = {params.c_y:.1f}: [{lo:+.4f}, {hi:+.4f}]")
+for strength in (0.2, 0.5):
+    lo, hi = ovb_bounds(est.tau_hat, report.sigma2, report.nu2,
+                        SensitivityParams(strength, strength))
+    print(f"bias bound at C_Y = C_D = {strength:.1f}: [{lo:+.4f}, {hi:+.4f}]")
 
 # calibrate against a real weakening: drop each feature and measure the cost
 print("\ncalibration by omitted feature:")

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .core import (
     EstimandKind,
     SchemaError,
     ValidationError,
+    _open_atomic,
     load_csv,
     load_features_csv,
     write_csv,
@@ -71,27 +71,14 @@ def _round12(obj):
     return obj
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isoeffect-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, payload: dict) -> None:
-    _write_atomic(path, json.dumps(_round12(payload), indent=2) + "\n")
+    with _open_atomic(path) as fh:
+        fh.write(json.dumps(_round12(payload), indent=2) + "\n")
 
 
 def _write_rows(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    with _open_atomic(path) as fh:
+        fh.writelines(",".join(row) + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +165,11 @@ def _model_specs(model: str) -> tuple[ModelSpec, ModelSpec]:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"--dims expects 'a..b', got {text!r}")
-    lo_i, hi_i = int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        lo_i, hi_i = int(lo), int(hi)
+    except ValueError:  # no '..', or a bound that is not an integer
+        raise ValueError(f"--dims expects 'a..b', got {text!r}") from None
     if lo_i < 1 or hi_i < lo_i:
         raise ValueError(f"--dims range {text!r} is empty or negative")
     return lo_i, hi_i
@@ -256,15 +244,10 @@ def _estimate_with_audit(dataset: Dataset, opt: dict):
     return est, fits, weights, report
 
 
-def _report_payload(dataset: Dataset, opt: dict, est, report) -> dict:
+def _report_payload(dataset: Dataset, opt: dict, est, fits, report) -> dict:
     naive = estimate_naive(dataset)
-    diag = {
-        "p_min": est.diagnostics.get("p_min"),
-        "p_max": est.diagnostics.get("p_max"),
-        "clipped_frac": est.diagnostics.get("clipped_frac"),
-        "pi1": est.diagnostics.get("pi1"),
-        "m_target": est.diagnostics.get("m_target"),
-    }
+    diag = {key: fits.diagnostics[key] for key in ("p_min", "p_max", "clipped_frac", "pi1")}
+    diag["m_target"] = est.diagnostics["m_target"]
     return {
         "estimand": est.estimand,
         "tau_hat": est.tau_hat,
@@ -285,15 +268,17 @@ def _report_payload(dataset: Dataset, opt: dict, est, report) -> dict:
 
 def _cmd_estimate(opt: dict) -> int:
     dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
-    est, _, _, report = _estimate_with_audit(dataset, opt)
-    _write_json(opt["out"], _report_payload(dataset, opt, est, report))
+    est, fits, _, report = _estimate_with_audit(dataset, opt)
+    _write_json(opt["out"], _report_payload(dataset, opt, est, fits, report))
     return 0
 
 
 def _cmd_sweep(opt: dict) -> int:
     dataset = select_intervention(load_csv(opt["data"], _load_schema(opt["schema"])),
                                   opt["focal"])
-    lo, hi = opt["dims"] or _parse_dims(f"1..{dataset.d}")  # _check_flags parsed --dims
+    if dataset.d == 0:
+        raise ValidationError(f"--focal {opt['focal']!r} leaves no non-focal feature column")
+    lo, hi = opt["dims"] or (1, dataset.d)  # _check_flags parsed --dims
     if hi > dataset.d:
         raise ValueError(f"dims {hi} exceeds the {dataset.d} non-focal columns")
 

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -144,7 +145,6 @@ class FoldPlan:
     n: int
     k: int
     assignment: np.ndarray
-    seed: int
     stratified: bool = True
     downgraded: bool = False
 
@@ -339,13 +339,37 @@ def load_features_csv(path: str | os.PathLike, schema: Mapping | None = None) ->
     return np.array(feats, dtype=np.float64)
 
 
+@contextlib.contextmanager
+def _open_atomic(path: str | os.PathLike):
+    """Yield a text handle whose contents replace ``path`` once all are written.
+
+    The handle writes a temp file beside ``path``; it is renamed over ``path``
+    (``os.replace``) when the block ends and deleted if anything fails, so
+    ``path`` holds either its old contents or all of the new ones. The file
+    gets the mode ``open`` would give it, not ``mkstemp``'s owner-only one.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".isoeffect-", suffix=".tmp")
+    try:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(dataset: Dataset, path: str | os.PathLike) -> None:
-    """Write ``y,a,<features...>`` with lossless float formatting.
+    """Write ``y,a,<features...>`` with lossless float formatting, atomically.
 
     Floats are rendered with Python's shortest round-trip repr so that
     ``load_csv(write_csv(ds))`` reproduces the arrays bit-exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_atomic(path) as fh:
         writer = csv.writer(fh)
         header = ["y", "a", *dataset.feature_names]
         if dataset.texts is not None:
@@ -410,8 +434,8 @@ def make_folds(
         idx = rng.permutation(n)
         assignment[idx] = np.arange(n) % k
 
-    return FoldPlan(n=n, k=k, assignment=assignment, seed=seed,
-                    stratified=stratified, downgraded=downgraded)
+    return FoldPlan(n=n, k=k, assignment=assignment, stratified=stratified,
+                    downgraded=downgraded)
 
 
 def derive_seed(seed: int, label: str) -> int:

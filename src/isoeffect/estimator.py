@@ -415,7 +415,6 @@ def estimate_dr(fits: NuisanceFits, weights: Weights, dataset: Dataset) -> Effec
     kind = weights.kind
     contrast = fits.ghat1 - fits.ghat0
     correction = weights.gamma * (y - fits.ghat_obs)
-    diagnostics = dict(fits.diagnostics)
     if kind == EstimandKind.IATE:
         target = contrast
         psi = contrast + correction
@@ -437,7 +436,6 @@ def estimate_dr(fits: NuisanceFits, weights: Weights, dataset: Dataset) -> Effec
 
     influence = psi - psi.mean()
     variance, se, ci = variance_ci(influence, tau, psi.size)
-    diagnostics["m_target"] = int(target.size)
     return EffectEstimate(
         estimand=kind,
         tau_hat=tau,
@@ -446,7 +444,7 @@ def estimate_dr(fits: NuisanceFits, weights: Weights, dataset: Dataset) -> Effec
         ci95=ci,
         n=psi.size,
         influence=influence,
-        diagnostics=diagnostics,
+        diagnostics={"m_target": int(target.size)},
     )
 
 

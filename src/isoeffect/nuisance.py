@@ -64,6 +64,7 @@ class Family:
 
 
 _L1_GRID = (0.0, 0.1, 0.5, 0.7, 0.9, 0.95, 0.99, 1.0)
+_INNER_FOLDS = 5  # inner cross-validation folds of every grid search
 
 
 def default_grid(family: str) -> dict[str, tuple]:
@@ -82,13 +83,13 @@ class ModelSpec:
     """What to fit and over which hyperparameter grid.
 
     ``hyper_grid=None`` selects :func:`default_grid`. A single-candidate grid
-    skips inner cross-validation entirely.
+    skips inner cross-validation entirely; any other runs it over
+    ``_INNER_FOLDS`` folds. The seeds come with the rows to fit (see
+    :func:`fit_outcome_models`), not with the spec.
     """
 
     family: str
     hyper_grid: Mapping[str, Sequence] | None = None
-    inner_folds: int = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.family not in Family.ALL:
@@ -102,8 +103,6 @@ class ModelSpec:
                              f"{sorted(default.keys() - grid.keys())} and has unknown keys "
                              f"{sorted(grid.keys() - default.keys())}")
         object.__setattr__(self, "hyper_grid", {k: tuple(v) for k, v in grid.items()})
-        if self.inner_folds < 2:
-            raise ValueError("inner_folds must be >= 2")
 
     def candidates(self) -> list[dict]:
         keys = list(self.hyper_grid)
@@ -270,21 +269,22 @@ def _path_fold_losses(X, target, family: str, cands: list[dict], cvs: list) -> l
     return out
 
 
-def _choose(X, target, spec: ModelSpec, classifier: bool, folds: list) -> list[tuple[dict, dict]]:
+def _choose(X, target, spec: ModelSpec, folds: list) -> list[tuple[dict, dict]]:
     """Phase 1: each ``(rows, seed)`` fold's choice and facts, every inner CV in one batch."""
     cands = spec.candidates()
+    classifier = spec.family in Family.CLASSIFIERS
     out: list = [None] * len(folds)
     cvs, at = [], []
     for j, (rows, seed) in enumerate(folds):
         if len(cands) == 1:
             out[j] = dict(cands[0]), {"inner_cv": None}
-        elif rows.size < 2 * spec.inner_folds:
+        elif rows.size < 2 * _INNER_FOLDS:
             # too little data to split meaningfully; fall back to the most
             # regularized candidate rather than guessing from noise
             out[j] = dict(max(cands, key=_reg_strength)), {"inner_cv": "skipped_small_n"}
         else:
             strat = target[rows] if classifier else None
-            plan = make_folds(rows.size, spec.inner_folds, a=strat,
+            plan = make_folds(rows.size, _INNER_FOLDS, a=strat,
                               seed=derive_seed(seed, "inner-cv"))
             cvs.append((seed, [(rows[plan.train_rows(f)], rows[plan.test_rows(f)])
                                for f in range(plan.k)]))
@@ -313,12 +313,12 @@ def _design_is_singular(X: np.ndarray) -> bool:
     return np.linalg.matrix_rank(standardize_columns(X)[0]) < X.shape[1]
 
 
-def _fit_models(X, target, spec: ModelSpec, folds, classifier: bool) -> list[FittedModel]:
+def _fit_models(X, target, spec: ModelSpec, folds) -> list[FittedModel]:
     folds = [(np.asarray(rows, dtype=np.intp), seed) for rows, seed in folds]
     models: list = [None] * len(folds)
     live = []
     for j, (rows, _) in enumerate(folds):
-        if classifier or np.ptp(target[rows]) != 0.0:
+        if spec.family in Family.CLASSIFIERS or np.ptp(target[rows]) != 0.0:
             live.append(j)
             continue
         warnings.warn("constant outcome target; returning an intercept-only model")
@@ -326,8 +326,7 @@ def _fit_models(X, target, spec: ModelSpec, folds, classifier: bool) -> list[Fit
                                 constant=float(target[rows[0]]),
                                 diagnostics={"warning": "constant_target"})
     finals, diags = [], []
-    for j, (chosen, diag) in zip(live, _choose(X, target, spec, classifier,
-                                              [folds[j] for j in live])):
+    for j, (chosen, diag) in zip(live, _choose(X, target, spec, [folds[j] for j in live])):
         rows, seed = folds[j]
         if (spec.family == Family.ELASTIC_LINEAR and chosen.get("alpha", 1.0) == 0.0
                 and _design_is_singular(X[rows])):
@@ -348,8 +347,8 @@ def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
                        folds: Sequence[tuple]) -> list[FittedModel]:
     """Fit the outcome regression ``g(features) ~ y`` once per ``(rows, seed)`` fold.
 
-    Fold j's model is :func:`fit_outcome_model` on ``X[rows]``, ``y[rows]``
-    with ``spec.seed = seed``, bit for bit. A fold with a constant target
+    Fold j's model depends only on ``X[rows]``, ``y[rows]`` and its ``seed``:
+    it is bit for bit that fold fitted alone. A fold with a constant target
     short-circuits to an intercept-only model with a warning. A zero-penalty
     elastic net on a singular design falls back to the smallest nonzero
     penalty in the grid (the least-squares solution would not be unique).
@@ -359,12 +358,12 @@ def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64).reshape(-1)
     if X.shape[0] != y.shape[0] or any(len(rows) < 2 for rows, _ in folds):
         raise ValidationError("outcome fitting needs >= 2 aligned rows")
-    return _fit_models(X, y, spec, folds, classifier=False)
+    return _fit_models(X, y, spec, folds)
 
 
 def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
-    """Fit the outcome regression on every row: :func:`fit_outcome_models` with one fold."""
-    return fit_outcome_models(X, y, spec, [(np.arange(np.size(y)), spec.seed)])[0]
+    """The outcome regression on every row: :func:`fit_outcome_models`, one fold, seed 0."""
+    return fit_outcome_models(X, y, spec, [(np.arange(np.size(y)), 0)])[0]
 
 
 def fit_propensity_models(X: np.ndarray, a: np.ndarray, spec: ModelSpec,
@@ -382,9 +381,9 @@ def fit_propensity_models(X: np.ndarray, a: np.ndarray, spec: ModelSpec,
         raise ValidationError("treatment labels must be 0/1")
     if any(a[rows].min() == a[rows].max() for rows, _ in folds):
         raise ValidationError("propensity fitting requires both treatment arms")
-    return _fit_models(X, a, spec, folds, classifier=True)
+    return _fit_models(X, a, spec, folds)
 
 
 def fit_propensity_model(X: np.ndarray, a: np.ndarray, spec: ModelSpec) -> FittedModel:
-    """Fit the propensity classifier on every row: :func:`fit_propensity_models` with one fold."""
-    return fit_propensity_models(X, a, spec, [(np.arange(np.size(a)), spec.seed)])[0]
+    """The propensity classifier on every row: :func:`fit_propensity_models`, one fold, seed 0."""
+    return fit_propensity_models(X, a, spec, [(np.arange(np.size(a)), 0)])[0]

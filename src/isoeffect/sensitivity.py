@@ -15,15 +15,15 @@ sqrt(sigma2 * nu2) * C_Y * C_D. The robustness value is the common
 C_Y = C_D magnitude that could just explain the whole estimate away.
 The debiased nu2 can go negative in samples with weak overlap signal; it
 is flagged and never clamped. The bound is computed in one place,
-``_bound_scale``: at nu2 <= 0 the robustness value, audit bounds and
-calibrated half-widths are withheld (None / empty), and ``ovb_bounds`` /
-``contour_grid``, which have nothing to withhold, raise.
+``_bound_scale``: at nu2 <= 0 the robustness value and calibrated
+half-widths are withheld (None), and ``ovb_bounds`` / ``contour_grid``,
+which have nothing to withhold, raise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,8 +81,6 @@ class SensitivityReport:
     nu2_plugin: float
     nu2_negative: bool
     rv: float | None
-    bounds: tuple = ()
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -257,25 +255,19 @@ def audit(
     dataset: Dataset,
     fits: NuisanceFits,
     weights: Weights,
-    bounds_at: tuple[SensitivityParams, ...] = (),
 ) -> SensitivityReport:
     """Assemble the sensitivity summary for one estimate.
 
-    When nu2 comes out non-positive the robustness value and any requested
-    bounds are withheld (None / empty) rather than silently clamped.
+    When nu2 comes out non-positive the robustness value is withheld (None)
+    rather than silently clamped. Bias intervals at chosen strengths come
+    from :func:`ovb_bounds` on the report's ``sigma2`` and ``nu2``.
     """
     s2 = sigma2_hat(dataset.y, fits.ghat_obs)
     n2 = nu2_hat(weights)
-    rv = robustness_value(estimate.tau_hat, s2, n2)
-    bounds = ()
-    if rv is not None:
-        bounds = tuple((p, ovb_bounds(estimate.tau_hat, s2, n2, p)) for p in bounds_at)
     return SensitivityReport(
         sigma2=s2,
         nu2=n2,
         nu2_plugin=nu2_plugin(weights),
         nu2_negative=n2 <= 0,
-        rv=rv,
-        bounds=bounds,
-        diagnostics={"estimand": estimate.estimand, "n": estimate.n},
+        rv=robustness_value(estimate.tau_hat, s2, n2),
     )

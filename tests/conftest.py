@@ -25,9 +25,9 @@ FAST_LINEAR = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [1e-3], "l1_ratio": [0.
 FAST_LOGISTIC = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [100.0], "l1_ratio": [0.0]})
 
 
-def inner_cv_choose(X, target, spec: ModelSpec, classifier: bool) -> tuple[dict, dict]:
+def inner_cv_choose(X, target, spec: ModelSpec, seed: int = 0) -> tuple[dict, dict]:
     """The hyperparameter choice and inner-CV facts of one fit on every row of ``X``."""
-    return _choose(X, target, spec, classifier, [(np.arange(len(target)), spec.seed)])[0]
+    return _choose(X, target, spec, [(np.arange(len(target)), seed)])[0]
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from isoeffect.boosting import (
     fit_gbt_core,
 )
 from isoeffect.core import derive_seed, make_folds
-from isoeffect.nuisance import Family, ModelSpec, _loss, cv_select
+from isoeffect.nuisance import _INNER_FOLDS, Family, ModelSpec, _loss, cv_select
 from reference_solvers import (
     best_split_exhaustive,
     reference_boost_regression,
@@ -318,7 +318,7 @@ def test_early_stop_ties_every_count_and_picks_fewer_trees():
     # with the default row subsample, each inner fit still stops after one exact stump
     spec = ModelSpec(Family.GBT_REG,
                      {"depth": [1], "n_trees": [50, 5, 20], "learning_rate": [1.0]})
-    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
+    chosen, diag = inner_cv_choose(X, y, spec)
     scores = diag["inner_cv"]["scores"]
     assert scores[0] == scores[1] == scores[2]
     assert chosen["n_trees"] == 5
@@ -400,12 +400,12 @@ def test_batch_fits_equal_solo_fits(classification):
 def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
     classifier = family == Family.GBT_CLF
     X, y = _batch_data(classifier)
-    spec = ModelSpec(family, seed=3)  # default grid: 4 (depth, rate) groups x 5 folds
-    chosen, diag = inner_cv_choose(X, y, spec, classifier=classifier)
+    spec = ModelSpec(family)  # default grid: 4 (depth, rate) groups x 5 folds
+    chosen, diag = inner_cv_choose(X, y, spec, seed=3)
 
     cands = spec.candidates()
-    plan = make_folds(len(y), spec.inner_folds, a=y if classifier else None,
-                      seed=derive_seed(spec.seed, "inner-cv"))
+    plan = make_folds(len(y), _INNER_FOLDS, a=y if classifier else None,
+                      seed=derive_seed(3, "inner-cv"))
     groups: dict = {}
     for ci, cand in enumerate(cands):
         groups.setdefault((cand["depth"], cand["learning_rate"]), []).append(ci)
@@ -417,7 +417,7 @@ def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
             tr, te = plan.train_rows(f), plan.test_rows(f)
             model = fit_gbt_core(X[tr], y[tr], classifier, depth=depth, n_trees=max(stages),
                                  learning_rate=rate,
-                                 seed=derive_seed(spec.seed, f"inner-{members[0]}-{f}"))
+                                 seed=derive_seed(3, f"inner-{members[0]}-{f}"))
             losses[members, f] = _loss(family, model, X[te], y[te], stages)
             trees += model.diagnostics["n_trees_fit"]
     scores = tuple(float(np.mean(row)) for row in losses)

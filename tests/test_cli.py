@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ def test_synth_matches_library_generate(spec_file, tmp_path, data_csv):
     out = tmp_path / "bench"
     main(["synth", "--spec", spec_file, "--out", str(out)])
     assert (out / "data.csv").read_bytes() == open(data_csv, "rb").read()
+
+
+def test_synth_replaces_data_csv_atomically(spec_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "bench"
+    out.mkdir()
+    (out / "data.csv").write_text("y,a,x_0\n1.0,1,0.0\n")
+    before = (out / "data.csv").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename onto {os.path.basename(dst)}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["synth", "--spec", spec_file, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cannot rename onto data.csv\n"
+    assert (out / "data.csv").read_bytes() == before  # neither cut nor replaced
+    assert sorted(p.name for p in out.iterdir()) == ["data.csv"]  # no .isoeffect-*.tmp left
 
 
 def _estimate(data_csv, out_path, *extra):
@@ -232,6 +249,32 @@ def test_sweep_rejects_bad_inputs(sweep_csv, tmp_path, capsys, monkeypatch):
     assert "iate and iatt" in capsys.readouterr().err
 
 
+def test_sweep_default_range_is_every_non_focal_column(sweep_csv, tmp_path, capsys,
+                                                       monkeypatch):
+    import isoeffect.cli as cli
+
+    swept = []
+
+    def record(dataset, opt):
+        swept.append(dataset.d)
+        est = SimpleNamespace(tau_hat=1.0, ci95=(0.0, 2.0))
+        return est, None, None, SimpleNamespace(sigma2=1.0, nu2=1.0, rv=1.0)
+
+    monkeypatch.setattr(cli, "_estimate_with_audit", record)
+    data, schema = sweep_csv
+    assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert swept == [1, 2, 3, 4]
+    # with the focal column as the only feature column there is nothing to sweep
+    one = tmp_path / "one.csv"
+    write_csv(generate(SynthSpec(n=60, d=1, seed=2)), one)
+    assert main(["sweep", "--data", str(one), "--focal", "x_0",
+                 "--out", str(tmp_path / "s1.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: --focal 'x_0' leaves no non-focal feature column\n")
+    assert swept == [1, 2, 3, 4] and not (tmp_path / "s1.csv").exists()
+
+
 def test_sweep_fits_nested_column_prefixes(sweep_csv, tmp_path, monkeypatch):
     import isoeffect.cli as cli
 
@@ -331,6 +374,9 @@ _MISSING_LEXICON = ["--mask-patterns", "run*", "--lexicon", "no-such-lexicon.jso
     ("sweep", ["--dims", "3"], "--dims expects 'a..b', got '3'"),
     ("sweep", ["--dims", "0..2"], "--dims range '0..2' is empty or negative"),
     ("sweep", ["--dims", "2..1"], "--dims range '2..1' is empty or negative"),
+    ("sweep", ["--dims", "a..2"], "--dims expects 'a..b', got 'a..2'"),
+    ("sweep", ["--dims", "1..x"], "--dims expects 'a..b', got '1..x'"),
+    ("sweep", ["--dims", "1..2..3"], "--dims expects 'a..b', got '1..2..3'"),
 ])
 def test_reduction_and_dims_mistakes_rejected_before_loading(
         command, flags, message, data_csv, tmp_path, capsys, monkeypatch):

@@ -137,6 +137,10 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "data2.csv"
     write_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # written through a temp file and a rename, yet with the mode open() gives
+    plain = tmp_path / "plain.csv"
+    plain.write_text("")
+    assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_csv_round_trip_with_texts(tmp_path):
@@ -301,11 +305,11 @@ def test_make_folds_validation():
 
 def test_fold_plan_rejects_bad_assignments():
     with pytest.raises(ValidationError, match="one entry per row"):
-        FoldPlan(n=4, k=2, assignment=np.array([0, 1, 0]), seed=0)
+        FoldPlan(n=4, k=2, assignment=np.array([0, 1, 0]))
     with pytest.raises(ValidationError, match="in \\[0, k\\)"):
-        FoldPlan(n=3, k=2, assignment=np.array([0, 1, 2]), seed=0)
+        FoldPlan(n=3, k=2, assignment=np.array([0, 1, 2]))
     with pytest.raises(ValidationError, match="non-empty"):
-        FoldPlan(n=3, k=3, assignment=np.array([0, 0, 1]), seed=0)
+        FoldPlan(n=3, k=3, assignment=np.array([0, 0, 1]))
 
 
 def test_train_test_rows_partition():

@@ -26,7 +26,7 @@ from isoeffect import (
 from isoeffect.boosting import GBTModel
 from isoeffect.core import derive_seed
 from isoeffect.estimator import GeneralFits, NuisanceFits
-from isoeffect.nuisance import Family, ModelSpec, fit_outcome_model, fit_propensity_model
+from isoeffect.nuisance import Family, ModelSpec, fit_outcome_models, fit_propensity_models
 
 
 def _zeroed(arr):
@@ -280,8 +280,9 @@ def test_estimand_kinds_and_target_sizes(synth_small):
     iatt = estimate_effect(synth_small, kind="iatt", outcome_spec=FAST_LINEAR,
                            propensity_spec=FAST_LOGISTIC, seed=0)
     assert iate.estimand == "iate" and iatt.estimand == "iatt"
-    assert iate.diagnostics["m_target"] == synth_small.n
-    assert iatt.diagnostics["m_target"] == synth_small.n_treated()
+    # the fits' facts (p_min, clipped_frac, ...) stay on the fits
+    assert iate.diagnostics == {"m_target": synth_small.n}
+    assert iatt.diagnostics == {"m_target": synth_small.n_treated()}
     # same folds, same nuisances; only the weighting differs
     assert iate.tau_hat != iatt.tau_hat
 
@@ -408,22 +409,26 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
                          + ["enet_logistic_paths"] * 2 * (nuisances - 1))
     monkeypatch.undo()
 
+    def alone(fit, X, target, spec, label):
+        # the rows fitted as the only fold, with that fold's derived seed
+        return fit(X, target, spec, [(np.arange(len(target)), derive_seed(seed, label))])[0]
+
     feats, y, a = synth_small.features, synth_small.y, synth_small.a.astype(float)
     design = np.column_stack([feats, a])
     for f in range(k):
         tr = fits.fold_plan.train_rows(f)
         assert fits.outcome_models[f].diagnostics["inner_cv"]["scores"]
-        _assert_same_fitted(fits.outcome_models[f], fit_outcome_model(
-            design[tr], y[tr], replace(outcome_spec, seed=derive_seed(seed, f"outcome-f{f}"))))
-        _assert_same_fitted(fits.propensity_models[f], fit_propensity_model(
-            feats[tr], a[tr], replace(propensity_spec, seed=derive_seed(seed, f"propensity-f{f}"))))
+        _assert_same_fitted(fits.outcome_models[f], alone(
+            fit_outcome_models, design[tr], y[tr], outcome_spec, f"outcome-f{f}"))
+        _assert_same_fitted(fits.propensity_models[f], alone(
+            fit_propensity_models, feats[tr], a[tr], propensity_spec, f"propensity-f{f}"))
         if kind == "general":
             train = np.concatenate([fits.fold_plan.assignment, fits.general.target_assignment]) != f
             rows = np.vstack([feats, target])
             is_target = np.arange(len(rows)) >= synth_small.n
-            _assert_same_fitted(fits.general.corpus_models[f], fit_propensity_model(
-                rows[train], is_target[train].astype(float),
-                replace(propensity_spec, seed=derive_seed(seed, f"corpus-f{f}"))))
+            _assert_same_fitted(fits.general.corpus_models[f], alone(
+                fit_propensity_models, rows[train], is_target[train].astype(float),
+                propensity_spec, f"corpus-f{f}"))
 
 
 def test_default_gbt_crossfit_grows_each_nuisance_in_two_lockstep_groups(monkeypatch):

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import inspect
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from isoeffect import ValidationError
+from isoeffect import FoldPlan, SensitivityReport, ValidationError, audit
 from isoeffect.core import derive_seed, make_folds
 from isoeffect.elasticnet import fit_enet_linear, fit_enet_logistic
 from isoeffect.nuisance import (
     ClipPolicy,
     Family,
     ModelSpec,
+    _INNER_FOLDS,
     _loss,
     cv_select,
     default_grid,
@@ -47,13 +49,29 @@ def test_default_grids_frozen():
         default_grid("mystery")
 
 
+def test_settable_surface():
+    # seeds come with the rows to fit, inner CV has one fold count, and the
+    # audit keeps no copy of the estimate's fields
+    expected = {
+        ModelSpec: ("family", "hyper_grid"),
+        FoldPlan: ("n", "k", "assignment", "stratified", "downgraded"),
+        SensitivityReport: ("sigma2", "nu2", "nu2_plugin", "nu2_negative", "rv"),
+    }
+    for cls, names in expected.items():
+        assert tuple(f.name for f in fields(cls)) == names, cls.__name__
+    assert tuple(inspect.signature(audit).parameters) == ("estimate", "dataset", "fits",
+                                                          "weights")
+    with pytest.raises(TypeError):
+        ModelSpec(Family.GBT_REG, seed=5)
+    with pytest.raises(TypeError):
+        ModelSpec(Family.ELASTIC_LINEAR, inner_folds=2)
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError, match="family"):
         ModelSpec("nope")
     with pytest.raises(ValueError, match="at least one value"):
         ModelSpec(Family.ELASTIC_LINEAR, {"alpha": []})
-    with pytest.raises(ValueError, match="inner_folds"):
-        ModelSpec(Family.ELASTIC_LINEAR, inner_folds=1)
     # a missing key would fail at the first fit; a misspelt one would
     # multiply the candidates
     with pytest.raises(ValueError, match=r"missing keys \['l1_ratio'\] and has unknown keys \[\]"):
@@ -111,7 +129,7 @@ def test_single_candidate_skips_inner_cv():
     X = rng.standard_normal((40, 3))
     y = X[:, 0] + 0.1 * rng.standard_normal(40)
     spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.01], "l1_ratio": [0.5]})
-    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
+    chosen, diag = inner_cv_choose(X, y, spec)
     assert chosen == {"alpha": 0.01, "l1_ratio": 0.5}
     assert diag == {"inner_cv": None}
 
@@ -120,9 +138,8 @@ def test_small_sample_falls_back_to_most_regularized():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
-    spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.01, 1.0], "l1_ratio": [0.5]},
-                     inner_folds=5)
-    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
+    spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.01, 1.0], "l1_ratio": [0.5]})
+    chosen, diag = inner_cv_choose(X, y, spec)
     assert chosen["alpha"] == 1.0
     assert diag == {"inner_cv": "skipped_small_n"}
 
@@ -131,10 +148,8 @@ def test_inner_cv_picks_informative_model():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((200, 3))
     y = 3.0 * X[:, 0] + 0.1 * rng.standard_normal(200)
-    spec = ModelSpec(
-        Family.ELASTIC_LINEAR, {"alpha": [1e-4, 100.0], "l1_ratio": [0.0]}, seed=0
-    )
-    chosen, diag = inner_cv_choose(X, y, spec, classifier=False)
+    spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [1e-4, 100.0], "l1_ratio": [0.0]})
+    chosen, diag = inner_cv_choose(X, y, spec)
     assert chosen["alpha"] == 1e-4  # shrinking a strong signal to zero loses badly
     assert len(diag["inner_cv"]["scores"]) == 2
     assert diag["inner_cv"]["nonconverged"] == 0
@@ -147,18 +162,17 @@ def test_inner_cv_counts_nonconverged_path_solves():
     X = rng.standard_normal((400, 3))
     X[:, 0] += np.sign(X[:, 0])
     a = (X[:, 0] > 0).astype(float)
-    spec = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [1.0, 100.0], "l1_ratio": [0.0]},
-                     inner_folds=2)
-    _, diag = inner_cv_choose(X, a, spec, classifier=True)
-    assert 0 < diag["inner_cv"]["nonconverged"] <= 2
+    spec = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [1.0, 100.0], "l1_ratio": [0.0]})
+    _, diag = inner_cv_choose(X, a, spec)
+    assert 0 < diag["inner_cv"]["nonconverged"] <= _INNER_FOLDS  # one C=100 solve per fold
 
 
-def _per_candidate_choice(X, target, spec):
+def _per_candidate_choice(X, target, spec, seed):
     """Inner-CV choice with every candidate refit from zero on every fold."""
     cands = spec.candidates()
     classifier = spec.family == Family.ELASTIC_LOGISTIC
-    plan = make_folds(len(target), spec.inner_folds, a=target if classifier else None,
-                      seed=derive_seed(spec.seed, "inner-cv"))
+    plan = make_folds(len(target), _INNER_FOLDS, a=target if classifier else None,
+                      seed=derive_seed(seed, "inner-cv"))
     scores = []
     for cand in cands:
         losses = []
@@ -184,9 +198,9 @@ def test_path_selection_matches_per_candidate_scoring(family):
         target = eta + 0.5 * rng.standard_normal(160)
     else:
         target = (rng.random(160) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    spec = ModelSpec(family, seed=3)
-    chosen, diag = inner_cv_choose(X, target, spec, classifier=family in Family.CLASSIFIERS)
-    expected, scores = _per_candidate_choice(X, target, spec)
+    spec = ModelSpec(family)
+    chosen, diag = inner_cv_choose(X, target, spec, seed=3)
+    expected, scores = _per_candidate_choice(X, target, spec, seed=3)
     assert chosen == expected
     np.testing.assert_allclose(diag["inner_cv"]["scores"], scores, rtol=0, atol=1e-7)
 
@@ -205,12 +219,12 @@ def test_path_inner_cv_equals_solo_paths(family):
     else:
         target = eta + 0.6 * rng.standard_normal(150)
         penalty, path = "alpha", scalar_paths.linear_path
-    spec = ModelSpec(family, seed=8)
-    chosen, diag = inner_cv_choose(X, target, spec, classifier=classifier)
+    spec = ModelSpec(family)
+    chosen, diag = inner_cv_choose(X, target, spec, seed=8)
 
     cands = spec.candidates()
-    plan = make_folds(len(target), spec.inner_folds, a=target if classifier else None,
-                      seed=derive_seed(spec.seed, "inner-cv"))
+    plan = make_folds(len(target), _INNER_FOLDS, a=target if classifier else None,
+                      seed=derive_seed(8, "inner-cv"))
     losses = np.empty((len(cands), plan.k))
     nonconverged = 0
     for ratio in spec.hyper_grid["l1_ratio"]:
@@ -295,7 +309,7 @@ def test_batched_folds_equal_solo_fits_with_degenerate_folds():
     for (rows, seed), model in zip(folds, batch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            solo = fit_outcome_model(X[rows], y[rows], replace(spec, seed=seed))
+            solo, = fit_outcome_models(X[rows], y[rows], spec, [(np.arange(rows.size), seed)])
         assert (model.chosen, model.constant) == (solo.chosen, solo.constant)
         assert model.diagnostics == solo.diagnostics
         if solo.model is not None:
@@ -388,8 +402,13 @@ def test_gbt_outcome_model_deterministic_seeding():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((80, 3))
     y = X[:, 0] + 0.2 * rng.standard_normal(80)
-    spec = ModelSpec(Family.GBT_REG, {"depth": [2], "n_trees": [30], "learning_rate": [0.1]},
-                     seed=7)
-    f1 = fit_outcome_model(X, y, spec)
-    f2 = fit_outcome_model(X, y, spec)
+    spec = ModelSpec(Family.GBT_REG, {"depth": [2], "n_trees": [30], "learning_rate": [0.1]})
+    every = np.arange(80)
+    f1, = fit_outcome_models(X, y, spec, [(every, 7)])
+    f2, = fit_outcome_models(X, y, spec, [(every, 7)])
     np.testing.assert_array_equal(f1.predict(X), f2.predict(X))
+    # the one-fold seam is seed 0, which draws other row subsamples than seed 7
+    seam = fit_outcome_model(X, y, spec)
+    f0, = fit_outcome_models(X, y, spec, [(every, 0)])
+    np.testing.assert_array_equal(seam.predict(X), f0.predict(X))
+    assert not np.array_equal(seam.predict(X), f1.predict(X))

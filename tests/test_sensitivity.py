@@ -61,12 +61,12 @@ def test_negative_nu2_is_flagged_never_clamped(tiny_dataset):
     fits = _fits_for(tiny_dataset)
     est = estimate_dr(fits, weights_for(fits, tiny_dataset.a.astype(float), "iate"),
                       tiny_dataset)
-    report = audit(est, tiny_dataset, fits, w,
-                   bounds_at=(SensitivityParams(0.5, 0.5),))
+    report = audit(est, tiny_dataset, fits, w)
     assert report.nu2 == val  # preserved, not clamped to zero
     assert report.nu2_negative
     assert report.rv is None
-    assert report.bounds == ()
+    with pytest.raises(ValidationError, match="nu2"):
+        ovb_bounds(est.tau_hat, report.sigma2, report.nu2, SensitivityParams(0.5, 0.5))
 
 
 def _fits_for(ds, seed=0):
@@ -200,23 +200,19 @@ def test_audit_matches_direct_computations(synth_medium):
                               propensity_spec=FAST_LOGISTIC, seed=4)
     w = weights_for(fits, synth_medium.a.astype(float), "iate")
     est = estimate_dr(fits, w, synth_medium)
-    params = SensitivityParams(0.3, 0.4)
-    report = audit(est, synth_medium, fits, w, bounds_at=(params,))
+    report = audit(est, synth_medium, fits, w)
     assert report.sigma2 == sigma2_hat(synth_medium.y, fits.ghat_obs)
     assert report.nu2 == nu2_hat(w)
     assert report.nu2_plugin == nu2_plugin(w)
     assert not report.nu2_negative
     assert report.rv == robustness_value(est.tau_hat, report.sigma2, report.nu2)
-    (got_params, got_bounds), = report.bounds
-    assert got_params == params
-    assert got_bounds == ovb_bounds(est.tau_hat, report.sigma2, report.nu2, params)
 
 
 def test_iatt_audit_runs(synth_medium):
     est, fits, w = _estimate_parts(synth_medium, "iatt")
     report = audit(est, synth_medium, fits, w)
     assert report.sigma2 > 0
-    assert report.diagnostics["estimand"] == "iatt"
+    assert est.estimand == "iatt"
 
 
 def _estimate_parts(ds, kind):

@@ -82,7 +82,7 @@ def test_weights_for_general_gaps_use_each_target_rows_fold_share():
 
     a = np.array([1.0, 0.0, 1.0, 0.0])
     p = np.array([0.4, 0.6, 0.3, 0.5])
-    plan = FoldPlan(n=4, k=2, assignment=np.array([0, 0, 1, 1]), seed=0)
+    plan = FoldPlan(n=4, k=2, assignment=np.array([0, 0, 1, 1]))
     frac_t = np.array([0.2, 0.6])  # target share of each fold's corpus training rows
     t_assign = np.array([1, 0, 0, 1, 1])
     tp = np.array([0.25, 0.5, 0.75, 0.4, 0.6])
