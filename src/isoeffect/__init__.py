@@ -9,7 +9,6 @@ sigma2, overlap nu2, robustness value, bias bounds, calibration).
 
 from .core import (
     Dataset,
-    Estimand,
     EstimandKind,
     FoldPlan,
     SchemaError,
@@ -78,7 +77,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "Estimand", "EstimandKind", "FoldPlan",
+    "Dataset", "EstimandKind", "FoldPlan",
     "SchemaError", "ValidationError",
     "derive_seed", "load_csv", "make_folds", "write_csv",
     "EffectEstimate", "NuisanceFits", "Weights",

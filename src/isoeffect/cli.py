@@ -224,6 +224,8 @@ def _cmd_synth(opt: dict) -> int:
 
 
 def _estimate_with_audit(dataset: Dataset, opt: dict):
+    if dataset.d == 0 and opt["model"] == "gbt":  # before any fit
+        raise ValidationError("the data has no feature column, and --model gbt needs at least one")
     outcome_spec, propensity_spec = _model_specs(opt["model"])
     kind = opt["estimand"]
     target = None
@@ -246,7 +248,9 @@ def _estimate_with_audit(dataset: Dataset, opt: dict):
 
 def _report_payload(dataset: Dataset, opt: dict, est, fits, report) -> dict:
     naive = estimate_naive(dataset)
-    diag = {key: fits.diagnostics[key] for key in ("p_min", "p_max", "clipped_frac", "pi1")}
+    # only general-estimand fits carry corpus_clipped_frac
+    keys = ("p_min", "p_max", "clipped_frac", "pi1", "corpus_clipped_frac")
+    diag = {key: fits.diagnostics[key] for key in keys if key in fits.diagnostics}
     diag["m_target"] = est.diagnostics["m_target"]
     return {
         "estimand": est.estimand,

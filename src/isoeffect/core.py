@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "Dataset",
     "FoldPlan",
     "EstimandKind",
-    "Estimand",
     "load_csv",
     "load_features_csv",
     "write_csv",
@@ -174,33 +173,6 @@ class EstimandKind:
     GENERAL = "general"
 
     ALL = (IATE, IATT, GENERAL)
-
-
-@dataclass(frozen=True)
-class Estimand:
-    """Which average effect to target.
-
-    ``general`` transports the estimate onto an external target corpus and
-    therefore carries that corpus' feature matrix.
-    """
-
-    kind: str = EstimandKind.IATE
-    target_features: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in EstimandKind.ALL:
-            raise ValueError(f"unknown estimand kind {self.kind!r}")
-        tf = self.target_features
-        if self.kind == EstimandKind.GENERAL:
-            if tf is None:
-                raise ValidationError("general estimand requires a target feature matrix")
-            tf = np.asarray(tf, dtype=np.float64)
-            if tf.ndim != 2 or tf.shape[0] == 0:
-                raise ValidationError("target feature matrix must be non-empty and 2-d")
-            _require_finite(tf, "target feature value")
-            object.__setattr__(self, "target_features", _readonly(tf))
-        elif tf is not None:
-            raise ValueError("target_features is only meaningful for the general estimand")
 
 
 # ---------------------------------------------------------------------------

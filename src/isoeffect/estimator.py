@@ -21,18 +21,17 @@ usual two-sided normal interval.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     Dataset,
-    Estimand,
     EstimandKind,
     FoldPlan,
     ValidationError,
     _readonly,
+    _require_finite,
     derive_seed,
     make_folds,
 )
@@ -102,23 +101,15 @@ class NuisanceFits:
         return self.pi1_by_fold[self.fold_plan.assignment]
 
 
-def _default_specs(outcome_spec, propensity_spec):
-    if outcome_spec is None:
-        outcome_spec = ModelSpec(family=Family.ELASTIC_LINEAR)
-    if propensity_spec is None:
-        propensity_spec = ModelSpec(family=Family.ELASTIC_LOGISTIC)
-    return outcome_spec, propensity_spec
-
-
 def crossfit_nuisances(
     dataset: Dataset,
-    estimand: Estimand | None = None,
     outcome_spec: ModelSpec | None = None,
     propensity_spec: ModelSpec | None = None,
     k: int = 5,
     seed: int = 0,
     clip: ClipPolicy = ClipPolicy(),
     fold_plan: FoldPlan | None = None,
+    target_features: np.ndarray | None = None,
 ) -> NuisanceFits:
     """Cross-fit outcome and propensity models over k folds.
 
@@ -128,16 +119,18 @@ def crossfit_nuisances(
     caller pin the fold structure (the sensitivity calibration reuses the
     full-representation plan so paired quantities stay comparable).
 
-    For the general estimand the target corpus is dealt into pseudo-folds
-    and stacked under the source rows, and a source-vs-target corpus
-    classifier is cross-fitted alongside. Each nuisance's K fold models are
-    fitted together (:func:`~isoeffect.nuisance.fit_outcome_models`): one
-    solver batch for every fold's inner CV, one for every final fit. Each
+    ``target_features``, the general estimand's corpus, is checked before
+    any fit (2-d, finite, the source's columns, at least k rows), dealt into
+    pseudo-folds and stacked under the source rows, and a source-vs-target
+    corpus classifier is cross-fitted alongside. Each nuisance's K fold
+    models are fitted together (:func:`~isoeffect.nuisance.fit_outcome_models`):
+    one solver batch for every fold's inner CV, one for every final fit. Each
     fold predicts all of its held-out rows, source then target, with one call
-    per model and quantity; IATE and IATT are the case of an empty target.
+    per model and quantity; IATE and IATT, which fit the same nuisances, are
+    the case of no target.
     """
-    estimand = estimand or Estimand(EstimandKind.IATE)
-    outcome_spec, propensity_spec = _default_specs(outcome_spec, propensity_spec)
+    outcome_spec = outcome_spec or ModelSpec(Family.ELASTIC_LINEAR)
+    propensity_spec = propensity_spec or ModelSpec(Family.ELASTIC_LOGISTIC)
     dataset.require_both_arms()
     n = dataset.n
     if fold_plan is None:
@@ -152,9 +145,12 @@ def crossfit_nuisances(
     design = np.column_stack([feats, a])
 
     rows, assign = feats, fold_plan.assignment
-    general = estimand.kind == EstimandKind.GENERAL
+    general = target_features is not None
     if general:
-        tgt = np.asarray(estimand.target_features, dtype=np.float64)
+        tgt = np.asarray(target_features, dtype=np.float64)
+        if tgt.ndim != 2 or tgt.shape[0] == 0:
+            raise ValidationError("target feature matrix must be non-empty and 2-d")
+        _require_finite(tgt, "target feature value")
         if tgt.shape[1] != feats.shape[1]:
             raise ValidationError(
                 f"target corpus has {tgt.shape[1]} feature columns, source has {feats.shape[1]}"
@@ -469,7 +465,6 @@ def estimate_naive(dataset: Dataset) -> EffectEstimate:
         ci95=ci,
         n=dataset.n,
         influence=influence,
-        diagnostics={"pi1": float(a.mean())},
     )
 
 
@@ -486,14 +481,19 @@ def estimate_effect(
 ):
     """One-shot pipeline: cross-fit nuisances, build weights, estimate.
 
-    Returns the :class:`EffectEstimate`, or ``(estimate, fits, weights)``
-    when ``return_parts`` is set (the sensitivity audit consumes the parts).
+    ``target_features`` is the general estimand's target corpus and is
+    rejected for any other kind. Returns the :class:`EffectEstimate`, or
+    ``(estimate, fits, weights)`` when ``return_parts`` is set (the
+    sensitivity audit consumes the parts).
     """
-    estimand = Estimand(kind, target_features)
-    fits = crossfit_nuisances(
-        dataset, estimand, outcome_spec, propensity_spec,
-        k=k, seed=seed, clip=clip,
-    )
+    if kind not in EstimandKind.ALL:
+        raise ValueError(f"unknown estimand kind {kind!r}")
+    if kind == EstimandKind.GENERAL and target_features is None:
+        raise ValidationError("general estimand requires a target feature matrix")
+    if kind != EstimandKind.GENERAL and target_features is not None:
+        raise ValueError("target_features is only meaningful for the general estimand")
+    fits = crossfit_nuisances(dataset, outcome_spec, propensity_spec, k=k, seed=seed,
+                              clip=clip, target_features=target_features)
     weights = weights_for(fits, dataset.a, kind)
     est = estimate_dr(fits, weights, dataset)
     return (est, fits, weights) if return_parts else est

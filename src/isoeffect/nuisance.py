@@ -16,7 +16,6 @@ functions are the one-fold case.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -33,7 +32,6 @@ from .elasticnet import (
     fit_enet_linear,
     fit_enet_logistic,
     prepare_design,
-    standardize_columns,
 )
 
 __all__ = [
@@ -138,9 +136,8 @@ class FittedModel:
     """
 
     family: str
-    model: LinearFit | LogisticFit | GBTModel | None
+    model: LinearFit | LogisticFit | GBTModel
     chosen: dict
-    constant: float | None = None  # degenerate constant-target fallback
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -150,15 +147,11 @@ class FittedModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.is_classifier:
             raise ValueError("use predict_proba for classifiers")
-        if self.constant is not None:
-            return np.full(np.asarray(X).shape[0], self.constant)
         return self.model.predict(X)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self.is_classifier:
             raise ValueError("predict_proba is only defined for classifiers")
-        if self.constant is not None:
-            return np.full(np.asarray(X).shape[0], self.constant)
         return self.model.predict_proba(X)
 
 
@@ -308,39 +301,14 @@ def _final_fits(X, target, family: str, fits: list) -> list:
                                        for rows, c, _ in fits])]
 
 
-def _design_is_singular(X: np.ndarray) -> bool:
-    # a constant column standardizes to zeros, so it lowers the rank too
-    return np.linalg.matrix_rank(standardize_columns(X)[0]) < X.shape[1]
-
-
 def _fit_models(X, target, spec: ModelSpec, folds) -> list[FittedModel]:
     folds = [(np.asarray(rows, dtype=np.intp), seed) for rows, seed in folds]
-    models: list = [None] * len(folds)
-    live = []
-    for j, (rows, _) in enumerate(folds):
-        if spec.family in Family.CLASSIFIERS or np.ptp(target[rows]) != 0.0:
-            live.append(j)
-            continue
-        warnings.warn("constant outcome target; returning an intercept-only model")
-        models[j] = FittedModel(family=spec.family, model=None, chosen={},
-                                constant=float(target[rows[0]]),
-                                diagnostics={"warning": "constant_target"})
-    finals, diags = [], []
-    for j, (chosen, diag) in zip(live, _choose(X, target, spec, [folds[j] for j in live])):
-        rows, seed = folds[j]
-        if (spec.family == Family.ELASTIC_LINEAR and chosen.get("alpha", 1.0) == 0.0
-                and _design_is_singular(X[rows])):
-            nonzero = sorted(a for a in spec.hyper_grid.get("alpha", ()) if a > 0)
-            fallback = nonzero[0] if nonzero else 1e-6
-            warnings.warn(f"singular design with zero penalty; refitting with alpha={fallback}")
-            chosen = dict(chosen, alpha=fallback)
-            diag = dict(diag, singular_fallback=fallback)
-        finals.append((rows, chosen, derive_seed(seed, "final")))
-        diags.append(diag)
-    fitted = _final_fits(X, target, spec.family, finals) if finals else []
-    for j, (_, chosen, _), model, diag in zip(live, finals, fitted, diags):
-        models[j] = FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
-    return models
+    choices = _choose(X, target, spec, folds)
+    finals = [(rows, chosen, derive_seed(seed, "final"))
+              for (rows, seed), (chosen, _) in zip(folds, choices)]
+    fitted = _final_fits(X, target, spec.family, finals)
+    return [FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
+            for model, (chosen, diag) in zip(fitted, choices)]
 
 
 def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
@@ -348,10 +316,10 @@ def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
     """Fit the outcome regression ``g(features) ~ y`` once per ``(rows, seed)`` fold.
 
     Fold j's model depends only on ``X[rows]``, ``y[rows]`` and its ``seed``:
-    it is bit for bit that fold fitted alone. A fold with a constant target
-    short-circuits to an intercept-only model with a warning. A zero-penalty
-    elastic net on a singular design falls back to the smallest nonzero
-    penalty in the grid (the least-squares solution would not be unique).
+    it is bit for bit that fold fitted alone. Every fold is chosen by inner CV
+    and fitted by its solver as it is: a constant target gives a model that
+    predicts the fold mean, and a zero-penalty elastic net on a singular
+    design keeps ``alpha = 0`` and converges to a least-squares solution.
     """
     if spec.family not in Family.REGRESSORS:
         raise ValueError(f"{spec.family!r} is not an outcome-regression family")

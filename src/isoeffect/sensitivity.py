@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Estimand, EstimandKind, ValidationError
+from .core import Dataset, EstimandKind, ValidationError
 from .estimator import (
     EffectEstimate,
     NuisanceFits,
@@ -206,14 +206,15 @@ def calibrate_detail(
     and seed derivation so the out-of-fold quantities are paired row by row.
     C_Y compares outcome predictions relative to the reduced residual scale;
     C_D compares weight second moments. Omitting nothing (reduced == full)
-    yields exactly (0, 0).
+    yields exactly (0, 0). ``kind`` must be iate or iatt, checked before the
+    refit: the refit's nuisances are the same for both, and only the weights
+    built from them differ.
     """
-    if kind == EstimandKind.GENERAL:
+    if kind not in (EstimandKind.IATE, EstimandKind.IATT):
         raise ValueError("calibration supports the iate and iatt estimands")
     reduced = Dataset(y=dataset.y, a=dataset.a, features=np.asarray(reduced_features, dtype=np.float64))
     red_fits = crossfit_nuisances(
         reduced,
-        Estimand(kind),
         outcome_spec,
         propensity_spec,
         seed=seed,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))  # make reference_solvers importable
 
 from isoeffect import Dataset, Family, ModelSpec, SynthSpec, generate
+from isoeffect.boosting import GBTModel
 from isoeffect.nuisance import _choose
 
 # Property tests draw the same examples on every run, so a tier-1 result
@@ -28,6 +30,23 @@ FAST_LOGISTIC = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [100.0], "l1_ratio": [0
 def inner_cv_choose(X, target, spec: ModelSpec, seed: int = 0) -> tuple[dict, dict]:
     """The hyperparameter choice and inner-CV facts of one fit on every row of ``X``."""
     return _choose(X, target, spec, [(np.arange(len(target)), seed)])[0]
+
+
+def assert_same_fitted(batch, solo):
+    """Bit-for-bit equality of two fitted nuisance models, solver state included."""
+    assert (batch.family, batch.chosen) == (solo.family, solo.chosen)
+    assert batch.diagnostics == solo.diagnostics
+    assert type(batch.model) is type(solo.model)
+    if isinstance(solo.model, GBTModel):
+        names = ("feature", "threshold", "value", "init", "diagnostics")
+    else:
+        names = [f.name for f in fields(solo.model)]
+    for name in names:
+        got, want = getattr(batch.model, name), getattr(solo.model, name)
+        if isinstance(want, dict):
+            assert got == want, name
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 @pytest.fixture

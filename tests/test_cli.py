@@ -119,6 +119,7 @@ def test_estimate_iatt(data_csv, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["estimand"] == "iatt"
     assert rep["diagnostics"]["pi1"] > 0
+    assert set(rep["diagnostics"]) == {"p_min", "p_max", "clipped_frac", "pi1", "m_target"}
 
 
 def test_estimate_general_requires_target(data_csv, tmp_path, capsys):
@@ -136,6 +137,9 @@ def test_estimate_general_with_target(data_csv, tmp_path):
                      "--target-data", str(tpath)) == 0
     rep = json.loads(out.read_text())
     assert rep["estimand"] == "general"
+    assert list(rep["diagnostics"]) == ["p_min", "p_max", "clipped_frac", "pi1",
+                                        "corpus_clipped_frac", "m_target"]
+    assert 0.0 <= rep["diagnostics"]["corpus_clipped_frac"] <= 1.0
     assert rep["diagnostics"]["m_target"] == SPEC["n"]
     # same generating law: should agree with iate within joint noise
     out_iate = tmp_path / "iate.json"
@@ -725,6 +729,36 @@ def test_mask_pattern_calibration_end_to_end(text_corpus, tmp_path):
         assert entry["c_y"] >= 0
     # masking the dominant fitness pattern should cost outcome fidelity
     assert payload["calibrations"]["run*"]["c_y"] > 0
+
+
+@pytest.mark.parametrize("command", ["estimate", "contour", "calibrate"])
+def test_gbt_on_data_without_feature_columns_rejected_before_fitting(
+        command, text_corpus, tmp_path, capsys, monkeypatch):
+    # a text-only CSV: the schema names no feature column, and boosting needs one
+    import isoeffect.cli as cli
+    import isoeffect.nuisance as nuisance
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be fitted")
+
+    for owner, name in ((cli, "estimate_effect"), (cli, "calibrate_detail"),
+                        (nuisance, "_fit_models")):
+        monkeypatch.setattr(owner, name, never)
+    _, _, lex = text_corpus
+    texts = _TREATED + _CONTROL
+    data = tmp_path / "text_only.csv"
+    data.write_text("y,a,text\n" + "".join(
+        f'{0.1 * i},{i % 2},"{texts[i % len(texts)]}"\n' for i in range(60)))
+    schema = tmp_path / "text_schema.json"
+    schema.write_text(json.dumps({"text": "text"}))
+    out = tmp_path / "out"
+    masks = [] if command == "estimate" else ["--mask-patterns", "run*", "--lexicon", lex]
+    rc = main([command, "--data", str(data), "--schema", str(schema), "--out", str(out),
+               "--model", "gbt", "--folds", "2", *masks])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the data has no feature column, and --model gbt needs at least one\n")
+    assert not out.exists()
 
 
 def _never_featurized_or_fitted(monkeypatch):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import isoeffect
 from isoeffect import (
     Dataset,
-    Estimand,
     FoldPlan,
     SchemaError,
     ValidationError,
@@ -81,25 +80,6 @@ def test_require_both_arms():
     ds = Dataset(y=np.zeros(3), a=np.array([1, 1, 1]), features=np.zeros((3, 1)))
     with pytest.raises(ValidationError, match="both treatment arms"):
         ds.require_both_arms()
-
-
-def test_estimand_validation():
-    with pytest.raises(ValueError):
-        Estimand("nope")
-    with pytest.raises(ValidationError):
-        Estimand("general")  # needs a target matrix
-    with pytest.raises(ValueError):
-        Estimand("iate", target_features=np.zeros((2, 2)))
-    est = Estimand("general", target_features=np.ones((3, 2)))
-    assert est.target_features.shape == (3, 2)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_estimand_rejects_nonfinite_target_features(bad):
-    target = np.ones((3, 2))
-    target[1, 0] = bad
-    with pytest.raises(ValidationError, match="target feature value at row 2"):
-        Estimand("general", target_features=target)
 
 
 # ---------------------------------------------------------------------------

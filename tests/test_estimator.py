@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import FAST_LINEAR, FAST_LOGISTIC
+from conftest import FAST_LINEAR, FAST_LOGISTIC, assert_same_fitted
 from isoeffect import (
     Dataset,
-    Estimand,
     SynthSpec,
     ValidationError,
     crossfit_nuisances,
@@ -23,7 +22,6 @@ from isoeffect import (
     weights_iate,
     weights_iatt,
 )
-from isoeffect.boosting import GBTModel
 from isoeffect.core import derive_seed
 from isoeffect.estimator import GeneralFits, NuisanceFits
 from isoeffect.nuisance import Family, ModelSpec, fit_outcome_models, fit_propensity_models
@@ -48,6 +46,7 @@ def test_naive_hand_case():
     lo, hi = est.ci95
     assert lo == pytest.approx(1.0 - 1.96 * np.sqrt(2.0))
     assert hi == pytest.approx(1.0 + 1.96 * np.sqrt(2.0))
+    assert est.diagnostics == {}  # the report takes pi1 from the fits
 
 
 def test_naive_requires_both_arms():
@@ -329,9 +328,8 @@ def test_general_predictions_come_from_each_folds_models(synth_small):
     # models, and the corpus classifier trains on the rest of both corpora;
     # k = 3 does not divide m = 50, so the target folds are unequal
     target = generate(SynthSpec(n=50, d=synth_small.features.shape[1], seed=41)).features
-    fits = crossfit_nuisances(synth_small, Estimand("general", target_features=target),
-                              outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
-                              k=3, seed=2)
+    fits = crossfit_nuisances(synth_small, FAST_LINEAR, FAST_LOGISTIC, k=3, seed=2,
+                              target_features=target)
     g = fits.general
     clip = fits.clip.apply
     assert len(set(np.bincount(g.target_assignment))) == 2
@@ -358,23 +356,6 @@ def test_general_predictions_come_from_each_folds_models(synth_small):
         assert g.frac_t_by_fold[f] == n_tgt / (n_src + n_tgt)
 
 
-def _assert_same_fitted(batch, solo):
-    """Bit-for-bit equality of two fitted nuisance models, solver state included."""
-    assert (batch.family, batch.chosen, batch.constant) == (solo.family, solo.chosen, solo.constant)
-    assert batch.diagnostics == solo.diagnostics
-    assert type(batch.model) is type(solo.model)
-    if isinstance(solo.model, GBTModel):
-        names = ("feature", "threshold", "value", "init", "diagnostics")
-    else:
-        names = [f.name for f in fields(solo.model)] if solo.model is not None else []
-    for name in names:
-        got, want = getattr(batch.model, name), getattr(solo.model, name)
-        if isinstance(want, dict):
-            assert got == want, name
-        else:
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
-
-
 _GRIDS = {
     "elastic": (ModelSpec(Family.ELASTIC_LINEAR, {"alpha": (1e-3, 0.1), "l1_ratio": (0.0, 0.5)}),
                 ModelSpec(Family.ELASTIC_LOGISTIC, {"C": (0.1, 10.0), "l1_ratio": (0.0, 0.9)})),
@@ -398,9 +379,9 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
         monkeypatch.setattr(nuisance, name, counted)
     outcome_spec, propensity_spec = _GRIDS[model]
     target = generate(SynthSpec(n=90, d=synth_small.features.shape[1], seed=43)).features
-    estimand = Estimand(kind, target_features=target if kind == "general" else None)
     seed, k = 6, 3
-    fits = crossfit_nuisances(synth_small, estimand, outcome_spec, propensity_spec, k=k, seed=seed)
+    fits = crossfit_nuisances(synth_small, outcome_spec, propensity_spec, k=k, seed=seed,
+                              target_features=target if kind == "general" else None)
     nuisances = 3 if kind == "general" else 2
     if model == "gbt":
         assert calls == ["fit_gbt_batch"] * 2 * nuisances
@@ -418,15 +399,15 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
     for f in range(k):
         tr = fits.fold_plan.train_rows(f)
         assert fits.outcome_models[f].diagnostics["inner_cv"]["scores"]
-        _assert_same_fitted(fits.outcome_models[f], alone(
+        assert_same_fitted(fits.outcome_models[f], alone(
             fit_outcome_models, design[tr], y[tr], outcome_spec, f"outcome-f{f}"))
-        _assert_same_fitted(fits.propensity_models[f], alone(
+        assert_same_fitted(fits.propensity_models[f], alone(
             fit_propensity_models, feats[tr], a[tr], propensity_spec, f"propensity-f{f}"))
         if kind == "general":
             train = np.concatenate([fits.fold_plan.assignment, fits.general.target_assignment]) != f
             rows = np.vstack([feats, target])
             is_target = np.arange(len(rows)) >= synth_small.n
-            _assert_same_fitted(fits.general.corpus_models[f], alone(
+            assert_same_fitted(fits.general.corpus_models[f], alone(
                 fit_propensity_models, rows[train], is_target[train].astype(float),
                 propensity_spec, f"corpus-f{f}"))
 
@@ -448,8 +429,8 @@ def test_default_gbt_crossfit_grows_each_nuisance_in_two_lockstep_groups(monkeyp
     lockstep = boosting._fit_lockstep
     monkeypatch.setattr(boosting, "_fit_lockstep",
                         lambda *args: groups.append(args[3:]) or lockstep(*args))
-    crossfit_nuisances(dataset, Estimand("iatt"), ModelSpec(Family.GBT_REG),
-                       ModelSpec(Family.GBT_CLF), k=2, seed=0)
+    crossfit_nuisances(dataset, ModelSpec(Family.GBT_REG), ModelSpec(Family.GBT_CLF),
+                       k=2, seed=0)
     assert [len(tasks) for tasks, _ in groups] == [40, 2, 40, 2]
     for tasks, tables in groups[::2]:
         assert len({t.rows.size for t in tasks}) >= 3
@@ -462,15 +443,59 @@ def replace_seed(spec: SynthSpec, seed: int) -> SynthSpec:
     return _replace(spec, seed=seed)
 
 
-def test_general_requires_target(synth_small):
-    with pytest.raises(ValidationError):
-        Estimand("general")
+def _never_fitted(monkeypatch):
+    import isoeffect.estimator as estimator
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be fitted")
+
+    monkeypatch.setattr(estimator, "fit_outcome_models", never)
+    monkeypatch.setattr(estimator, "fit_propensity_models", never)
+
+
+def test_estimand_validation(synth_small, monkeypatch):
+    # estimate_effect checks the kind and whether a target fits it, before any fit
+    _never_fitted(monkeypatch)
+    with pytest.raises(ValueError, match="unknown estimand kind 'nope'"):
+        estimate_effect(synth_small, kind="nope")
+    for kind in ("iate", "iatt"):
+        with pytest.raises(ValueError, match="only meaningful for the general estimand"):
+            estimate_effect(synth_small, kind=kind, target_features=np.ones((10, 4)))
+
+
+def test_general_requires_target(synth_small, monkeypatch):
+    _never_fitted(monkeypatch)
+    with pytest.raises(ValidationError, match="general estimand requires a target feature matrix"):
+        estimate_effect(synth_small, kind="general")
     with pytest.raises(ValidationError, match="feature columns"):
-        crossfit_nuisances(
-            synth_small,
-            Estimand("general", target_features=np.zeros((10, 99))),
-            outcome_spec=FAST_LINEAR, propensity_spec=FAST_LOGISTIC,
-        )
+        crossfit_nuisances(synth_small, FAST_LINEAR, FAST_LOGISTIC,
+                           target_features=np.zeros((10, 99)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimand_rejects_nonfinite_target_features(bad, synth_small, monkeypatch):
+    _never_fitted(monkeypatch)
+    target = np.ones((10, 4))
+    target[1, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite target feature value at row 2"):
+        crossfit_nuisances(synth_small, target_features=target)
+    with pytest.raises(ValidationError, match="non-finite target feature value at row 2"):
+        estimate_effect(synth_small, kind="general", target_features=target)
+
+
+@pytest.mark.parametrize("target, match", [
+    (np.ones(4), "target feature matrix must be non-empty and 2-d"),
+    (np.ones((0, 4)), "target feature matrix must be non-empty and 2-d"),
+    (np.ones((2, 3, 4)), "target feature matrix must be non-empty and 2-d"),
+    (np.zeros((10, 99)), "target corpus has 99 feature columns, source has 4"),
+    (np.zeros((4, 4)), "cannot split 4 rows into 5 folds"),
+], ids=["1-d", "empty", "3-d", "width", "fewer-rows-than-folds"])
+def test_target_corpus_checked_before_fitting(target, match, synth_small, monkeypatch):
+    _never_fitted(monkeypatch)
+    with pytest.raises(ValidationError, match=match):
+        crossfit_nuisances(synth_small, target_features=target)
+    with pytest.raises(ValidationError, match=match):
+        estimate_effect(synth_small, kind="general", target_features=target)
 
 
 def test_general_estimator_guards(synth_small, tiny_dataset):

@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 import inspect
-import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from isoeffect import FoldPlan, SensitivityReport, ValidationError, audit
+from isoeffect import FoldPlan, SensitivityReport, ValidationError, audit, crossfit_nuisances
 from isoeffect.core import derive_seed, make_folds
 from isoeffect.elasticnet import fit_enet_linear, fit_enet_logistic
 from isoeffect.nuisance import (
     ClipPolicy,
     Family,
+    FittedModel,
     ModelSpec,
     _INNER_FOLDS,
     _loss,
+    _reg_strength,
     cv_select,
     default_grid,
     fit_outcome_model,
@@ -27,7 +28,7 @@ from isoeffect.nuisance import (
 )
 
 import scalar_paths
-from conftest import inner_cv_choose
+from conftest import assert_same_fitted, inner_cv_choose
 
 
 def test_default_grids_frozen():
@@ -50,10 +51,12 @@ def test_default_grids_frozen():
 
 
 def test_settable_surface():
-    # seeds come with the rows to fit, inner CV has one fold count, and the
-    # audit keeps no copy of the estimate's fields
+    # seeds come with the rows to fit, inner CV has one fold count, the
+    # audit keeps no copy of the estimate's fields, every fitted model comes
+    # from a solver, and the cross-fit sees the estimand only as its target corpus
     expected = {
         ModelSpec: ("family", "hyper_grid"),
+        FittedModel: ("family", "model", "chosen", "diagnostics"),
         FoldPlan: ("n", "k", "assignment", "stratified", "downgraded"),
         SensitivityReport: ("sigma2", "nu2", "nu2_plugin", "nu2_negative", "rv"),
     }
@@ -61,6 +64,9 @@ def test_settable_surface():
         assert tuple(f.name for f in fields(cls)) == names, cls.__name__
     assert tuple(inspect.signature(audit).parameters) == ("estimate", "dataset", "fits",
                                                           "weights")
+    assert tuple(inspect.signature(crossfit_nuisances).parameters) == (
+        "dataset", "outcome_spec", "propensity_spec", "k", "seed", "clip", "fold_plan",
+        "target_features")
     with pytest.raises(TypeError):
         ModelSpec(Family.GBT_REG, seed=5)
     with pytest.raises(TypeError):
@@ -267,25 +273,57 @@ def test_clip_policy_validation():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
 def test_constant_outcome_returns_intercept_only():
-    X = np.random.default_rng(0).standard_normal((20, 2))
-    with pytest.warns(UserWarning, match="constant outcome"):
-        fm = fit_outcome_model(X, np.full(20, 2.5), ModelSpec(Family.ELASTIC_LINEAR))
-    assert fm.constant == 2.5
-    np.testing.assert_allclose(fm.predict(X), 2.5)
+    # the solvers fit a constant fold as it is: inner CV scores every candidate
+    # 0, the tie goes to the strongest one, and the model predicts the fold mean
+    # with no slope (elastic net) and no tree (boosting)
+    X = np.random.default_rng(0).standard_normal((60, 2))
+    for family in (Family.ELASTIC_LINEAR, Family.GBT_REG):
+        spec = ModelSpec(family)
+        for value in (2.5, -1e6, 1.0 / 3.0):
+            y = np.full(60, value)
+            folds = [(np.arange(40), 3), (np.arange(20, 60), 4)]
+            batch = fit_outcome_models(X, y, spec, folds)
+            for (rows, seed), model in zip(folds, batch):
+                assert set(model.diagnostics["inner_cv"]["scores"]) == {0.0}
+                assert model.chosen == max(spec.candidates(), key=_reg_strength)
+                np.testing.assert_allclose(model.predict(X), value, rtol=1e-15, atol=0.0)
+                if family == Family.GBT_REG:
+                    assert model.model.diagnostics["n_trees_fit"] == 0
+                else:
+                    assert not model.model.coef.any()
+                solo, = fit_outcome_models(X[rows], y[rows], spec, [(np.arange(rows.size), seed)])
+                assert_same_fitted(model, solo)
 
 
-def test_zero_penalty_singular_design_falls_back():
+@pytest.mark.filterwarnings("error")
+def test_zero_penalty_singular_design_keeps_alpha_zero():
+    # least squares has many solutions on a singular design, but they all
+    # give the same predictions, and coordinate descent converges to one
     rng = np.random.default_rng(1)
-    X = rng.standard_normal((30, 2))
-    X = np.column_stack([X, X[:, 0]])  # exact duplicate column
-    y = X[:, 0] + 0.1 * rng.standard_normal(30)
-    spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.0], "l1_ratio": [0.0]})
-    with pytest.warns(UserWarning, match="singular design"):
-        fm = fit_outcome_model(X, y, spec)
-    assert fm.chosen["alpha"] > 0
+    base = rng.standard_normal((300, 3))
+    dummies = np.eye(3)[rng.integers(0, 3, 300)]  # with the intercept, one too many
+    designs = {
+        "duplicate column": np.column_stack([base, base[:, 0]]),
+        "linear combination": np.column_stack([base, base[:, 0] - 2.0 * base[:, 1]]),
+        "dummy trap": np.column_stack([base[:, :2], dummies]),
+    }
+    spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.0], "l1_ratio": [0.5]})
+    for name, X in designs.items():
+        assert np.linalg.matrix_rank(np.column_stack([np.ones(300), X])) < X.shape[1] + 1
+        y = X @ rng.standard_normal(X.shape[1]) + 0.3 * rng.standard_normal(300)
+        rows = np.arange(20, 300)
+        fm, = fit_outcome_models(X, y, spec, [(rows, 5)])
+        assert fm.chosen["alpha"] == 0.0 and fm.model.alpha == 0.0, name
+        assert fm.model.converged, name
+        design = np.column_stack([np.ones(rows.size), X[rows]])
+        coef = np.linalg.lstsq(design, y[rows], rcond=None)[0]
+        np.testing.assert_allclose(fm.predict(X[rows]), design @ coef, rtol=0.0, atol=1e-10,
+                                   err_msg=name)
 
 
+@pytest.mark.filterwarnings("error")
 def test_batched_folds_equal_solo_fits_with_degenerate_folds():
     # one batch holds a constant-target fold, a zero-penalty singular fold,
     # a regular fold and a fold too small for inner CV; each model is the solo fit's
@@ -297,25 +335,16 @@ def test_batched_folds_equal_solo_fits_with_degenerate_folds():
     spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.0, 10.0], "l1_ratio": [0.5]})
     folds = [(np.arange(30), 11), (np.arange(60, 90), 12), (np.arange(30, 60), 13),
              (np.arange(90, 98), 14)]
-    with pytest.warns(UserWarning) as caught:
-        batch = fit_outcome_models(X, y, spec, folds)
-    assert sorted(str(w.message).split(";")[0] for w in caught) == [
-        "constant outcome target", "singular design with zero penalty"]
-    assert batch[0].chosen == {"alpha": 10.0, "l1_ratio": 0.5}
-    assert batch[0].diagnostics["singular_fallback"] == 10.0
-    assert batch[1].constant == 1.5
+    batch = fit_outcome_models(X, y, spec, folds)
+    assert batch[0].chosen == {"alpha": 0.0, "l1_ratio": 0.5}  # the CV's choice stands
+    assert batch[0].model.converged
+    assert batch[1].chosen == {"alpha": 10.0, "l1_ratio": 0.5}  # a tie at 0 loss
+    np.testing.assert_allclose(batch[1].predict(X), 1.5, rtol=1e-15, atol=0.0)
     assert batch[2].chosen == {"alpha": 0.0, "l1_ratio": 0.5}
     assert batch[3].diagnostics == {"inner_cv": "skipped_small_n"}
     for (rows, seed), model in zip(folds, batch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solo, = fit_outcome_models(X[rows], y[rows], spec, [(np.arange(rows.size), seed)])
-        assert (model.chosen, model.constant) == (solo.chosen, solo.constant)
-        assert model.diagnostics == solo.diagnostics
-        if solo.model is not None:
-            for name in ("coef", "intercept", "coef_std", "n_sweeps", "converged"):
-                got, want = getattr(model.model, name), getattr(solo.model, name)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        solo, = fit_outcome_models(X[rows], y[rows], spec, [(np.arange(rows.size), seed)])
+        assert_same_fitted(model, solo)
 
 
 def test_batched_propensity_folds_validated_before_fitting(monkeypatch):
