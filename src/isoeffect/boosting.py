@@ -234,8 +234,6 @@ class GBTModel:
     threshold: np.ndarray
     value: np.ndarray
     init: float
-    learning_rate: float
-    classification: bool
     n_features: int
     diagnostics: dict = field(default_factory=dict)
 
@@ -484,8 +482,6 @@ def _fit_lockstep(X, y, classification, tasks, tables) -> list[GBTModel]:
             threshold=threshold[cuts],
             value=np.ascontiguousarray(value_hist[b, :k, ::1 << (depth - t.depth)]),
             init=init[b],
-            learning_rate=t.learning_rate,
-            classification=classification,
             n_features=X.shape[1],
             diagnostics={"n_trees_fit": k},
         ))

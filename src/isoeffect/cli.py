@@ -86,6 +86,13 @@ def _write_rows(path: str, header: Sequence[str], rows: Sequence[Sequence[str]])
 # ---------------------------------------------------------------------------
 
 
+# --model -> (outcome family, propensity family)
+_MODELS = {
+    "elastic": (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC),
+    "gbt": (Family.GBT_REG, Family.GBT_CLF),
+}
+
+
 def _load_schema(path: str | None) -> dict | None:
     if path is None:
         return None
@@ -99,7 +106,8 @@ def _load_schema(path: str | None) -> dict | None:
 def _check_flags(command: str, opt: dict) -> None:
     """Fail before any data is read on a mistake that the flags alone show.
 
-    The reduction flags and ``--dims`` are parsed here once, in place.
+    Each run input is resolved here once: the reduction flags, ``--dims`` and
+    ``--schema`` are parsed in place, and ``clip`` and ``specs`` are added.
     """
     directory = os.path.dirname(os.path.abspath(opt["out"]))
     if not os.path.isdir(directory):
@@ -108,7 +116,7 @@ def _check_flags(command: str, opt: dict) -> None:
         raise ValidationError("--target-data is only used with --estimand general")
     if opt["folds"] < 2:
         raise ValidationError(f"need at least 2 folds, got k={opt['folds']}")
-    ClipPolicy(opt["clip_eps"])  # rejects an epsilon outside [0, 0.5)
+    opt["clip"] = ClipPolicy(opt["clip_eps"])  # rejects an epsilon outside [0, 0.5)
     if opt["estimand"] == EstimandKind.GENERAL:
         if command == "sweep":
             raise ValidationError("sweep supports the iate and iatt estimands")
@@ -120,6 +128,10 @@ def _check_flags(command: str, opt: dict) -> None:
         _parse_reductions(command, opt)
     if command == "sweep" and opt["dims"] is not None:
         opt["dims"] = _parse_dims(opt["dims"])
+    if command == "contour":
+        check_contour_grid(opt["cy_max"], opt["cd_max"], opt["steps"])
+    opt["specs"] = tuple(ModelSpec(family) for family in _MODELS[opt["model"]])
+    opt["schema"] = _load_schema(opt["schema"])
 
 
 def _parse_reductions(command: str, opt: dict) -> None:
@@ -154,14 +166,6 @@ def _parse_reductions(command: str, opt: dict) -> None:
             raise ValidationError("--mask-patterns requires --lexicon to refeaturize")
         opt["lexicon"] = load_lexicon(opt["lexicon"])
     opt["omit_features"], opt["mask_patterns"] = members, patterns
-
-
-def _model_specs(model: str) -> tuple[ModelSpec, ModelSpec]:
-    if model == "elastic":
-        return ModelSpec(Family.ELASTIC_LINEAR), ModelSpec(Family.ELASTIC_LOGISTIC)
-    if model == "gbt":
-        return ModelSpec(Family.GBT_REG), ModelSpec(Family.GBT_CLF)
-    raise ValueError(f"unknown model {model!r}")
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -226,11 +230,11 @@ def _cmd_synth(opt: dict) -> int:
 def _estimate_with_audit(dataset: Dataset, opt: dict):
     if dataset.d == 0 and opt["model"] == "gbt":  # before any fit
         raise ValidationError("the data has no feature column, and --model gbt needs at least one")
-    outcome_spec, propensity_spec = _model_specs(opt["model"])
+    outcome_spec, propensity_spec = opt["specs"]
     kind = opt["estimand"]
     target = None
     if kind == EstimandKind.GENERAL:  # _check_flags made sure of --target-data
-        target = load_features_csv(opt["target_data"], _load_schema(opt["schema"]))
+        target = load_features_csv(opt["target_data"], dataset.feature_names)
     est, fits, weights = estimate_effect(
         dataset,
         kind=kind,
@@ -238,7 +242,7 @@ def _estimate_with_audit(dataset: Dataset, opt: dict):
         propensity_spec=propensity_spec,
         k=opt["folds"],
         seed=opt["seed"],
-        clip=ClipPolicy(opt["clip_eps"]),
+        clip=opt["clip"],
         target_features=target,
         return_parts=True,
     )
@@ -270,16 +274,14 @@ def _report_payload(dataset: Dataset, opt: dict, est, fits, report) -> dict:
     }
 
 
-def _cmd_estimate(opt: dict) -> int:
-    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
+def _cmd_estimate(dataset: Dataset, opt: dict) -> int:
     est, fits, _, report = _estimate_with_audit(dataset, opt)
     _write_json(opt["out"], _report_payload(dataset, opt, est, fits, report))
     return 0
 
 
-def _cmd_sweep(opt: dict) -> int:
-    dataset = select_intervention(load_csv(opt["data"], _load_schema(opt["schema"])),
-                                  opt["focal"])
+def _cmd_sweep(dataset: Dataset, opt: dict) -> int:
+    dataset = select_intervention(dataset, opt["focal"])
     if dataset.d == 0:
         raise ValidationError(f"--focal {opt['focal']!r} leaves no non-focal feature column")
     lo, hi = opt["dims"] or (1, dataset.d)  # _check_flags parsed --dims
@@ -301,7 +303,7 @@ def _cmd_sweep(opt: dict) -> int:
 
 def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
     """``(label, CalibrationResult)`` for each reduced representation."""
-    outcome_spec, propensity_spec = _model_specs(opt["model"])
+    outcome_spec, propensity_spec = opt["specs"]
     return [
         (label, calibrate_detail(
             dataset, fits, reduced,
@@ -314,9 +316,7 @@ def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
     ]
 
 
-def _cmd_contour(opt: dict) -> int:
-    check_contour_grid(opt["cy_max"], opt["cd_max"], opt["steps"])
-    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
+def _cmd_contour(dataset: Dataset, opt: dict) -> int:
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
     bound = (est.tau_hat, report.sigma2, report.nu2)
@@ -333,8 +333,7 @@ def _cmd_contour(opt: dict) -> int:
     return 0
 
 
-def _cmd_calibrate(opt: dict) -> int:
-    dataset = load_csv(opt["data"], _load_schema(opt["schema"]))
+def _cmd_calibrate(dataset: Dataset, opt: dict) -> int:
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
     payload: dict = {
@@ -359,7 +358,6 @@ def _cmd_calibrate(opt: dict) -> int:
 
 
 _COMMANDS = {
-    "synth": _cmd_synth,
     "estimate": _cmd_estimate,
     "sweep": _cmd_sweep,
     "contour": _cmd_contour,
@@ -374,7 +372,7 @@ _COMMANDS = {
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", help="schema JSON (outcome/treatment/feature columns)")
-    p.add_argument("--model", choices=("elastic", "gbt"), default="elastic")
+    p.add_argument("--model", choices=tuple(_MODELS), default="elastic")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip-eps", dest="clip_eps", type=float, default=0.01)
@@ -437,9 +435,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     options = {k: v for k, v in vars(args).items() if k != "command"}
     try:
-        if args.command != "synth":  # synth's --out is a directory it creates
-            _check_flags(args.command, options)
-        return _COMMANDS[args.command](options)
+        if args.command == "synth":  # its --out is a directory it creates
+            return _cmd_synth(options)
+        _check_flags(args.command, options)
+        return _COMMANDS[args.command](load_csv(options["data"], options["schema"]), options)
     except (SchemaError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

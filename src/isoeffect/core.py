@@ -70,7 +70,7 @@ class Dataset:
         Dense real feature matrix (the non-focal representation). ``d`` may
         be zero for text-only datasets that have not been featurized yet.
     feature_names : sequence of str, optional
-        Column names; defaults to ``x_0 .. x_{d-1}``.
+        Column names, each used once; defaults to ``x_0 .. x_{d-1}``.
     texts : sequence of str, optional
         Raw documents aligned with the rows, if available.
     """
@@ -108,6 +108,9 @@ class Dataset:
             raise ValidationError(
                 f"{len(names)} feature names for {feats.shape[1]} columns"
             )
+        if len(set(names)) < len(names):
+            name = next(name for j, name in enumerate(names) if name in names[:j])
+            raise ValidationError(f"feature name {name!r} is used twice")
         texts = self.texts
         if texts is not None:
             texts = tuple(texts)
@@ -180,6 +183,7 @@ class EstimandKind:
 # ---------------------------------------------------------------------------
 
 _DEFAULT_SCHEMA: dict = {"outcome": "y", "treatment": "a", "feature_prefix": "x_"}
+_SCHEMA_KEYS = (*_DEFAULT_SCHEMA, "feature_columns", "text")
 
 
 def _column(header: list[str], name: str, what: str) -> int:
@@ -199,23 +203,17 @@ def _one_role_each(header: list[str], roles: Sequence[tuple[int | None, str]]) -
             seen[idx] = role
 
 
-def _feature_columns(header: list[str], schema: Mapping) -> list[int]:
-    if schema.get("feature_columns"):
-        feat_idx = [_column(header, str(c), "feature") for c in schema["feature_columns"]]
-    else:
-        prefix = str(schema.get("feature_prefix", "x_"))
-        feat_idx = [i for i, name in enumerate(header) if name.startswith(prefix)]
-    _one_role_each(header, [(j, "feature") for j in feat_idx])
-    return feat_idx
-
-
 def _resolve_columns(header: list[str], schema: Mapping) -> tuple[int, int, list[int], int | None]:
     y_idx = _column(header, str(schema["outcome"]), "outcome")
     a_idx = _column(header, str(schema["treatment"]), "treatment")
     text_idx = None
     if schema.get("text"):
         text_idx = _column(header, str(schema["text"]), "text")
-    feat_idx = _feature_columns(header, schema)
+    if schema.get("feature_columns"):
+        feat_idx = [_column(header, str(c), "feature") for c in schema["feature_columns"]]
+    else:
+        prefix = str(schema["feature_prefix"])
+        feat_idx = [i for i, name in enumerate(header) if name.startswith(prefix)]
     if not feat_idx and text_idx is None:
         raise SchemaError("schema must yield feature columns or a text column")
     _one_role_each(header, [(y_idx, "outcome"), (a_idx, "treatment"), (text_idx, "text"),
@@ -232,6 +230,9 @@ def _csv_rows(path: str | os.PathLike):
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected a header row") from None
+        if len(set(header)) < len(header):
+            name = next(name for i, name in enumerate(header) if name in header[:i])
+            raise SchemaError(f"{path}: column {name!r} appears twice in the header")
 
         def rows():
             width = len(header)
@@ -260,9 +261,13 @@ def load_csv(path: str | os.PathLike, schema: Mapping | None = None) -> Dataset:
 
     ``schema`` carries keys ``outcome``, ``treatment``, and either
     ``feature_prefix`` (default ``"x_"``) or an explicit ``feature_columns``
-    list, plus an optional ``text`` column name. Row indices in error
-    messages are 1-based data rows (the header is row 0).
+    list, plus an optional ``text`` column name. Any other key, and a header
+    naming a column twice, raise :class:`SchemaError` before a row is read.
+    Row indices in error messages are 1-based data rows (the header is row 0).
     """
+    for key in schema or {}:
+        if key not in _SCHEMA_KEYS:
+            raise SchemaError(f"unknown schema key {key!r}; expected one of {list(_SCHEMA_KEYS)}")
     schema = {**_DEFAULT_SCHEMA, **(schema or {})}
     with _csv_rows(path) as (header, rows):
         y_idx, a_idx, feat_idx, text_idx = _resolve_columns(header, schema)
@@ -292,18 +297,15 @@ def load_csv(path: str | os.PathLike, schema: Mapping | None = None) -> Dataset:
     )
 
 
-def load_features_csv(path: str | os.PathLike, schema: Mapping | None = None) -> np.ndarray:
-    """Load only the feature columns of a CSV, such as a general-estimand target corpus.
+def load_features_csv(path: str | os.PathLike, feature_names: Sequence[str]) -> np.ndarray:
+    """Load the ``feature_names`` columns of a CSV in that order, such as a target corpus.
 
-    Columns, row widths and values are checked as in :func:`load_csv`; the
-    outcome, treatment and text columns are neither needed nor read.
+    A missing column raises :class:`SchemaError` naming it, other columns are
+    ignored, and the header, rows and values are checked as in :func:`load_csv`.
     """
-    schema = {**_DEFAULT_SCHEMA, **(schema or {})}
     with _csv_rows(path) as (header, rows):
-        feat_idx = _feature_columns(header, schema)
-        if not feat_idx:
-            raise SchemaError(f"{path}: no feature columns matched")
-        feat_what = [f"feature {header[j]!r}" for j in feat_idx]
+        feat_idx = [_column(header, name, "feature") for name in feature_names]
+        feat_what = [f"feature {name!r}" for name in feature_names]
         feats = [[_number(row, row_no, j, w) for j, w in zip(feat_idx, feat_what)]
                  for row_no, row in rows]
     if not feats:

@@ -171,10 +171,11 @@ def test_target_data_rows_are_validated(data_csv, tmp_path, capsys):
 
 
 def test_target_data_schema_and_size_errors(data_csv, tmp_path, capsys):
-    schema = tmp_path / "schema.json"
-    schema.write_text(json.dumps({"feature_columns": ["x_0", "x_1", "x_9"]}))
-    assert _general(data_csv, tmp_path, _target_rows(20), "--schema", str(schema)) == 1
-    assert "'x_9'" in capsys.readouterr().err
+    # the target must carry every feature column the data resolved
+    two_columns = "".join(line.rsplit(",", 1)[0] + "\n" for line in _target_rows(20).splitlines())
+    assert _general(data_csv, tmp_path, two_columns) == 1
+    assert "error: feature column 'x_2' not found in header ['x_0', 'x_1']" in (
+        capsys.readouterr().err)
     # fewer target rows than folds cannot be dealt into pseudo-folds
     assert _general(data_csv, tmp_path, _target_rows(2)) == 1
     err = capsys.readouterr().err
@@ -203,6 +204,68 @@ def sweep_csv(tmp_path):
         {"feature_columns": ["treat", "x_0", "x_1", "x_2", "x_3"]}
     ))
     return str(path), str(schema)
+
+
+def _nothing_fitted(monkeypatch):
+    import isoeffect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be fitted")
+
+    monkeypatch.setattr(cli, "estimate_effect", never)
+
+
+def _target_csv(tmp_path, name, edit):
+    """The seed-77 target of ``test_estimate_general_with_target``, ``edit``-ed per row."""
+    path = tmp_path / "target.csv"
+    write_csv(generate(SynthSpec(**{**SPEC, "seed": 77})), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    edited = tmp_path / f"{name}.csv"
+    edited.write_text("".join(",".join(edit(row)) + "\n" for row in rows))
+    return str(path), str(edited)
+
+
+def test_target_is_read_by_the_data_feature_names(data_csv, tmp_path):
+    # a target whose header orders the columns differently, or carries one
+    # more, encodes the same corpus: the report is the in-order one byte for byte
+    target, swapped = _target_csv(tmp_path, "swapped", lambda r: [r[0], r[1], r[3], r[2], r[4]])
+    _, extra = _target_csv(tmp_path, "extra", lambda r: [*r, "x_9" if r[0] == "y" else "0.5"])
+    reports = []
+    for i, path in enumerate((target, swapped, extra)):
+        out = tmp_path / f"gen{i}.json"
+        assert _estimate(data_csv, out, "--estimand", "general", "--target-data", path) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_target_missing_a_data_feature_rejected_before_fitting(data_csv, tmp_path, capsys,
+                                                               monkeypatch):
+    _nothing_fitted(monkeypatch)
+    _, renamed = _target_csv(tmp_path, "x7", lambda r: r if r[0] != "y" else [*r[:4], "x_7"])
+    out = tmp_path / "gen.json"
+    assert _estimate(data_csv, out, "--estimand", "general", "--target-data", renamed) == 1
+    assert "error: feature column 'x_2' not found in header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_general_estimate_reads_the_schema_once(data_csv, tmp_path, monkeypatch):
+    import builtins
+
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"outcome": "y", "treatment": "a"}))
+    target, _ = _target_csv(tmp_path, "unused", lambda r: r)
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert _estimate(data_csv, tmp_path / "gen.json", "--schema", str(schema),
+                     "--estimand", "general", "--target-data", target) == 0
+    assert opened.count(str(schema)) == 1
+    assert opened.count(data_csv) == 1 and opened.count(target) == 1
 
 
 def test_sweep_csv_format(sweep_csv, tmp_path):
@@ -425,6 +488,32 @@ def test_schema_reusing_a_column_rejected_before_fitting(
     assert f"error: column {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schema, header, message", [
+    ({"feature_colums": ["x_0"]}, None, "unknown schema key 'feature_colums'"),
+    ({"outcom": "x_0"}, None, "unknown schema key 'outcom'"),
+    (None, "y,a,x_0,x_1,x_2,x_0", "column 'x_0' appears twice in the header"),
+    (None, "y,a,x_0,x_1,x_2,a", "column 'a' appears twice in the header"),
+])
+def test_unknown_schema_key_or_repeated_header_rejected_before_fitting(
+        schema, header, message, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_fitted(monkeypatch)
+    flags = []
+    if schema is not None:
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        flags = ["--schema", str(path)]
+    if header is not None:
+        # same rows, one more header name, and one more field on every row
+        lines = Path(data_csv).read_text().splitlines()
+        data_csv = str(tmp_path / "twice.csv")
+        Path(data_csv).write_text(header + "\n" + "".join(f"{line},0\n" for line in lines[1:]))
+    out = tmp_path / "r.json"
+    assert _estimate(data_csv, out, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # contour and calibrate
 # ---------------------------------------------------------------------------
@@ -643,16 +732,30 @@ def test_calibrate_error_paths(data_csv, tmp_path, capsys):
     assert "text column" in err or "--lexicon" in err
 
 
-def test_model_flag_mapping():
-    from isoeffect.cli import _model_specs
+def test_model_flag_mapping(data_csv, tmp_path, monkeypatch):
+    import isoeffect.cli as cli
     from isoeffect.nuisance import Family
 
-    o, p = _model_specs("elastic")
-    assert (o.family, p.family) == (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC)
-    o, p = _model_specs("gbt")
-    assert (o.family, p.family) == (Family.GBT_REG, Family.GBT_CLF)
-    with pytest.raises(ValueError, match="unknown model"):
-        _model_specs("forest")
+    families = []
+
+    def record(dataset, **kwargs):
+        families.append((kwargs["outcome_spec"].family, kwargs["propensity_spec"].family))
+        raise ValueError("stop before fitting")
+
+    monkeypatch.setattr(cli, "estimate_effect", record)
+    for model in ("elastic", "gbt"):
+        assert _estimate(data_csv, tmp_path / "r.json", "--model", model) == 1
+    assert families == [(Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC),
+                        (Family.GBT_REG, Family.GBT_CLF)]
+
+
+def test_unknown_model_refused_by_the_parser_before_reading(data_csv, tmp_path, capsys,
+                                                            monkeypatch):
+    _nothing_loaded_or_fitted(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        _estimate(data_csv, tmp_path / "r.json", "--model", "forest")
+    assert exc.value.code == 2
+    assert "invalid choice: 'forest'" in capsys.readouterr().err
 
 
 def test_missing_file_and_bad_subcommand(tmp_path, capsys):
@@ -825,7 +928,7 @@ def test_readers_accept_a_utf8_bom(reader, text_corpus, spec_file, tmp_path):
     target.write_text(_target_rows(5))
     read, path = {
         "data": (lambda p: load_csv(p, _load_schema(schema)), data),
-        "target": (load_features_csv, str(target)),
+        "target": (lambda p: load_features_csv(p, ("x_0", "x_1", "x_2")), str(target)),
         "schema": (_load_schema, schema),
         "lexicon": (load_lexicon, lex),
         "spec": (spec_from_json_file, spec_file),

@@ -179,34 +179,34 @@ def test_load_csv_empty_and_headerless(tmp_path):
 
 def test_load_features_csv_reads_feature_columns_only(tmp_path):
     path = tmp_path / "target.csv"
-    path.write_text("x_0,note,x_1\n1.5,hi,2\n-3,,4e-2\n")
-    assert np.array_equal(load_features_csv(path), [[1.5, 2.0], [-3.0, 0.04]])
-    cols = load_features_csv(path, schema={"feature_columns": ["x_1", "x_0"]})
-    assert np.array_equal(cols, [[2.0, 1.5], [0.04, -3.0]])
+    path.write_text("x_1,note,x_0,x_9\n2,hi,1.5,7\n4e-2,,-3,8\n")
+    # the order is the names' order, not the header's; other columns are not read
+    assert np.array_equal(load_features_csv(path, ("x_0", "x_1")), [[1.5, 2.0], [-3.0, 0.04]])
+    assert np.array_equal(load_features_csv(path, ["x_1"]), [[2.0], [0.04]])
 
 
 def test_load_features_csv_checks_rows_like_load_csv(tmp_path):
     path = tmp_path / "target.csv"
+    names = ("x_0", "x_1")
     path.write_text("x_0,x_1\n1,2\n1,nan\n")
     with pytest.raises(ValidationError, match="row 2: non-finite feature 'x_1'"):
-        load_features_csv(path)
+        load_features_csv(path, names)
     path.write_text("x_0,x_1\n1,2,3\n")
     with pytest.raises(ValidationError, match="row 1: expected 2 fields"):
-        load_features_csv(path)
+        load_features_csv(path, names)
     path.write_text("x_0,x_1\n1,two\n")
     with pytest.raises(ValidationError, match="row 1: cannot parse"):
-        load_features_csv(path)
-    with pytest.raises(SchemaError, match="'x_9'"):
-        load_features_csv(path, schema={"feature_columns": ["x_9"]})
-    path.write_text("z_0\n1\n")
-    with pytest.raises(SchemaError, match="no feature columns"):
-        load_features_csv(path)
-    path.write_text("x_0\n")
+        load_features_csv(path, names)
+    # a missing name fails on the header, before the malformed second row
+    path.write_text("x_0,x_7\n1,2\noops\n")
+    with pytest.raises(SchemaError, match="feature column 'x_1' not found"):
+        load_features_csv(path, names)
+    path.write_text("x_0,x_1\n")
     with pytest.raises(ValidationError, match="no data rows"):
-        load_features_csv(path)
+        load_features_csv(path, names)
     path.write_text("")
     with pytest.raises(SchemaError, match="empty"):
-        load_features_csv(path)
+        load_features_csv(path, names)
 
 
 def test_load_csv_requires_features_or_text(tmp_path):
@@ -234,10 +234,42 @@ def test_load_csv_rejects_a_column_in_two_roles_before_reading_rows(tmp_path, sc
 
 
 def test_load_features_csv_rejects_a_feature_named_twice(tmp_path):
+    # a repeated name would not say which of its columns the target means
     path = tmp_path / "target.csv"
-    path.write_text("x_0,x_1\n1,2\n")
-    with pytest.raises(SchemaError, match="column 'x_1' is used twice: as feature and as feature"):
-        load_features_csv(path, schema={"feature_columns": ["x_1", "x_0", "x_1"]})
+    for header in ("x_0,x_1,x_1", "x_1,x_0,x_1"):
+        path.write_text(header + "\n1,2,3\n")
+        with pytest.raises(SchemaError, match="column 'x_1' appears twice in the header"):
+            load_features_csv(path, ("x_0", "x_1"))
+
+
+@pytest.mark.parametrize("header", ["y,a,x_0,x_0", "y,a,x_0,y", "y,a,x_0,note,note"])
+def test_load_csv_rejects_a_header_naming_a_column_twice_before_reading_rows(tmp_path, header):
+    path = tmp_path / "twice.csv"
+    twice = header.split(",")[-1]
+    # the second row is malformed, so only a check made before reading rows raises SchemaError
+    path.write_text(header + "\n" + ",".join(["1", "0", "2", "3", "4"][:header.count(",") + 1])
+                    + "\noops\n")
+    with pytest.raises(SchemaError, match=f"column '{twice}' appears twice in the header"):
+        load_csv(path)
+    with pytest.raises(SchemaError, match="appears twice"):
+        load_csv(path, schema={"feature_columns": ["x_0"]})
+
+
+@pytest.mark.parametrize("schema, key", [
+    ({"feature_colums": ["x_1"]}, "feature_colums"),
+    ({"outcom": "x_1"}, "outcom"),
+    ({"outcome": "y", "Text": "note"}, "Text"),
+])
+def test_load_csv_rejects_an_unknown_schema_key_before_opening_the_file(tmp_path, schema, key):
+    # a misspelt key would otherwise fall back to its default silently
+    with pytest.raises(SchemaError, match=f"unknown schema key '{key}'"):
+        load_csv(tmp_path / "never-written.csv", schema=schema)
+
+
+def test_dataset_rejects_a_repeated_feature_name():
+    with pytest.raises(ValidationError, match="feature name 'x_0' is used twice"):
+        Dataset(y=np.zeros(2), a=np.array([0, 1]), features=np.zeros((2, 3)),
+                feature_names=("x_0", "x_1", "x_0"))
 
 
 # ---------------------------------------------------------------------------
