@@ -47,7 +47,7 @@ print("\ncalibration by omitted feature:")
 print(f"{'omitted':>8} {'C_Y':>7} {'C_D':>7} {'bound':>8} {'realized':>9}")
 for j, name in enumerate(dataset.feature_names):
     keep = [i for i in range(dataset.d) if i != j]
-    cal = calibrate_detail(dataset, fits, dataset.features[:, keep], seed=0)
+    cal = calibrate_detail(dataset, fits, dataset.features[:, keep])
     realized = abs(cal.reduced_estimate.tau_hat - est.tau_hat)
     print(f"{name:>8} {cal.params.c_y:7.3f} {cal.params.c_d:7.3f} "
           f"{cal.bound_halfwidth:8.4f} {realized:9.4f}")

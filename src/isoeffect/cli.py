@@ -301,21 +301,6 @@ def _cmd_sweep(dataset: Dataset, opt: dict) -> int:
     return 0
 
 
-def _calibrations(dataset: Dataset, fits, reductions, opt: dict) -> list:
-    """``(label, CalibrationResult)`` for each reduced representation."""
-    outcome_spec, propensity_spec = opt["specs"]
-    return [
-        (label, calibrate_detail(
-            dataset, fits, reduced,
-            kind=opt["estimand"],
-            outcome_spec=outcome_spec,
-            propensity_spec=propensity_spec,
-            seed=opt["seed"],
-        ))
-        for label, reduced in reductions
-    ]
-
-
 def _cmd_contour(dataset: Dataset, opt: dict) -> int:
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
@@ -326,7 +311,8 @@ def _cmd_contour(dataset: Dataset, opt: dict) -> int:
     for i, cy in enumerate(grid.cy_axis):
         for j, cd in enumerate(grid.cd_axis):
             rows.append([_fmt(cy), _fmt(cd), _fmt(grid.lower_bound[i, j])])
-    for label, cal in _calibrations(dataset, fits, reductions, opt):
+    for label, reduced in reductions:
+        cal = calibrate_detail(dataset, fits, reduced, kind=opt["estimand"])
         lower = ovb_bounds(*bound, cal.params)[0]
         rows.append([_fmt(cal.params.c_y), _fmt(cal.params.c_d), _fmt(lower), label])
     _write_rows(opt["out"], ["cy", "cd", "lower_bound"], rows)
@@ -343,7 +329,8 @@ def _cmd_calibrate(dataset: Dataset, opt: dict) -> int:
         "nu2": report.nu2,
         "calibrations": {},
     }
-    for label, cal in _calibrations(dataset, fits, reductions, opt):
+    for label, reduced in reductions:
+        cal = calibrate_detail(dataset, fits, reduced, kind=opt["estimand"])
         payload["calibrations"][label] = {
             "c_y": cal.params.c_y,
             "c_d": cal.params.c_d,

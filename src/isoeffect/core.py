@@ -204,15 +204,15 @@ def _one_role_each(header: list[str], roles: Sequence[tuple[int | None, str]]) -
 
 
 def _resolve_columns(header: list[str], schema: Mapping) -> tuple[int, int, list[int], int | None]:
-    y_idx = _column(header, str(schema["outcome"]), "outcome")
-    a_idx = _column(header, str(schema["treatment"]), "treatment")
+    y_idx = _column(header, schema["outcome"], "outcome")
+    a_idx = _column(header, schema["treatment"], "treatment")
     text_idx = None
     if schema.get("text"):
-        text_idx = _column(header, str(schema["text"]), "text")
+        text_idx = _column(header, schema["text"], "text")
     if schema.get("feature_columns"):
-        feat_idx = [_column(header, str(c), "feature") for c in schema["feature_columns"]]
+        feat_idx = [_column(header, c, "feature") for c in schema["feature_columns"]]
     else:
-        prefix = str(schema["feature_prefix"])
+        prefix = schema["feature_prefix"]
         feat_idx = [i for i, name in enumerate(header) if name.startswith(prefix)]
     if not feat_idx and text_idx is None:
         raise SchemaError("schema must yield feature columns or a text column")
@@ -261,13 +261,20 @@ def load_csv(path: str | os.PathLike, schema: Mapping | None = None) -> Dataset:
 
     ``schema`` carries keys ``outcome``, ``treatment``, and either
     ``feature_prefix`` (default ``"x_"``) or an explicit ``feature_columns``
-    list, plus an optional ``text`` column name. Any other key, and a header
-    naming a column twice, raise :class:`SchemaError` before a row is read.
-    Row indices in error messages are 1-based data rows (the header is row 0).
+    list, plus an optional ``text`` column name. Any other key, or a value that
+    is not a string (for ``feature_columns``, a list of strings), raises
+    :class:`SchemaError` before the file is opened, and a header naming a
+    column twice before a row is read. Row indices in error messages are
+    1-based data rows (the header is row 0).
     """
-    for key in schema or {}:
+    for key, value in (schema or {}).items():
         if key not in _SCHEMA_KEYS:
             raise SchemaError(f"unknown schema key {key!r}; expected one of {list(_SCHEMA_KEYS)}")
+        names = value if key == "feature_columns" else [value]
+        if not (isinstance(names, (list, tuple)) and all(isinstance(c, str) for c in names)):
+            want = "a list of strings" if key == "feature_columns" else "a string"
+            raise SchemaError(f"schema key {key!r} must be {want}, got {type(value).__name__} "
+                              f"{value!r}")
     schema = {**_DEFAULT_SCHEMA, **(schema or {})}
     with _csv_rows(path) as (header, rows):
         y_idx, a_idx, feat_idx, text_idx = _resolve_columns(header, schema)

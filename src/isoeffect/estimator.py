@@ -82,7 +82,11 @@ class GeneralFits:
 
 @dataclass(frozen=True)
 class NuisanceFits:
-    """Out-of-fold nuisance predictions plus the per-fold fitted models."""
+    """Out-of-fold nuisance predictions, the per-fold models and the recipe that made them.
+
+    The recipe is both model specs (after defaulting), ``seed``, ``clip`` and
+    ``fold_plan.k``; its defaults are :func:`crossfit_nuisances`'s own.
+    """
 
     fold_plan: FoldPlan
     ghat_obs: np.ndarray
@@ -92,6 +96,9 @@ class NuisanceFits:
     pi1_by_fold: np.ndarray
     outcome_models: tuple[FittedModel, ...]
     propensity_models: tuple[FittedModel, ...]
+    outcome_spec: ModelSpec = ModelSpec(Family.ELASTIC_LINEAR)
+    propensity_spec: ModelSpec = ModelSpec(Family.ELASTIC_LOGISTIC)
+    seed: int = 0
     clip: ClipPolicy = ClipPolicy()
     general: GeneralFits | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -108,16 +115,15 @@ def crossfit_nuisances(
     k: int = 5,
     seed: int = 0,
     clip: ClipPolicy = ClipPolicy(),
-    fold_plan: FoldPlan | None = None,
     target_features: np.ndarray | None = None,
 ) -> NuisanceFits:
     """Cross-fit outcome and propensity models over k folds.
 
     The outcome model regresses y on [features, a] (treatment appended as
     the last column); the propensity classifier predicts a from features
-    alone. All returned predictions are out-of-fold. ``fold_plan`` lets a
-    caller pin the fold structure (the sensitivity calibration reuses the
-    full-representation plan so paired quantities stay comparable).
+    alone. All returned predictions are out-of-fold. The fold plan depends
+    only on (n, k, a, seed), so cross-fits of the same rows with one ``k``
+    and ``seed`` share it; the fits record the specs, seed and clip used.
 
     ``target_features``, the general estimand's corpus, is checked before
     any fit (2-d, finite, the source's columns, at least k rows), dealt into
@@ -133,18 +139,14 @@ def crossfit_nuisances(
     propensity_spec = propensity_spec or ModelSpec(Family.ELASTIC_LOGISTIC)
     dataset.require_both_arms()
     n = dataset.n
-    if fold_plan is None:
-        fold_plan = make_folds(n, k, a=dataset.a, seed=derive_seed(seed, "folds"))
-    elif fold_plan.n != n:
-        raise ValidationError("fold plan does not match dataset size")
-    k = fold_plan.k
+    plan = make_folds(n, k, a=dataset.a, seed=derive_seed(seed, "folds"))
 
     feats = dataset.features
     y = dataset.y
     a = dataset.a.astype(np.float64)
     design = np.column_stack([feats, a])
 
-    rows, assign = feats, fold_plan.assignment
+    rows, assign = feats, plan.assignment
     general = target_features is not None
     if general:
         tgt = np.asarray(target_features, dtype=np.float64)
@@ -162,12 +164,12 @@ def crossfit_nuisances(
             )
         tgt_assign = make_folds(m, k, seed=derive_seed(seed, "target-folds")).assignment
         rows = np.vstack([feats, tgt])
-        assign = np.concatenate([fold_plan.assignment, tgt_assign])
+        assign = np.concatenate([plan.assignment, tgt_assign])
         is_target = np.concatenate([np.zeros(n), np.ones(m)])
         q_raw = np.empty(len(rows))
         frac_t_by_fold = np.empty(k)
 
-    train = [fold_plan.train_rows(f) for f in range(k)]
+    train = [plan.train_rows(f) for f in range(k)]
     outcome_models = fit_outcome_models(design, y, outcome_spec, [
         (tr, derive_seed(seed, f"outcome-f{f}")) for f, tr in enumerate(train)])
     propensity_models = fit_propensity_models(feats, a, propensity_spec, [
@@ -214,7 +216,7 @@ def crossfit_nuisances(
         diagnostics["corpus_clipped_frac"] = clip.clipped_fraction(q_raw)
 
     return NuisanceFits(
-        fold_plan=fold_plan,
+        plan,
         ghat_obs=_readonly(ghat_obs),
         ghat1=_readonly(ghat1[:n]),
         ghat0=_readonly(ghat0[:n]),
@@ -222,7 +224,7 @@ def crossfit_nuisances(
         pi1_by_fold=_readonly(pi1_by_fold),
         outcome_models=tuple(outcome_models),
         propensity_models=tuple(propensity_models),
-        clip=clip,
+        outcome_spec=outcome_spec, propensity_spec=propensity_spec, seed=seed, clip=clip,
         general=general_fits,
         diagnostics=diagnostics,
     )

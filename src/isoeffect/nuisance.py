@@ -285,7 +285,7 @@ def _choose(X, target, spec: ModelSpec, folds: list) -> list[tuple[dict, dict]]:
     for j, (losses, facts) in zip(at, _fold_losses(X, target, spec.family, cands, cvs)):
         scores = [float(np.mean(row)) for row in losses]
         choice = cv_select(cands, scores)
-        out[j] = choice, {"inner_cv": {"scores": tuple(scores), "chosen": dict(choice), **facts}}
+        out[j] = choice, {"inner_cv": {"scores": tuple(scores), **facts}}
     return out
 
 

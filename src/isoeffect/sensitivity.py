@@ -196,31 +196,33 @@ def calibrate_detail(
     kind: str = EstimandKind.IATE,
     outcome_spec: ModelSpec | None = None,
     propensity_spec: ModelSpec | None = None,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> CalibrationResult:
     """Refit on a weakened representation and measure how much moved.
 
     The (C_Y, C_D) implied by dropping information are in ``.params``; the
     reduced estimate, its ``sigma2`` / ``nu2`` and the bound half-width come
-    with them. The reduced run reuses the full run's fold plan, clip policy
-    and seed derivation so the out-of-fold quantities are paired row by row.
-    C_Y compares outcome predictions relative to the reduced residual scale;
-    C_D compares weight second moments. Omitting nothing (reduced == full)
-    yields exactly (0, 0). ``kind`` must be iate or iatt, checked before the
-    refit: the refit's nuisances are the same for both, and only the weights
-    built from them differ.
+    with them. The refit takes the fold count, seed and clip of ``full_fits``,
+    and their model specs unless others are passed, so it deals the same
+    folds and differs only in the omitted features: the out-of-fold
+    quantities are paired row by row, and omitting nothing (reduced == full)
+    yields exactly (0, 0). C_Y compares outcome predictions relative to the
+    reduced residual scale; C_D compares weight second moments. Checked
+    before the refit: ``kind`` is iate or iatt (the refit's nuisances are the
+    same for both, and only the weights built from them differ), ``seed`` is
+    None or the fits' own, and ``dataset`` has the fits' row count.
     """
     if kind not in (EstimandKind.IATE, EstimandKind.IATT):
         raise ValueError("calibration supports the iate and iatt estimands")
+    if seed not in (None, full_fits.seed):  # another seed would deal other folds
+        raise ValueError(f"seed {seed} differs from the fits' seed {full_fits.seed}")
+    if dataset.n != full_fits.fold_plan.n:
+        raise ValidationError(
+            f"dataset has {dataset.n} rows, the fits have {full_fits.fold_plan.n}")
     reduced = Dataset(y=dataset.y, a=dataset.a, features=np.asarray(reduced_features, dtype=np.float64))
-    red_fits = crossfit_nuisances(
-        reduced,
-        outcome_spec,
-        propensity_spec,
-        seed=seed,
-        clip=full_fits.clip,
-        fold_plan=full_fits.fold_plan,
-    )
+    red_fits = crossfit_nuisances(reduced, outcome_spec or full_fits.outcome_spec,
+                                  propensity_spec or full_fits.propensity_spec,
+                                  k=full_fits.fold_plan.k, seed=full_fits.seed, clip=full_fits.clip)
     a = dataset.a
     w_full = weights_for(full_fits, a, kind)
     w_red = weights_for(red_fits, a, kind)

@@ -488,6 +488,21 @@ def test_schema_reusing_a_column_rejected_before_fitting(
     assert f"error: column {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schema", [
+    {"feature_columns": "x_0"}, {"outcome": ["y"]}, {"text": 3}, {"feature_prefix": None},
+])
+def test_schema_value_of_the_wrong_type_rejected_before_fitting(
+        schema, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_fitted(monkeypatch)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    out = tmp_path / "r.json"
+    assert _estimate(data_csv, out, "--schema", str(path)) == 1
+    key = next(iter(schema))
+    assert capsys.readouterr().err.startswith(f"error: schema key {key!r} must be a")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("schema, header, message", [
     ({"feature_colums": ["x_0"]}, None, "unknown schema key 'feature_colums'"),
     ({"outcom": "x_0"}, None, "unknown schema key 'outcom'"),

@@ -266,6 +266,27 @@ def test_load_csv_rejects_an_unknown_schema_key_before_opening_the_file(tmp_path
         load_csv(tmp_path / "never-written.csv", schema=schema)
 
 
+SCHEMA_TYPE_CASES = [
+    ({"feature_columns": "x_0"}, "'feature_columns' must be a list of strings, got str 'x_0'"),
+    ({"feature_columns": ["x_0", 1]}, "'feature_columns' must be a list of strings, got list"),
+    ({"outcome": ["y"]}, "'outcome' must be a string, got list ['y']"),
+    ({"treatment": 1}, "'treatment' must be a string, got int 1"),
+    ({"text": 3}, "'text' must be a string, got int 3"),
+    ({"feature_prefix": None}, "'feature_prefix' must be a string, got NoneType None"),
+]
+
+
+@pytest.mark.parametrize("schema, message", SCHEMA_TYPE_CASES,
+                         ids=[next(iter(schema)) for schema, _ in SCHEMA_TYPE_CASES])
+def test_load_csv_rejects_a_schema_value_of_the_wrong_type_before_opening_the_file(
+        tmp_path, schema, message):
+    # a string of feature columns would otherwise be read one character at a
+    # time, and a list outcome looked up by its repr
+    with pytest.raises(SchemaError) as exc:
+        load_csv(tmp_path / "never-written.csv", schema=schema)
+    assert str(exc.value).startswith(f"schema key {message}")
+
+
 def test_dataset_rejects_a_repeated_feature_name():
     with pytest.raises(ValidationError, match="feature name 'x_0' is used twice"):
         Dataset(y=np.zeros(2), a=np.array([0, 1]), features=np.zeros((2, 3)),

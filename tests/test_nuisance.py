@@ -8,7 +8,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from isoeffect import FoldPlan, SensitivityReport, ValidationError, audit, crossfit_nuisances
+from isoeffect import (
+    FoldPlan,
+    NuisanceFits,
+    SensitivityReport,
+    ValidationError,
+    audit,
+    calibrate_detail,
+    crossfit_nuisances,
+)
 from isoeffect.core import derive_seed, make_folds
 from isoeffect.elasticnet import fit_enet_linear, fit_enet_logistic
 from isoeffect.nuisance import (
@@ -53,20 +61,27 @@ def test_default_grids_frozen():
 def test_settable_surface():
     # seeds come with the rows to fit, inner CV has one fold count, the
     # audit keeps no copy of the estimate's fields, every fitted model comes
-    # from a solver, and the cross-fit sees the estimand only as its target corpus
+    # from a solver, the cross-fit sees the estimand only as its target corpus
+    # and deals its own folds, and the fits record the recipe a calibration
+    # refit reads
     expected = {
         ModelSpec: ("family", "hyper_grid"),
         FittedModel: ("family", "model", "chosen", "diagnostics"),
         FoldPlan: ("n", "k", "assignment", "stratified", "downgraded"),
         SensitivityReport: ("sigma2", "nu2", "nu2_plugin", "nu2_negative", "rv"),
+        NuisanceFits: ("fold_plan", "ghat_obs", "ghat1", "ghat0", "p_hat", "pi1_by_fold",
+                       "outcome_models", "propensity_models", "outcome_spec",
+                       "propensity_spec", "seed", "clip", "general", "diagnostics"),
     }
     for cls, names in expected.items():
         assert tuple(f.name for f in fields(cls)) == names, cls.__name__
     assert tuple(inspect.signature(audit).parameters) == ("estimate", "dataset", "fits",
                                                           "weights")
     assert tuple(inspect.signature(crossfit_nuisances).parameters) == (
-        "dataset", "outcome_spec", "propensity_spec", "k", "seed", "clip", "fold_plan",
-        "target_features")
+        "dataset", "outcome_spec", "propensity_spec", "k", "seed", "clip", "target_features")
+    assert tuple(inspect.signature(calibrate_detail).parameters) == (
+        "dataset", "full_fits", "reduced_features", "kind", "outcome_spec", "propensity_spec",
+        "seed")
     with pytest.raises(TypeError):
         ModelSpec(Family.GBT_REG, seed=5)
     with pytest.raises(TypeError):
@@ -243,7 +258,8 @@ def test_path_inner_cv_equals_solo_paths(family):
                 nonconverged += not model.converged
     scores = tuple(float(np.mean(row)) for row in losses)
     assert diag["inner_cv"]["scores"] == scores
-    assert chosen == diag["inner_cv"]["chosen"] == cv_select(cands, scores)
+    assert chosen == cv_select(cands, scores)
+    assert "chosen" not in diag["inner_cv"]  # the choice is kept once, as FittedModel.chosen
     assert diag["inner_cv"]["nonconverged"] == nonconverged
 
 

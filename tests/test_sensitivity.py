@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import FAST_LINEAR, FAST_LOGISTIC
 from isoeffect import (
+    Family,
+    ModelSpec,
     SensitivityParams,
     SynthSpec,
     ValidationError,
@@ -139,6 +143,50 @@ def test_calibration_identity_is_exactly_zero(synth_medium):
     assert params.c_y == 0.0
     assert params.c_d == 0.0
     assert not params.cd_clamped
+
+
+GBT_SMALL = {"depth": [2], "n_trees": [50], "learning_rate": [0.1]}
+
+
+@pytest.mark.parametrize("specs", [
+    (ModelSpec(Family.GBT_REG, GBT_SMALL), ModelSpec(Family.GBT_CLF, GBT_SMALL)),
+    (None, None),  # the default-grid elastic nets
+], ids=["gbt", "elastic-default"])
+def test_calibration_identity_with_default_arguments_reuses_the_fits_recipe(synth_small, specs):
+    # the refit reads the specs and the seed from the fits: calling with no
+    # recipe arguments still reproduces a seed-7 fit of any family bit for bit
+    fits = crossfit_nuisances(synth_small, *specs, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = calibrate_detail(synth_small, fits, synth_small.features).params
+    assert (params.c_y, params.c_d, params.cd_clamped) == (0.0, 0.0, False)
+
+
+def _never_refit(monkeypatch):
+    import isoeffect.sensitivity as sensitivity
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be refitted")
+
+    monkeypatch.setattr(sensitivity, "crossfit_nuisances", never)
+
+
+def test_calibration_rejects_another_seed_before_refitting(synth_small, monkeypatch):
+    fits = crossfit_nuisances(synth_small, outcome_spec=FAST_LINEAR,
+                              propensity_spec=FAST_LOGISTIC, seed=7)
+    _never_refit(monkeypatch)
+    with pytest.raises(ValueError, match="seed 3 differs from the fits' seed 7"):
+        calibrate_detail(synth_small, fits, synth_small.features[:, 1:], seed=3)
+
+
+def test_calibration_rejects_a_dataset_of_another_size_before_refitting(
+        synth_small, monkeypatch):
+    fits = crossfit_nuisances(synth_small, outcome_spec=FAST_LINEAR,
+                              propensity_spec=FAST_LOGISTIC, seed=7)
+    other = generate(SynthSpec(n=100, d=4, seed=0))
+    _never_refit(monkeypatch)
+    with pytest.raises(ValidationError, match="dataset has 100 rows, the fits have 400"):
+        calibrate_detail(other, fits, other.features[:, 1:], seed=7)
 
 
 def test_calibration_dropping_signal_moves_cy(synth_medium):
