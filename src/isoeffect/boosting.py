@@ -57,16 +57,15 @@ gain G_L^2/H_L + G_R^2/H_R - G^2/H, in the histogram style of Ke et al.,
   left through a ``+inf`` threshold. Rows with ``x > threshold`` go right,
   so a held-out value between two training values is routed by the bin
   edge, their midpoint.
-- **Staged scores.** :meth:`GBTModel.raw` walks every tree at once, one
-  level per step, and with ``stages=[k, ...]`` returns the score after the
-  first k trees for each k, which is what a k-tree fit with the same seed
-  would predict. Choosing a tree count therefore needs one fit at the
-  largest count.
+- **Prefix models.** A fit's first k trees do not depend on its tree
+  count, so :meth:`GBTModel.first` gives, from one fit, the model a k-tree
+  fit with the same seed would give. Choosing a tree count therefore needs
+  one fit at the largest count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -227,7 +226,8 @@ class GBTModel:
     ``feature`` and ``threshold`` are (trees, 2**depth - 1) in heap order;
     ``value`` is (trees, 2**depth) leaf steps with the learning rate
     already applied. ``n_features`` is the training width, which every
-    ``X`` to score must have.
+    ``X`` to score must have. :meth:`first` keeps the first k trees, which
+    is how one fit scores every smaller tree count.
     """
 
     feature: np.ndarray
@@ -237,25 +237,14 @@ class GBTModel:
     n_features: int
     diagnostics: dict = field(default_factory=dict)
 
-    def raw(self, X: np.ndarray, stages: Sequence[int] | None = None) -> np.ndarray:
-        """Raw score of every row, or one row of scores per stage count.
-
-        ``stages=[k, ...]`` gives, for each k, the score after the first k
-        trees (all of them when k exceeds the count fitted); the result is
-        then (len(stages), rows).
-        """
+    def raw(self, X: np.ndarray) -> np.ndarray:
+        """Raw score of every row: ``init`` plus each tree's leaf step, summed in tree order."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"X must be 2-D with {self.n_features} columns, "
                              f"got shape {X.shape}")
         n_trees, n_leaves = self.value.shape
-        if stages is None:
-            counts = np.array([n_trees])
-        else:
-            counts = np.minimum(np.asarray(stages, dtype=np.intp), n_trees)
-            if counts.ndim != 1 or (counts < 0).any():
-                raise ValueError("stages must be a sequence of non-negative tree counts")
-        out = np.empty((counts.size, X.shape[0]))
+        out = np.empty(X.shape[0])
         # entry (t, i) of a flat (trees, k) array is at t * k + i
         trees = np.arange(n_trees)[:, None]
         feature, threshold = self.feature.ravel(), self.threshold.ravel()
@@ -271,14 +260,27 @@ class GBTModel:
             steps = np.empty((n_trees + 1, Xb.shape[0]))
             steps[0] = self.init
             steps[1:] = self.value.take(trees * n_leaves + node - (n_leaves - 1))
-            out[:, start:start + block] = np.cumsum(steps, axis=0)[counts]
-        return out[0] if stages is None else out
+            out[start:start + block] = np.cumsum(steps, axis=0)[-1]
+        return out
 
-    def predict(self, X: np.ndarray, stages: Sequence[int] | None = None) -> np.ndarray:
-        return self.raw(X, stages)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.raw(X)
 
-    def predict_proba(self, X: np.ndarray, stages: Sequence[int] | None = None) -> np.ndarray:
-        return _sigmoid(self.raw(X, stages))
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return _sigmoid(self.raw(X))
+
+    def first(self, k: int) -> GBTModel:
+        """The model of the first ``k`` trees, or of all of them when ``k`` exceeds their count.
+
+        A fit's first k trees do not depend on its tree count, so this is the
+        model, ``n_trees_fit`` included, that a k-tree fit with the same seed
+        gives; ``first(0)`` predicts ``init``.
+        """
+        if k < 0:
+            raise ValueError(f"need a non-negative tree count, got {k}")
+        k = min(k, self.value.shape[0])
+        return replace(self, feature=self.feature[:k], threshold=self.threshold[:k],
+                       value=self.value[:k], diagnostics={"n_trees_fit": k})
 
 
 class GBTTask(NamedTuple):

@@ -32,6 +32,7 @@ from .core import (
     _open_atomic,
     load_csv,
     load_features_csv,
+    read_json_object,
     write_csv,
 )
 from .estimator import estimate_effect, estimate_naive
@@ -96,11 +97,7 @@ _MODELS = {
 def _load_schema(path: str | None) -> dict | None:
     if path is None:
         return None
-    with open(path, encoding="utf-8-sig") as fh:  # tolerates a BOM
-        schema = json.load(fh)
-    if not isinstance(schema, dict):
-        raise SchemaError("schema JSON must be an object")
-    return schema
+    return read_json_object(path, SchemaError)
 
 
 def _check_flags(command: str, opt: dict) -> None:
@@ -112,6 +109,8 @@ def _check_flags(command: str, opt: dict) -> None:
     directory = os.path.dirname(os.path.abspath(opt["out"]))
     if not os.path.isdir(directory):
         raise ValidationError(f"--out {opt['out']!r}: directory {directory!r} does not exist")
+    if os.path.isdir(opt["out"]):
+        raise ValidationError(f"--out {opt['out']!r} is a directory, not a file path")
     if opt["target_data"] and opt["estimand"] != EstimandKind.GENERAL:
         raise ValidationError("--target-data is only used with --estimand general")
     if opt["folds"] < 2:

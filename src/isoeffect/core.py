@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import json
 import math
 import os
 import tempfile
@@ -28,6 +29,7 @@ __all__ = [
     "EstimandKind",
     "load_csv",
     "load_features_csv",
+    "read_json_object",
     "write_csv",
     "make_folds",
     "derive_seed",
@@ -244,6 +246,30 @@ def _csv_rows(path: str | os.PathLike):
                 yield row_no, row
 
         yield header, rows()
+
+
+def read_json_object(path: str | os.PathLike, error: type[Exception]) -> dict:
+    """The JSON object in ``path`` (a BOM is tolerated), or ``error`` naming the file.
+
+    A repeated key raises too, at any depth: plain ``json.load`` would keep
+    its last value silently.
+    """
+
+    def unique(pairs):
+        keys = [key for key, _ in pairs]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise error(f"{path}: duplicate key {key!r}")
+        return dict(pairs)
+
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            raw = json.load(fh, object_pairs_hook=unique)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise error(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _number(row: list[str], row_no: int, idx: int, what: str) -> float:

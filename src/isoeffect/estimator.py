@@ -84,10 +84,12 @@ class GeneralFits:
 class NuisanceFits:
     """Out-of-fold nuisance predictions, the per-fold models and the recipe that made them.
 
-    The recipe is both model specs (after defaulting), ``seed``, ``clip`` and
-    ``fold_plan.k``; its defaults are :func:`crossfit_nuisances`'s own.
+    ``dataset`` is the one fitted on, kept by reference. The recipe is both
+    model specs (after defaulting), ``seed``, ``clip`` and ``fold_plan.k``;
+    its defaults are :func:`crossfit_nuisances`'s own.
     """
 
+    dataset: Dataset
     fold_plan: FoldPlan
     ghat_obs: np.ndarray
     ghat1: np.ndarray
@@ -216,6 +218,7 @@ def crossfit_nuisances(
         diagnostics["corpus_clipped_frac"] = clip.clipped_fraction(q_raw)
 
     return NuisanceFits(
+        dataset,
         plan,
         ghat_obs=_readonly(ghat_obs),
         ghat1=_readonly(ghat1[:n]),

@@ -17,14 +17,13 @@ masks from one tokenization, giving the tokens a mask matches zero weight.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Dataset, ValidationError
+from .core import Dataset, ValidationError, read_json_object
 
 __all__ = [
     "Lexicon",
@@ -101,26 +100,9 @@ class Lexicon:
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read a ``{category: [pattern, ...]}`` JSON file.
-
-    Duplicate category keys are a validation error (plain ``json.load``
-    would silently keep the last one).
-    """
-
-    def check_dupes(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValidationError(f"duplicate lexicon category {key!r}")
-            seen.add(key)
-        return dict(pairs)
-
-    with open(path, encoding="utf-8-sig") as fh:  # tolerates a BOM
-        try:
-            raw = json.load(fh, object_pairs_hook=check_dupes)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict) or not all(isinstance(v, list) for v in raw.values()):
+    """Read a ``{category: [pattern, ...]}`` JSON file; a repeated category is an error."""
+    raw = read_json_object(path, ValidationError)
+    if not all(isinstance(v, list) for v in raw.values()):
         raise ValidationError(f"{path}: lexicon must map categories to pattern lists")
     return Lexicon(categories={str(k): tuple(map(str, v)) for k, v in raw.items()})
 

@@ -6,6 +6,12 @@ cross-validation on the training split; ties are broken toward the stronger
 regularization (elastic net) or the smaller model (boosting), so the
 selected model never gets more complex than it has to be.
 
+One grid search serves every family. Each walks one hyperparameter in a
+single fit: an elastic net its penalty along a regularization path
+(Friedman, Hastie & Tibshirani, JSS 2010), boosting its tree count through
+the fit's first k trees. Candidates that differ only in that value are one
+fit with a model per value, and a final fit is the one-value path.
+
 A cross-fit needs one model per outer fold, so :func:`fit_outcome_models` and
 :func:`fit_propensity_models` fit all of them in two phases: the inner CV of
 every fold in one solver call, then every final fit in another. Each model is
@@ -63,6 +69,8 @@ class Family:
 
 _L1_GRID = (0.0, 0.1, 0.5, 0.7, 0.9, 0.95, 0.99, 1.0)
 _INNER_FOLDS = 5  # inner cross-validation folds of every grid search
+_WALKED = {Family.ELASTIC_LINEAR: "alpha", Family.ELASTIC_LOGISTIC: "C",  # one fit's values
+           Family.GBT_REG: "n_trees", Family.GBT_CLF: "n_trees"}
 
 
 def default_grid(family: str) -> dict[str, tuple]:
@@ -188,77 +196,73 @@ def cv_select(candidates: Sequence[Mapping], scores: Sequence[float]) -> dict:
     return max(tied, key=_reg_strength)
 
 
-def _loss(family: str, model, X, target, stages=None):
-    """Mean held-out loss; with ``stages``, one per boosting tree count."""
-    staged = {} if stages is None else {"stages": stages}
+def _loss(family: str, model, X, target) -> float:
+    """Mean held-out loss: log loss for classifiers, squared error otherwise."""
     if family in Family.CLASSIFIERS:
-        p = np.clip(model.predict_proba(X, **staged), 1e-12, 1.0 - 1e-12)
-        return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean(axis=-1)
-    resid = target - model.predict(X, **staged)
-    return np.mean(resid * resid, axis=-1)
+        p = np.clip(model.predict_proba(X), 1e-12, 1.0 - 1e-12)
+        return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean()
+    resid = target - model.predict(X)
+    return np.mean(resid * resid)
+
+
+def _paths(X, target, family: str, problems: list) -> list[list]:
+    """Each ``(rows, fixed, values, seed)`` problem's models, one per value in order.
+
+    ``values`` are the family's walked hyperparameter's (:data:`_WALKED`),
+    ``fixed`` holds the others, and every problem is fitted on ``X[rows]`` in
+    one solver call. An elastic net solves one penalty path, sharing one
+    standardization and target slice among problems with the same ``rows``
+    array, and ignores ``seed``. Boosting grows ``max(values)`` trees from
+    ``seed``, and value k's model is the first k of them (:meth:`GBTModel.first`).
+    """
+    if family in (Family.GBT_REG, Family.GBT_CLF):
+        fits = fit_gbt_batch(X, target, family == Family.GBT_CLF, [
+            GBTTask(rows, depth=int(fixed["depth"]), n_trees=int(max(values)),
+                    learning_rate=float(fixed["learning_rate"]), seed=seed)
+            for rows, fixed, values, seed in problems])
+        return [[fit.first(int(k)) for k in problem[2]] for fit, problem in zip(fits, problems)]
+    paths = enet_linear_paths if family == Family.ELASTIC_LINEAR else enet_logistic_paths
+    shared = {id(rows): rows for rows, *_ in problems}
+    data = {key: (prepare_design(X[rows]), target[rows]) for key, rows in shared.items()}
+    return paths([(*data[id(rows)], values, fixed["l1_ratio"])
+                  for rows, fixed, values, _ in problems])
 
 
 def _fold_losses(X, target, family: str, cands: list[dict], cvs: list) -> list:
     """Held-out loss of every candidate on every inner fold, plus solver facts, per CV.
 
     ``cvs`` holds one ``(seed, splits)`` per outer fold, ``splits`` its inner
-    folds as ``(training rows, test rows)`` of ``X``. Elastic-net candidates
-    that share an ``l1_ratio`` are scored from one regularization path per
-    inner fold, on one standardization of its training rows, and every (CV,
-    inner fold, ``l1_ratio``) path is solved in one lockstep batch; the facts
-    count the path solves that did not converge. Boosting candidates that
-    differ only in ``n_trees`` share one fit per inner fold at their largest
-    count, seeded as the first of them, and each count is scored from the
-    staged predictions of that fit. Those fits, one per (CV, candidate
-    group, inner fold), grow in lockstep; the facts count them and their trees.
+    folds as ``(training rows, test rows)`` of ``X``. Candidates that differ
+    only in the walked hyperparameter are one :func:`_paths` problem per inner
+    fold, seeded as the first of them, and every problem is solved in one
+    batch. The facts count the elastic-net solves that did not converge, or
+    the boosting fits and the trees each grew.
     """
-    if family in (Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC):
-        return _path_fold_losses(X, target, family, cands, cvs)
+    walked = _WALKED[family]
     groups: dict = {}
     for ci, cand in enumerate(cands):
-        key = tuple((k, v) for k, v in cand.items() if k != "n_trees")
-        groups.setdefault(key, []).append(ci)
-    tasks, scored = [], []
-    for c, (seed, splits) in enumerate(cvs):
-        for members in groups.values():
-            stages = [int(cands[ci]["n_trees"]) for ci in members]
-            first = cands[members[0]]
-            for f, (tr, te) in enumerate(splits):
-                tasks.append(GBTTask(
-                    tr, depth=int(first["depth"]), n_trees=max(stages),
-                    learning_rate=float(first["learning_rate"]),
-                    seed=derive_seed(seed, f"inner-{members[0]}-{f}"),
-                ))
-                scored.append((c, f, te, members, stages))
-    out = [(np.empty((len(cands), len(splits))), {"fits": 0, "trees": 0}) for _, splits in cvs]
-    for (c, f, te, members, stages), model in zip(
-            scored, fit_gbt_batch(X, target, family == Family.GBT_CLF, tasks)):
-        losses, facts = out[c]
-        losses[members, f] = _loss(family, model, X[te], target[te], stages)
-        facts["fits"] += 1
-        facts["trees"] += model.diagnostics["n_trees_fit"]
-    return out
-
-
-def _path_fold_losses(X, target, family: str, cands: list[dict], cvs: list) -> list:
-    linear = family == Family.ELASTIC_LINEAR
-    penalty, paths = ("alpha", enet_linear_paths) if linear else ("C", enet_logistic_paths)
-    by_ratio: dict = {}
-    for ci, cand in enumerate(cands):
-        by_ratio.setdefault(cand["l1_ratio"], []).append(ci)
+        groups.setdefault(tuple((k, v) for k, v in cand.items() if k != walked), []).append(ci)
     problems, scored = [], []
-    for c, (_, splits) in enumerate(cvs):
+    for c, (seed, splits) in enumerate(cvs):
         for f, (tr, te) in enumerate(splits):
-            design, y = prepare_design(X[tr]), target[tr]
-            for ratio, members in by_ratio.items():
-                problems.append((design, y, [cands[ci][penalty] for ci in members], ratio))
+            for fixed, members in groups.items():
+                problems.append((tr, dict(fixed), [cands[ci][walked] for ci in members],
+                                 derive_seed(seed, f"inner-{members[0]}-{f}")))
                 scored.append((c, f, te, members))
-    out = [(np.empty((len(cands), len(splits))), {"nonconverged": 0}) for _, splits in cvs]
-    for (c, f, te, members), fits in zip(scored, paths(problems)):
+    boosting = family in (Family.GBT_REG, Family.GBT_CLF)
+    out = [(np.empty((len(cands), len(splits))),
+            {"fits": 0, "trees": 0} if boosting else {"nonconverged": 0}) for _, splits in cvs]
+    for (c, f, te, members), models in zip(scored, _paths(X, target, family, problems)):
         losses, facts = out[c]
-        for ci, model in zip(members, fits):
-            losses[ci, f] = _loss(family, model, X[te], target[te])
-            facts["nonconverged"] += not model.converged
+        X_te, target_te = X[te], target[te]
+        for ci, model in zip(members, models):
+            losses[ci, f] = _loss(family, model, X_te, target_te)
+        if boosting:
+            facts["fits"] += 1
+            # the fit grew the trees of its largest count's model, whatever the value order
+            facts["trees"] += max(model.diagnostics["n_trees_fit"] for model in models)
+        else:
+            facts["nonconverged"] += sum(not model.converged for model in models)
     return out
 
 
@@ -289,26 +293,16 @@ def _choose(X, target, spec: ModelSpec, folds: list) -> list[tuple[dict, dict]]:
     return out
 
 
-def _final_fits(X, target, family: str, fits: list) -> list:
-    """Phase 2: one model per ``(rows, chosen, seed)``, all in one solver batch."""
-    if family in (Family.GBT_REG, Family.GBT_CLF):
-        return fit_gbt_batch(X, target, family == Family.GBT_CLF, [
-            GBTTask(rows, depth=int(c["depth"]), n_trees=int(c["n_trees"]),
-                    learning_rate=float(c["learning_rate"]), seed=seed) for rows, c, seed in fits])
-    linear = family == Family.ELASTIC_LINEAR
-    penalty, paths = ("alpha", enet_linear_paths) if linear else ("C", enet_logistic_paths)
-    return [path[0] for path in paths([(X[rows], target[rows], [c[penalty]], c["l1_ratio"])
-                                       for rows, c, _ in fits])]
-
-
 def _fit_models(X, target, spec: ModelSpec, folds) -> list[FittedModel]:
+    """Each fold's inner-CV choice, fitted on its rows as a one-value path seeded ``"final"``."""
     folds = [(np.asarray(rows, dtype=np.intp), seed) for rows, seed in folds]
     choices = _choose(X, target, spec, folds)
-    finals = [(rows, chosen, derive_seed(seed, "final"))
-              for (rows, seed), (chosen, _) in zip(folds, choices)]
-    fitted = _final_fits(X, target, spec.family, finals)
+    walked = _WALKED[spec.family]
+    fitted = _paths(X, target, spec.family, [
+        (rows, chosen, [chosen[walked]], derive_seed(seed, "final"))
+        for (rows, seed), (chosen, _) in zip(folds, choices)])
     return [FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
-            for model, (chosen, diag) in zip(fitted, choices)]
+            for (model,), (chosen, diag) in zip(fitted, choices)]
 
 
 def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,

@@ -210,15 +210,18 @@ def calibrate_detail(
     reduced residual scale; C_D compares weight second moments. Checked
     before the refit: ``kind`` is iate or iatt (the refit's nuisances are the
     same for both, and only the weights built from them differ), ``seed`` is
-    None or the fits' own, and ``dataset`` has the fits' row count.
+    None or the fits' own, and ``dataset`` has the ``y`` and ``a`` that the
+    fits were made on.
     """
     if kind not in (EstimandKind.IATE, EstimandKind.IATT):
         raise ValueError("calibration supports the iate and iatt estimands")
     if seed not in (None, full_fits.seed):  # another seed would deal other folds
         raise ValueError(f"seed {seed} differs from the fits' seed {full_fits.seed}")
-    if dataset.n != full_fits.fold_plan.n:
-        raise ValidationError(
-            f"dataset has {dataset.n} rows, the fits have {full_fits.fold_plan.n}")
+    fitted = full_fits.dataset
+    if dataset.n != fitted.n:
+        raise ValidationError(f"dataset has {dataset.n} rows, the fits have {fitted.n}")
+    if not (np.array_equal(dataset.y, fitted.y) and np.array_equal(dataset.a, fitted.a)):
+        raise ValidationError("dataset's outcomes or treatments differ from the fits' own")
     reduced = Dataset(y=dataset.y, a=dataset.a, features=np.asarray(reduced_features, dtype=np.float64))
     red_fits = crossfit_nuisances(reduced, outcome_spec or full_fits.outcome_spec,
                                   propensity_spec or full_fits.propensity_spec,

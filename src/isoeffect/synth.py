@@ -25,13 +25,12 @@ probabilities", Stat. Comput. 2004), so every oracle is closed form.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, ValidationError, derive_seed
+from .core import Dataset, ValidationError, derive_seed, read_json_object
 
 __all__ = [
     "OutcomeForm",
@@ -200,11 +199,7 @@ def oracle_tau(spec: SynthSpec) -> Oracle:
 
 def spec_from_json(raw: dict) -> SynthSpec:
     """Build a spec from the JSON recipe format used by the command line."""
-    known = {
-        "n", "d", "rho", "marginals", "beta0", "beta_a", "beta",
-        "interaction", "noise_sd", "seed", "outcome_form",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(SynthSpec)}
     if unknown:
         raise ValidationError(f"unknown synth spec keys: {sorted(unknown)}")
     kwargs = dict(raw)
@@ -220,8 +215,4 @@ def spec_from_json(raw: dict) -> SynthSpec:
 
 
 def spec_from_json_file(path) -> SynthSpec:
-    with open(path, encoding="utf-8-sig") as fh:  # tolerates a BOM
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError("synth spec JSON must be an object")
-    return spec_from_json(raw)
+    return spec_from_json(read_json_object(path, ValidationError))

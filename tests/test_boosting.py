@@ -126,8 +126,9 @@ def test_noiseless_split_high_training_accuracy():
 
 def _loss_trace(model: GBTModel, X: np.ndarray, y: np.ndarray,
                 classification: bool) -> np.ndarray:
-    """Training loss after each of 0..n_trees_fit trees, from the staged scores."""
-    scores = model.raw(X, stages=range(model.diagnostics["n_trees_fit"] + 1))
+    """Training loss after each of 0..n_trees_fit trees, from the model's first-k-tree models."""
+    scores = np.array([model.first(k).raw(X)
+                       for k in range(model.diagnostics["n_trees_fit"] + 1)])
     if classification:
         return np.logaddexp(0.0, (1.0 - 2.0 * y) * scores).mean(axis=1)
     return ((y - scores) ** 2).mean(axis=1)
@@ -267,8 +268,9 @@ def test_prediction_rejects_input_of_another_width():
     for bad in ([[1.0, 0.0], [0.0, 0.0]], np.ones((2, 4)), [1.0, 0.0, 1.0]):
         with pytest.raises(ValueError, match="3 columns"):
             model.predict(bad)
-        with pytest.raises(ValueError, match="3 columns"):
-            model.raw(bad, stages=[1])
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="3 columns"):
+                model.first(k).raw(bad)
 
 
 def test_model_predict_proba_only_for_classifiers():
@@ -296,14 +298,18 @@ def test_staged_raw_equals_separate_shorter_fit(classification):
     X_new = rng.standard_normal((40, 3))
     long = fit_gbt_core(X, y, classification=classification, depth=3, n_trees=30,
                         learning_rate=0.1, subsample=0.7, seed=4)
-    staged = long.raw(X_new, stages=[0, 10, 30])
+    staged = np.array([long.first(k).raw(X_new) for k in (0, 10, 30)])
     assert staged.shape == (3, 40)
     np.testing.assert_array_equal(staged[2], long.raw(X_new))
     np.testing.assert_array_equal(staged[0], long.init)
     short = fit_gbt_core(X, y, classification=classification, depth=3, n_trees=10,
                          learning_rate=0.1, subsample=0.7, seed=4)
     np.testing.assert_array_equal(staged[1], short.raw(X_new))
-    np.testing.assert_array_equal(long.raw(X_new, stages=[10])[0], short.raw(X_new))
+    assert long.first(10).raw(X_new).tobytes() == short.raw(X_new).tobytes()
+    _assert_same_model(long.first(10), short)  # the 10-tree fit, n_trees_fit included
+    _assert_same_model(long.first(99), long)  # a count past the fitted trees keeps them all
+    with pytest.raises(ValueError, match="non-negative"):
+        long.first(-1)
 
 
 def test_early_stop_ties_every_count_and_picks_fewer_trees():
@@ -312,7 +318,7 @@ def test_early_stop_ties_every_count_and_picks_fewer_trees():
     model = fit_gbt_core(X, y, classification=False, depth=1, n_trees=50,
                          learning_rate=1.0, subsample=1.0)
     assert model.diagnostics["n_trees_fit"] == 1
-    staged = model.raw(X, stages=[5, 20, 50])
+    staged = [model.first(k).raw(X) for k in (5, 20, 50)]
     np.testing.assert_array_equal(staged[0], staged[1])
     np.testing.assert_array_equal(staged[0], staged[2])
 
@@ -413,20 +419,33 @@ def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
     losses = np.empty((len(cands), plan.k))
     trees = 0
     for (depth, rate), members in groups.items():
-        stages = [cands[ci]["n_trees"] for ci in members]
         for f in range(plan.k):
             tr, te = plan.train_rows(f), plan.test_rows(f)
-            model = fit_gbt_core(X[tr], y[tr], classifier, depth=depth, n_trees=max(stages),
-                                 learning_rate=rate,
+            # each count scored by its own solo fit, seeded as the group's first candidate
+            solo = [fit_gbt_core(X[tr], y[tr], classifier, depth=depth,
+                                 n_trees=cands[ci]["n_trees"], learning_rate=rate,
                                  seed=derive_seed(3, f"inner-{members[0]}-{f}"))
-            losses[members, f] = _loss(family, model, X[te], y[te], stages)
-            trees += model.diagnostics["n_trees_fit"]
+                    for ci in members]
+            for ci, model in zip(members, solo):
+                losses[ci, f] = _loss(family, model, X[te], y[te])
+            trees += max(model.diagnostics["n_trees_fit"] for model in solo)
     scores = tuple(float(np.mean(row)) for row in losses)
     assert diag["inner_cv"]["scores"] == scores
     assert chosen == cv_select(cands, scores)
     assert "chosen" not in diag["inner_cv"]  # the choice is kept once, as FittedModel.chosen
     assert diag["inner_cv"]["fits"] == len(groups) * plan.k == 20
     assert diag["inner_cv"]["trees"] == trees
+
+
+@pytest.mark.parametrize("family", [Family.GBT_REG, Family.GBT_CLF])
+def test_inner_cv_counts_each_fit_at_its_largest_tree_count_of_an_unsorted_grid(family):
+    X, y = _batch_data(family == Family.GBT_CLF)
+    spec = ModelSpec(family, {"depth": [1, 2], "n_trees": [50, 5, 20], "learning_rate": [0.3]})
+    _, diag = inner_cv_choose(X, y, spec, seed=3)
+    # 2 depths x 5 inner folds, each fit growing 50 trees; the last listed count's
+    # model holds only 20 of them
+    assert diag["inner_cv"]["fits"] == 10
+    assert diag["inner_cv"]["trees"] == 500
 
 
 def test_lockstep_byte_bound_splits_batch_without_changing_models(monkeypatch):

@@ -503,6 +503,41 @@ def test_schema_value_of_the_wrong_type_rejected_before_fitting(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep", "contour", "calibrate"])
+def test_out_naming_a_directory_rejected_before_loading(
+        command, data_csv, tmp_path, capsys, monkeypatch):
+    _nothing_loaded_or_fitted(monkeypatch)
+    extra = {"sweep": ["--focal", "x_0"], "calibrate": ["--omit-features", "x_0"]}
+    out = tmp_path / "reports"
+    out.mkdir()
+    assert main([command, "--data", data_csv, "--out", str(out), *extra.get(command, [])]) == 1
+    assert capsys.readouterr().err == f"error: --out {str(out)!r} is a directory, not a file path\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("reader, text, key", [
+    ("schema", '{"outcome": "x_0", "outcome": "y"}', "outcome"),
+    ("lexicon", '{"sport": ["run*"], "sport": ["swim"]}', "sport"),
+    ("spec", '{"n": 50, "d": 2, "n": 80}', "n"),
+], ids=["schema", "lexicon", "spec"])
+def test_repeated_json_key_rejected_before_loading(
+        reader, text, key, data_csv, tmp_path, capsys, monkeypatch):
+    # plain json.load keeps a repeated key's last value without a word
+    _nothing_loaded_or_fitted(monkeypatch)
+    path = tmp_path / f"{reader}.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = {
+        "schema": ["estimate", "--data", data_csv, "--schema", str(path)],
+        "lexicon": ["calibrate", "--data", data_csv, "--mask-patterns", "run*",
+                    "--lexicon", str(path)],
+        "spec": ["synth", "--spec", str(path)],
+    }[reader]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate key {key!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("schema, header, message", [
     ({"feature_colums": ["x_0"]}, None, "unknown schema key 'feature_colums'"),
     ({"outcom": "x_0"}, None, "unknown schema key 'outcom'"),

@@ -84,6 +84,7 @@ def _manual_fits(ds: Dataset, ghat_obs, ghat1, ghat0, p_hat, k: int = 2) -> Nuis
     plan = make_folds(ds.n, k, a=ds.a, seed=0)
     pi1 = np.array([ds.a[plan.train_rows(f)].mean() for f in range(k)])
     return NuisanceFits(
+        dataset=ds,
         fold_plan=plan,
         ghat_obs=np.asarray(ghat_obs, dtype=float),
         ghat1=np.asarray(ghat1, dtype=float),

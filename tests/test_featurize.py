@@ -115,6 +115,9 @@ def test_load_lexicon_duplicate_category(tmp_path):
 def test_load_lexicon_malformed(tmp_path):
     path = tmp_path / "lex.json"
     path.write_text("[1, 2]")
+    with pytest.raises(ValidationError, match="expected a JSON object, got list"):
+        load_lexicon(path)
+    path.write_text('{"c": "a"}')
     with pytest.raises(ValidationError, match="must map"):
         load_lexicon(path)
     path.write_text("{nope")

@@ -69,8 +69,8 @@ def test_settable_surface():
         FittedModel: ("family", "model", "chosen", "diagnostics"),
         FoldPlan: ("n", "k", "assignment", "stratified", "downgraded"),
         SensitivityReport: ("sigma2", "nu2", "nu2_plugin", "nu2_negative", "rv"),
-        NuisanceFits: ("fold_plan", "ghat_obs", "ghat1", "ghat0", "p_hat", "pi1_by_fold",
-                       "outcome_models", "propensity_models", "outcome_spec",
+        NuisanceFits: ("dataset", "fold_plan", "ghat_obs", "ghat1", "ghat0", "p_hat",
+                       "pi1_by_fold", "outcome_models", "propensity_models", "outcome_spec",
                        "propensity_spec", "seed", "clip", "general", "diagnostics"),
     }
     for cls, names in expected.items():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FAST_LINEAR, FAST_LOGISTIC
 from isoeffect import (
+    Dataset,
     Family,
     ModelSpec,
     SensitivityParams,
@@ -187,6 +188,21 @@ def test_calibration_rejects_a_dataset_of_another_size_before_refitting(
     _never_refit(monkeypatch)
     with pytest.raises(ValidationError, match="dataset has 100 rows, the fits have 400"):
         calibrate_detail(other, fits, other.features[:, 1:], seed=7)
+
+
+@pytest.mark.parametrize("other", ["another draw", "other outcomes"])
+def test_calibration_rejects_another_dataset_of_the_same_size_before_refitting(
+        other, synth_small, monkeypatch):
+    fits = crossfit_nuisances(synth_small, outcome_spec=FAST_LINEAR,
+                              propensity_spec=FAST_LOGISTIC, seed=7)
+    if other == "another draw":  # other y and a; the refit would deal folds from its a
+        ds = generate(SynthSpec(n=400, d=4, rho=0.5, beta_a=1.0, seed=12))
+    else:
+        ds = Dataset(y=synth_small.y + 1.0, a=synth_small.a, features=synth_small.features)
+    _never_refit(monkeypatch)
+    with pytest.raises(ValidationError, match="outcomes or treatments differ from the fits'"):
+        calibrate_detail(ds, fits, ds.features, seed=7)
+    assert fits.dataset is synth_small  # kept by reference, not copied
 
 
 def test_calibration_dropping_signal_moves_cy(synth_medium):

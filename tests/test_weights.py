@@ -77,7 +77,7 @@ def test_general_reduces_to_iate():
 
 
 def test_weights_for_general_gaps_use_each_target_rows_fold_share():
-    from isoeffect.core import FoldPlan
+    from isoeffect.core import Dataset, FoldPlan
     from isoeffect.estimator import GeneralFits, NuisanceFits
 
     a = np.array([1.0, 0.0, 1.0, 0.0])
@@ -94,6 +94,7 @@ def test_weights_for_general_gaps_use_each_target_rows_fold_share():
         target_p_hat=tp, target_prob_t=tq, source_prob_t=sq, frac_t_by_fold=frac_t,
     )
     fits = NuisanceFits(
+        dataset=Dataset(y=np.zeros(4), a=a, features=np.zeros((4, 1))),
         fold_plan=plan, ghat_obs=np.zeros(4), ghat1=np.zeros(4), ghat0=np.zeros(4),
         p_hat=p, pi1_by_fold=np.array([0.5, 0.5]), outcome_models=(),
         propensity_models=(), general=general,
