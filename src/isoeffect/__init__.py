@@ -23,6 +23,7 @@ from .estimator import (
     NuisanceFits,
     Weights,
     crossfit_nuisances,
+    crossfit_representations,
     estimate_dr,
     estimate_effect,
     estimate_naive,
@@ -56,6 +57,7 @@ from .sensitivity import (
     SensitivityReport,
     audit,
     calibrate_detail,
+    calibrate_fits,
     contour_grid,
     nu2_hat,
     nu2_plugin,
@@ -81,7 +83,7 @@ __all__ = [
     "SchemaError", "ValidationError",
     "derive_seed", "load_csv", "make_folds", "write_csv",
     "EffectEstimate", "NuisanceFits", "Weights",
-    "crossfit_nuisances", "estimate_dr", "estimate_effect",
+    "crossfit_nuisances", "crossfit_representations", "estimate_dr", "estimate_effect",
     "estimate_naive", "variance_ci",
     "weights_for", "weights_general", "weights_iate", "weights_iatt",
     "Lexicon", "featurize_texts", "load_lexicon", "mask_terms", "select_intervention",
@@ -89,7 +91,7 @@ __all__ = [
     "cv_select", "default_grid", "fit_outcome_model",
     "fit_propensity_model",
     "CalibrationResult", "ContourGrid", "SensitivityParams", "SensitivityReport",
-    "audit", "calibrate_detail", "contour_grid",
+    "audit", "calibrate_detail", "calibrate_fits", "contour_grid",
     "nu2_hat", "nu2_plugin", "ovb_bounds", "robustness_value", "sigma2_hat",
     "Oracle", "OutcomeForm", "SynthSpec",
     "default_beta", "gen_features", "gen_outcome", "generate", "oracle_tau",

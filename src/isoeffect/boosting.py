@@ -60,7 +60,9 @@ gain G_L^2/H_L + G_R^2/H_R - G^2/H, in the histogram style of Ke et al.,
 - **Prefix models.** A fit's first k trees do not depend on its tree
   count, so :meth:`GBTModel.first` gives, from one fit, the model a k-tree
   fit with the same seed would give. Choosing a tree count therefore needs
-  one fit at the largest count.
+  one fit at the largest count, and :meth:`GBTModel.raw` with ``counts``
+  scores every count in one walk of its trees: the running sum of the
+  steps holds each prefix's score.
 """
 
 from __future__ import annotations
@@ -237,14 +239,20 @@ class GBTModel:
     n_features: int
     diagnostics: dict = field(default_factory=dict)
 
-    def raw(self, X: np.ndarray) -> np.ndarray:
-        """Raw score of every row: ``init`` plus each tree's leaf step, summed in tree order."""
+    def raw(self, X: np.ndarray, counts: Sequence[int] | None = None) -> np.ndarray:
+        """Raw score of every row: ``init`` plus each tree's leaf step, summed in tree order.
+
+        With ``counts``, row i of the result is ``first(counts[i]).raw(X)``
+        bit for bit: the running sum of one walk of the trees holds every
+        prefix's score.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"X must be 2-D with {self.n_features} columns, "
                              f"got shape {X.shape}")
         n_trees, n_leaves = self.value.shape
-        out = np.empty(X.shape[0])
+        stages = [n_trees] if counts is None else [self._count(k) for k in counts]
+        out = np.empty((len(stages), X.shape[0]))
         # entry (t, i) of a flat (trees, k) array is at t * k + i
         trees = np.arange(n_trees)[:, None]
         feature, threshold = self.feature.ravel(), self.threshold.ravel()
@@ -260,14 +268,20 @@ class GBTModel:
             steps = np.empty((n_trees + 1, Xb.shape[0]))
             steps[0] = self.init
             steps[1:] = self.value.take(trees * n_leaves + node - (n_leaves - 1))
-            out[start:start + block] = np.cumsum(steps, axis=0)[-1]
-        return out
+            out[:, start:start + block] = np.cumsum(steps, axis=0)[stages]
+        return out[0] if counts is None else out
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.raw(X)
+    def predict(self, X: np.ndarray, counts: Sequence[int] | None = None) -> np.ndarray:
+        return self.raw(X, counts)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.raw(X))
+    def predict_proba(self, X: np.ndarray, counts: Sequence[int] | None = None) -> np.ndarray:
+        return _sigmoid(self.raw(X, counts))
+
+    def _count(self, k: int) -> int:
+        """The number of trees the model of the first ``k`` keeps."""
+        if k < 0:
+            raise ValueError(f"need a non-negative tree count, got {k}")
+        return min(int(k), self.value.shape[0])
 
     def first(self, k: int) -> GBTModel:
         """The model of the first ``k`` trees, or of all of them when ``k`` exceeds their count.
@@ -276,9 +290,7 @@ class GBTModel:
         model, ``n_trees_fit`` included, that a k-tree fit with the same seed
         gives; ``first(0)`` predicts ``init``.
         """
-        if k < 0:
-            raise ValueError(f"need a non-negative tree count, got {k}")
-        k = min(k, self.value.shape[0])
+        k = self._count(k)
         return replace(self, feature=self.feature[:k], threshold=self.threshold[:k],
                        value=self.value[:k], diagnostics={"n_trees_fit": k})
 

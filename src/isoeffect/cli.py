@@ -35,12 +35,20 @@ from .core import (
     read_json_object,
     write_csv,
 )
-from .estimator import estimate_effect, estimate_naive
+from .estimator import (
+    NuisanceFits,
+    crossfit_representations,
+    estimate_dr,
+    estimate_effect,
+    estimate_naive,
+    weights_for,
+)
 from .featurize import _validate_pattern, featurize_masked, load_lexicon, select_intervention
 # no longer called here, but bench/spans.py wraps these names
 from .featurize import featurize_texts, mask_terms
 from .nuisance import ClipPolicy, Family, ModelSpec
-from .sensitivity import audit, calibrate_detail, check_contour_grid, contour_grid, ovb_bounds
+from .sensitivity import audit, calibrate_fits, check_contour_grid, contour_grid, ovb_bounds
+from .sensitivity import calibrate_detail  # no longer called here; bench/spans.py wraps it
 from .synth import generate, oracle_tau, spec_from_json_file
 
 __all__ = ["build_parser", "main"]
@@ -178,8 +186,11 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _reductions(dataset: Dataset, opt: dict) -> list[tuple[str, np.ndarray]]:
-    """Labeled reduced representations from the parsed --omit-features / --mask-patterns."""
+def _reductions(dataset: Dataset, opt: dict) -> list[tuple[str, Dataset]]:
+    """Labeled reduced representations from the parsed --omit-features / --mask-patterns.
+
+    Each is the data's ``y`` and ``a`` with the reduced feature matrix.
+    """
     out: list[tuple[str, np.ndarray]] = []
     names = list(dataset.feature_names)
     for group, members in opt["omit_features"].items():
@@ -197,7 +208,15 @@ def _reductions(dataset: Dataset, opt: dict) -> list[tuple[str, np.ndarray]]:
             raise ValidationError("--mask-patterns requires a text column in the data")
         masks = [[p] for p in patterns]
         out.extend(zip(patterns, featurize_masked(dataset.texts, opt["lexicon"], masks)))
-    return out
+    return [(label, Dataset(y=dataset.y, a=dataset.a, features=features))
+            for label, features in out]
+
+
+def _crossfit(opt: dict, datasets: Sequence[Dataset]) -> list[NuisanceFits]:
+    """Every dataset cross-fitted in one batch, with the run's specs, folds, seed and clip."""
+    outcome_spec, propensity_spec = opt["specs"]
+    return crossfit_representations(datasets, outcome_spec, propensity_spec, k=opt["folds"],
+                                    seed=opt["seed"], clip=opt["clip"])
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +245,13 @@ def _cmd_synth(opt: dict) -> int:
     return 0
 
 
-def _estimate_with_audit(dataset: Dataset, opt: dict):
+def _require_gbt_feature(dataset: Dataset, opt: dict) -> None:
     if dataset.d == 0 and opt["model"] == "gbt":  # before any fit
         raise ValidationError("the data has no feature column, and --model gbt needs at least one")
+
+
+def _estimate_with_audit(dataset: Dataset, opt: dict):
+    _require_gbt_feature(dataset, opt)
     outcome_spec, propensity_spec = opt["specs"]
     kind = opt["estimand"]
     target = None
@@ -304,23 +327,29 @@ def _cmd_contour(dataset: Dataset, opt: dict) -> int:
     reductions = _reductions(dataset, opt)
     est, fits, weights, report = _estimate_with_audit(dataset, opt)
     bound = (est.tau_hat, report.sigma2, report.nu2)
-    # before any calibration refit: fails on nu2 <= 0
+    # before any reduction is fitted: fails on nu2 <= 0
     grid = contour_grid(*bound, cy_max=opt["cy_max"], cd_max=opt["cd_max"], steps=opt["steps"])
     rows = []
     for i, cy in enumerate(grid.cy_axis):
         for j, cd in enumerate(grid.cd_axis):
             rows.append([_fmt(cy), _fmt(cd), _fmt(grid.lower_bound[i, j])])
-    for label, reduced in reductions:
-        cal = calibrate_detail(dataset, fits, reduced, kind=opt["estimand"])
-        lower = ovb_bounds(*bound, cal.params)[0]
-        rows.append([_fmt(cal.params.c_y), _fmt(cal.params.c_d), _fmt(lower), label])
+    if reductions:
+        reduced = _crossfit(opt, [ds for _, ds in reductions])
+        for (label, _), cal in zip(reductions, calibrate_fits(fits, reduced, opt["estimand"])):
+            lower = ovb_bounds(*bound, cal.params)[0]
+            rows.append([_fmt(cal.params.c_y), _fmt(cal.params.c_d), _fmt(lower), label])
     _write_rows(opt["out"], ["cy", "cd", "lower_bound"], rows)
     return 0
 
 
 def _cmd_calibrate(dataset: Dataset, opt: dict) -> int:
     reductions = _reductions(dataset, opt)
-    est, fits, weights, report = _estimate_with_audit(dataset, opt)
+    _require_gbt_feature(dataset, opt)
+    # the data and every reduction, cross-fitted in one batch (only iate and iatt get here)
+    fits, *reduced = _crossfit(opt, [dataset, *(ds for _, ds in reductions)])
+    weights = weights_for(fits, dataset.a, opt["estimand"])
+    est = estimate_dr(fits, weights, dataset)
+    report = audit(est, dataset, fits, weights)
     payload: dict = {
         "estimand": est.estimand,
         "tau_hat": est.tau_hat,
@@ -328,8 +357,7 @@ def _cmd_calibrate(dataset: Dataset, opt: dict) -> int:
         "nu2": report.nu2,
         "calibrations": {},
     }
-    for label, reduced in reductions:
-        cal = calibrate_detail(dataset, fits, reduced, kind=opt["estimand"])
+    for (label, _), cal in zip(reductions, calibrate_fits(fits, reduced, opt["estimand"])):
         payload["calibrations"][label] = {
             "c_y": cal.params.c_y,
             "c_d": cal.params.c_d,

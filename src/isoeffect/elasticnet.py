@@ -34,8 +34,13 @@ equal bit for bit those of solving it alone. ``enet_linear_paths`` and
 ``enet_logistic_paths`` take a batch of paths; ``fit_enet_linear`` and
 ``fit_enet_logistic`` are the one-path, one-penalty case, solved from zero.
 A batch costs about a dozen numpy calls per coordinate and sweep whatever
-its width, so it pays off when wide: the inner-CV grid of one nuisance is 5
-folds times 8 ``l1_ratio`` values, 40 problems.
+its width, so it pays off when wide. On the default grids one batch holds
+the inner CV of every outer fold of every representation of a run that has
+its column count: 8 ``l1_ratio`` paths per inner fold and 5 inner folds per
+outer fold, so 240 problems for a ``calibrate`` of the full features and two
+masked reductions over 2 outer folds. Problems given one :class:`Design` and
+one target object (an inner fold's 8 paths) share one centred target, Gram
+scaling and ``Z'y`` instead of each keeping a copy.
 
 The stopping rule is fixed. A linear solve converges once the largest
 coefficient step of a sweep (standardized scale) is below 1e-7, or below
@@ -148,6 +153,7 @@ class _Walk:
     def __init__(self, X, y, penalties, l1_ratio, fit):
         self.design = X if isinstance(X, Design) else prepare_design(X)
         self.y = np.asarray(y, dtype=np.float64).reshape(-1)
+        self.key = (id(self.design), id(y))  # walks on one design and target object share copies
         self.n = len(self.y)
         self.penalties = tuple(penalties)
         self.l1_ratio = l1_ratio
@@ -183,6 +189,15 @@ def _retire(walks, ids, cols, W, b, counts, converged, enter) -> np.ndarray:
         else:
             keep[col] = False
     return keep
+
+
+def _per_design(walks: list[_Walk], make) -> list:
+    """``make(walk)`` for every walk, made once per design and target and shared."""
+    made: dict = {}
+    for walk in walks:
+        if walk.key not in made:
+            made[walk.key] = make(walk)
+    return [made[walk.key] for walk in walks]
 
 
 def _stack(walks: list[_Walk], curvature: list[np.ndarray]):
@@ -235,15 +250,17 @@ def _sweep(C, U, W, diag, denom, lo, hi, cols) -> np.ndarray:
 def _linear_paths(walks: list[_Walk]) -> None:
     """Cyclic coordinate descent on the Gram form for a batch of linear paths.
 
-    Per problem, ``G = Z'Z/n``, ``q = Z'yc/n`` and ``c = q - G w``; a penalty
-    is solved once the largest coordinate step of a sweep drops below its
-    tolerance, or after ``_MAX_SWEEPS`` sweeps. Finished problems move on to
-    their next penalty, warm-started, or leave the batch.
+    Per problem, ``G = Z'Z/n``, ``q = Z'yc/n`` and ``c = q - G w``, with
+    ``yc`` the centred target; the problems of one design and target share
+    ``G`` and ``q``. A penalty is solved once the largest coordinate step of a
+    sweep drops below its tolerance, or after ``_MAX_SWEEPS`` sweeps. Finished
+    problems move on to their next penalty, warm-started, or leave the batch.
     """
-    y_means = [walk.y.mean() for walk in walks]
-    ycs = [walk.y - m for walk, m in zip(walks, y_means)]
-    Gs = [walk.design.cross / walk.n for walk in walks]
-    qs = [(walk.design.Z.T @ yc) / walk.n for walk, yc in zip(walks, ycs)]
+    def moments(walk):
+        y_mean = walk.y.mean()
+        return y_mean, walk.design.cross / walk.n, (walk.design.Z.T @ (walk.y - y_mean)) / walk.n
+
+    y_means, Gs, qs = zip(*_per_design(walks, moments))
     diag, cols = _stack(walks, Gs)
     d, P = diag.shape
     ids = np.arange(P)
@@ -288,14 +305,14 @@ def _logistic_paths(walks: list[_Walk]) -> None:
     A problem's pass refreshes its probabilities and gradient on its own rows
     (one call per problem, so every sum runs in the order of a lone fit),
     steps the intercept, then runs up to 10 coordinate sweeps on the
-    surrogate with curvature ``Z'Z/(4n)``, stopping early once its largest
-    step drops below ``_TOL``. Every live problem sweeps once per round, each
-    in its own pass: a problem whose pass ends starts its next pass, with a
-    refresh, in the next round. A penalty is solved once no intercept or
-    coordinate step of a pass reaches ``_TOL``, or after ``_MAX_PASSES``
-    passes.
+    surrogate with curvature ``Z'Z/(4n)`` (made once per design and target),
+    stopping early once its largest step drops below ``_TOL``. Every live
+    problem sweeps once per round, each in its own pass: a problem whose pass
+    ends starts its next pass, with a refresh, in the next round. A penalty is
+    solved once no intercept or coordinate step of a pass reaches ``_TOL``, or
+    after ``_MAX_PASSES`` passes.
     """
-    G4s = [walk.design.cross / (4.0 * walk.n) for walk in walks]
+    G4s = _per_design(walks, lambda walk: walk.design.cross / (4.0 * walk.n))
     diag, cols = _stack(walks, G4s)
     d, P = diag.shape
     b = []

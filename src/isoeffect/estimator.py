@@ -12,7 +12,9 @@ corpus for the general transported estimand), and gamma are transporting
 inverse probability weights. Nuisances are cross-fitted: every row's
 predictions come from models trained on the other folds. The K fold models
 of a nuisance are fitted together, in one solver batch for all their inner
-cross-validations and one for all their final fits.
+cross-validations and one for all their final fits; a calibration's
+representations (the full features and each reduction) share those batches
+too (:func:`crossfit_representations`).
 
 Standard errors come from the influence-function variance with 1/n CLT
 scaling (n + m stacked rows for the general estimand); ``ci95`` is the
@@ -22,6 +24,7 @@ usual two-sided normal interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +44,9 @@ from .nuisance import (
     Family,
     FittedModel,
     ModelSpec,
+    fit_models,
     fit_outcome_model,
-    fit_outcome_models,
     fit_propensity_model,
-    fit_propensity_models,
 )
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
     "Weights",
     "EffectEstimate",
     "crossfit_nuisances",
+    "crossfit_representations",
     "weights_iate",
     "weights_iatt",
     "weights_general",
@@ -130,107 +133,154 @@ def crossfit_nuisances(
     ``target_features``, the general estimand's corpus, is checked before
     any fit (2-d, finite, the source's columns, at least k rows), dealt into
     pseudo-folds and stacked under the source rows, and a source-vs-target
-    corpus classifier is cross-fitted alongside. Each nuisance's K fold
-    models are fitted together (:func:`~isoeffect.nuisance.fit_outcome_models`):
-    one solver batch for every fold's inner CV, one for every final fit. Each
-    fold predicts all of its held-out rows, source then target, with one call
-    per model and quantity; IATE and IATT, which fit the same nuisances, are
-    the case of no target.
+    corpus classifier is cross-fitted alongside. Each fold predicts all of
+    its held-out rows, source then target, with one call per model and
+    quantity; IATE and IATT, which fit the same nuisances, are the case of no
+    target. This is :func:`crossfit_representations` with one dataset.
+    """
+    targets = None if target_features is None else [target_features]
+    return crossfit_representations([dataset], outcome_spec, propensity_spec, k=k, seed=seed,
+                                    clip=clip, target_features=targets)[0]
+
+
+def crossfit_representations(
+    datasets: Sequence[Dataset],
+    outcome_spec: ModelSpec | None = None,
+    propensity_spec: ModelSpec | None = None,
+    k: int = 5,
+    seed: int = 0,
+    clip: ClipPolicy = ClipPolicy(),
+    target_features: Sequence[np.ndarray | None] | None = None,
+) -> list[NuisanceFits]:
+    """Cross-fit several datasets together; each fits as :func:`crossfit_nuisances` alone.
+
+    The datasets are typically one set of rows under several representations,
+    as a calibration has: the full features and each reduction. Every dataset
+    and its target corpus (``target_features[i]``, or None for none) is
+    checked before any fit. Each nuisance is then fitted for every fold of
+    every dataset at once (:func:`~isoeffect.nuisance.fit_models`): one solver
+    batch for all their inner CVs and one for all their final fits, where the
+    propensity and corpus classifiers, which share a spec, share the batches
+    too. Every model, and so every prediction, is bit for bit the one a
+    cross-fit of its dataset alone gives.
     """
     outcome_spec = outcome_spec or ModelSpec(Family.ELASTIC_LINEAR)
     propensity_spec = propensity_spec or ModelSpec(Family.ELASTIC_LOGISTIC)
-    dataset.require_both_arms()
-    n = dataset.n
-    plan = make_folds(n, k, a=dataset.a, seed=derive_seed(seed, "folds"))
+    targets = [None] * len(datasets) if target_features is None else list(target_features)
+    if len(targets) != len(datasets):
+        raise ValueError(f"{len(targets)} target corpora for {len(datasets)} datasets")
+    splits = [_Split(dataset, target, k, seed) for dataset, target in zip(datasets, targets)]
+    # the outcome model regresses y on [features, a]
+    outcome = fit_models(outcome_spec, [
+        (np.column_stack([s.dataset.features, s.a]), s.dataset.y, s.folds("outcome"))
+        for s in splits])
+    classifiers = fit_models(propensity_spec, [
+        *((s.dataset.features, s.a, s.folds("propensity")) for s in splits),
+        *((s.rows, s.is_target, s.folds("corpus")) for s in splits if s.is_target is not None)])
+    corpus = iter(classifiers[len(splits):])
+    return [s.fits(om, pm, None if s.is_target is None else next(corpus),
+                   outcome_spec, propensity_spec, clip)
+            for s, om, pm in zip(splits, outcome, classifiers)]
 
-    feats = dataset.features
-    y = dataset.y
-    a = dataset.a.astype(np.float64)
-    design = np.column_stack([feats, a])
 
-    rows, assign = feats, plan.assignment
-    general = target_features is not None
-    if general:
-        tgt = np.asarray(target_features, dtype=np.float64)
-        if tgt.ndim != 2 or tgt.shape[0] == 0:
-            raise ValidationError("target feature matrix must be non-empty and 2-d")
-        _require_finite(tgt, "target feature value")
-        if tgt.shape[1] != feats.shape[1]:
-            raise ValidationError(
-                f"target corpus has {tgt.shape[1]} feature columns, source has {feats.shape[1]}"
-            )
-        m = tgt.shape[0]
-        if m < k:
-            raise ValidationError(
-                f"target corpus too small for the folds: cannot split {m} rows into {k} folds"
-            )
-        tgt_assign = make_folds(m, k, seed=derive_seed(seed, "target-folds")).assignment
-        rows = np.vstack([feats, tgt])
-        assign = np.concatenate([plan.assignment, tgt_assign])
-        is_target = np.concatenate([np.zeros(n), np.ones(m)])
-        q_raw = np.empty(len(rows))
-        frac_t_by_fold = np.empty(k)
+class _Split:
+    """One dataset's checked cross-fit inputs: its fold plans and the rows each fold predicts."""
 
-    train = [plan.train_rows(f) for f in range(k)]
-    outcome_models = fit_outcome_models(design, y, outcome_spec, [
-        (tr, derive_seed(seed, f"outcome-f{f}")) for f, tr in enumerate(train)])
-    propensity_models = fit_propensity_models(feats, a, propensity_spec, [
-        (tr, derive_seed(seed, f"propensity-f{f}")) for f, tr in enumerate(train)])
-    if general:
-        corpus_models = fit_propensity_models(rows, is_target, propensity_spec, [
-            (np.flatnonzero(assign != f), derive_seed(seed, f"corpus-f{f}")) for f in range(k)])
-    ghat1, ghat0, p_raw = (np.empty(len(rows)) for _ in range(3))
-    pi1_by_fold = np.empty(k)
+    def __init__(self, dataset: Dataset, target_features, k: int, seed: int) -> None:
+        dataset.require_both_arms()
+        self.dataset, self.seed = dataset, seed
+        self.plan = make_folds(dataset.n, k, a=dataset.a, seed=derive_seed(seed, "folds"))
+        feats = dataset.features
+        self.a = dataset.a.astype(np.float64)
+        self.rows, self.assign = feats, self.plan.assignment
+        self.target_assign = self.is_target = None
+        if target_features is not None:
+            tgt = np.asarray(target_features, dtype=np.float64)
+            if tgt.ndim != 2 or tgt.shape[0] == 0:
+                raise ValidationError("target feature matrix must be non-empty and 2-d")
+            _require_finite(tgt, "target feature value")
+            if tgt.shape[1] != feats.shape[1]:
+                raise ValidationError(f"target corpus has {tgt.shape[1]} feature columns, "
+                                      f"source has {feats.shape[1]}")
+            m = tgt.shape[0]
+            if m < k:
+                raise ValidationError(
+                    f"target corpus too small for the folds: cannot split {m} rows into {k} folds"
+                )
+            self.target_assign = make_folds(m, k, seed=derive_seed(seed, "target-folds")).assignment
+            self.rows = np.vstack([feats, tgt])
+            self.assign = np.concatenate([self.plan.assignment, self.target_assign])
+            self.is_target = np.concatenate([np.zeros(dataset.n), np.ones(m)])
+        self.train = [self.plan.train_rows(f) for f in range(k)]
 
-    for f, (tr, om, pm) in enumerate(zip(train, outcome_models, propensity_models)):
-        held = np.flatnonzero(assign == f)  # the fold's source rows, then its target rows
-        x = rows[held]
-        ghat1[held] = om.predict(np.column_stack([x, np.ones(len(held))]))
-        ghat0[held] = om.predict(np.column_stack([x, np.zeros(len(held))]))
-        # keep the raw probabilities for clip diagnostics; clip once below
-        p_raw[held] = pm.predict_proba(x)
-        pi1_by_fold[f] = a[tr].mean()
+    def folds(self, nuisance: str) -> list[tuple]:
+        """The ``(training rows, seed)`` of every fold for ``nuisance``.
+
+        The outcome and propensity models train on the fold plan's source
+        rows, the corpus classifier on the source and target rows of the other
+        folds.
+        """
+        if nuisance == "corpus":
+            return [(np.flatnonzero(self.assign != f), derive_seed(self.seed, f"corpus-f{f}"))
+                    for f in range(len(self.train))]
+        return [(tr, derive_seed(self.seed, f"{nuisance}-f{f}")) for f, tr in enumerate(self.train)]
+
+    def fits(self, outcome_models, propensity_models, corpus_models, outcome_spec,
+             propensity_spec, clip: ClipPolicy) -> NuisanceFits:
+        """The out-of-fold predictions of the fitted fold models, and the recipe that made them."""
+        n, rows, a, k = self.dataset.n, self.rows, self.a, len(self.train)
+        general = corpus_models is not None
+        ghat1, ghat0, p_raw, q_raw = (np.empty(len(rows)) for _ in range(4))
+        pi1_by_fold, frac_t_by_fold = np.empty(k), np.empty(k)
+        for f, (tr, om, pm) in enumerate(zip(self.train, outcome_models, propensity_models)):
+            held = np.flatnonzero(self.assign == f)  # the fold's source rows, then its target rows
+            x = rows[held]
+            ghat1[held] = om.predict(np.column_stack([x, np.ones(len(held))]))
+            ghat0[held] = om.predict(np.column_stack([x, np.zeros(len(held))]))
+            # keep the raw probabilities for clip diagnostics; clip once below
+            p_raw[held] = pm.predict_proba(x)
+            pi1_by_fold[f] = a[tr].mean()
+            if general:
+                frac_t_by_fold[f] = self.is_target[self.assign != f].mean()
+                q_raw[held] = corpus_models[f].predict_proba(x)
+
+        ghat_obs = np.where(a == 1, ghat1[:n], ghat0[:n])
+        p_hat = clip.apply(p_raw[:n])
+        diagnostics = {
+            "clipped_frac": clip.clipped_fraction(p_raw[:n]),
+            "p_min": float(p_hat.min()),
+            "p_max": float(p_hat.max()),
+            "pi1": float(a.mean()),
+        }
+        general_fits = None
         if general:
-            frac_t_by_fold[f] = is_target[assign != f].mean()
-            q_raw[held] = corpus_models[f].predict_proba(x)
+            q_hat = clip.apply(q_raw)
+            general_fits = GeneralFits(
+                target_assignment=self.target_assign,
+                target_ghat1=_readonly(ghat1[n:]),
+                target_ghat0=_readonly(ghat0[n:]),
+                target_p_hat=_readonly(clip.apply(p_raw[n:])),
+                target_prob_t=_readonly(q_hat[n:]),
+                source_prob_t=_readonly(q_hat[:n]),
+                frac_t_by_fold=_readonly(frac_t_by_fold),
+                corpus_models=tuple(corpus_models),
+            )
+            diagnostics["corpus_clipped_frac"] = clip.clipped_fraction(q_raw)
 
-    ghat_obs = np.where(a == 1, ghat1[:n], ghat0[:n])
-    p_hat = clip.apply(p_raw[:n])
-    diagnostics = {
-        "clipped_frac": clip.clipped_fraction(p_raw[:n]),
-        "p_min": float(p_hat.min()),
-        "p_max": float(p_hat.max()),
-        "pi1": float(a.mean()),
-    }
-    general_fits = None
-    if general:
-        q_hat = clip.apply(q_raw)
-        general_fits = GeneralFits(
-            target_assignment=tgt_assign,
-            target_ghat1=_readonly(ghat1[n:]),
-            target_ghat0=_readonly(ghat0[n:]),
-            target_p_hat=_readonly(clip.apply(p_raw[n:])),
-            target_prob_t=_readonly(q_hat[n:]),
-            source_prob_t=_readonly(q_hat[:n]),
-            frac_t_by_fold=_readonly(frac_t_by_fold),
-            corpus_models=tuple(corpus_models),
+        return NuisanceFits(
+            self.dataset,
+            self.plan,
+            ghat_obs=_readonly(ghat_obs),
+            ghat1=_readonly(ghat1[:n]),
+            ghat0=_readonly(ghat0[:n]),
+            p_hat=_readonly(p_hat),
+            pi1_by_fold=_readonly(pi1_by_fold),
+            outcome_models=tuple(outcome_models),
+            propensity_models=tuple(propensity_models),
+            outcome_spec=outcome_spec, propensity_spec=propensity_spec, seed=self.seed, clip=clip,
+            general=general_fits,
+            diagnostics=diagnostics,
         )
-        diagnostics["corpus_clipped_frac"] = clip.clipped_fraction(q_raw)
-
-    return NuisanceFits(
-        dataset,
-        plan,
-        ghat_obs=_readonly(ghat_obs),
-        ghat1=_readonly(ghat1[:n]),
-        ghat0=_readonly(ghat0[:n]),
-        p_hat=_readonly(p_hat),
-        pi1_by_fold=_readonly(pi1_by_fold),
-        outcome_models=tuple(outcome_models),
-        propensity_models=tuple(propensity_models),
-        outcome_spec=outcome_spec, propensity_spec=propensity_spec, seed=seed, clip=clip,
-        general=general_fits,
-        diagnostics=diagnostics,
-    )
 
 
 # ---------------------------------------------------------------------------

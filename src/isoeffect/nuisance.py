@@ -12,11 +12,14 @@ single fit: an elastic net its penalty along a regularization path
 the fit's first k trees. Candidates that differ only in that value are one
 fit with a model per value, and a final fit is the one-value path.
 
-A cross-fit needs one model per outer fold, so :func:`fit_outcome_models` and
-:func:`fit_propensity_models` fit all of them in two phases: the inner CV of
-every fold in one solver call, then every final fit in another. Each model is
-bit for bit the one a fit on its fold alone gives; the single-model
-functions are the one-fold case.
+A cross-fit needs one model per outer fold, and a calibration one cross-fit
+per representation, so :func:`fit_models` fits every fold of several
+``(X, target, folds)`` jobs of one spec in two phases: the inner CV of every
+fold in one batch, then every final fit in another. A batch is one solver
+call per column count for elastic nets and one :func:`fit_gbt_batch` call per
+``X`` for boosting. Each model is bit for bit the one a fit on its fold alone
+gives; :func:`fit_outcome_models` and :func:`fit_propensity_models` are the
+one-job case, and the single-model functions the one-fold case.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "FittedModel",
     "default_grid",
     "cv_select",
+    "fit_models",
     "fit_outcome_model",
     "fit_outcome_models",
     "fit_propensity_model",
@@ -196,67 +200,105 @@ def cv_select(candidates: Sequence[Mapping], scores: Sequence[float]) -> dict:
     return max(tied, key=_reg_strength)
 
 
-def _loss(family: str, model, X, target) -> float:
-    """Mean held-out loss: log loss for classifiers, squared error otherwise."""
-    if family in Family.CLASSIFIERS:
-        p = np.clip(model.predict_proba(X), 1e-12, 1.0 - 1e-12)
-        return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean()
-    resid = target - model.predict(X)
-    return np.mean(resid * resid)
+def _losses(family: str, models: list, X, target) -> list[float]:
+    """Mean held-out loss of each model of one path: log loss for classifiers, squared error otherwise.
+
+    A boosting path's models are prefixes of one fit (:meth:`GBTModel.first`),
+    so the longest of them scores every one in a single walk of its trees.
+    """
+    classifier = family in Family.CLASSIFIERS
+    if family in (Family.GBT_REG, Family.GBT_CLF):
+        counts = [model.value.shape[0] for model in models]
+        longest = models[counts.index(max(counts))]
+        outputs = (longest.predict_proba if classifier else longest.predict)(X, counts)
+    else:
+        outputs = [model.predict_proba(X) if classifier else model.predict(X) for model in models]
+    out = []
+    for output in outputs:
+        if classifier:
+            p = np.clip(output, 1e-12, 1.0 - 1e-12)
+            out.append(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean())
+        else:
+            resid = target - output
+            out.append(np.mean(resid * resid))
+    return out
 
 
-def _paths(X, target, family: str, problems: list) -> list[list]:
-    """Each ``(rows, fixed, values, seed)`` problem's models, one per value in order.
+def _grouped(problems: list, key, solve) -> list:
+    """``solve`` once per group of problems with equal ``key(problem)``; results in problem order."""
+    groups: dict = {}
+    for i, problem in enumerate(problems):
+        groups.setdefault(key(problem), []).append(i)
+    out: list = [None] * len(problems)
+    for members in groups.values():
+        for i, result in zip(members, solve([problems[i] for i in members])):
+            out[i] = result
+    return out
+
+
+def _paths(family: str, problems: list) -> list[list]:
+    """Each ``(X, target, rows, fixed, values, seed)`` problem's models, one per value in order.
 
     ``values`` are the family's walked hyperparameter's (:data:`_WALKED`),
-    ``fixed`` holds the others, and every problem is fitted on ``X[rows]`` in
-    one solver call. An elastic net solves one penalty path, sharing one
-    standardization and target slice among problems with the same ``rows``
-    array, and ignores ``seed``. Boosting grows ``max(values)`` trees from
-    ``seed``, and value k's model is the first k of them (:meth:`GBTModel.first`).
+    ``fixed`` holds the others, and a problem is fitted on ``X[rows]`` and
+    ``target[rows]``. An elastic net solves one penalty path and ignores
+    ``seed``: problems with the same ``X`` and ``rows`` objects share one
+    standardization and target slice, and every problem of one column count
+    is solved in one core call (a batch has one width, and none is padded).
+    Boosting grows ``max(values)`` trees from ``seed``, one
+    :func:`fit_gbt_batch` call per ``X`` and ``target``, and value k's model
+    is the first k of them (:meth:`GBTModel.first`).
     """
     if family in (Family.GBT_REG, Family.GBT_CLF):
-        fits = fit_gbt_batch(X, target, family == Family.GBT_CLF, [
-            GBTTask(rows, depth=int(fixed["depth"]), n_trees=int(max(values)),
-                    learning_rate=float(fixed["learning_rate"]), seed=seed)
-            for rows, fixed, values, seed in problems])
-        return [[fit.first(int(k)) for k in problem[2]] for fit, problem in zip(fits, problems)]
+        def grow(batch):
+            X, target = batch[0][:2]
+            fits = fit_gbt_batch(X, target, family == Family.GBT_CLF, [
+                GBTTask(rows, depth=int(fixed["depth"]), n_trees=int(max(values)),
+                        learning_rate=float(fixed["learning_rate"]), seed=seed)
+                for _, _, rows, fixed, values, seed in batch])
+            return [[fit.first(int(k)) for k in problem[4]] for fit, problem in zip(fits, batch)]
+
+        return _grouped(problems, lambda problem: (id(problem[0]), id(problem[1])), grow)
     paths = enet_linear_paths if family == Family.ELASTIC_LINEAR else enet_logistic_paths
-    shared = {id(rows): rows for rows, *_ in problems}
-    data = {key: (prepare_design(X[rows]), target[rows]) for key, rows in shared.items()}
-    return paths([(*data[id(rows)], values, fixed["l1_ratio"])
-                  for rows, fixed, values, _ in problems])
+    designs, slices = {}, {}
+    for X, target, rows, *_ in problems:
+        if (id(X), id(rows)) not in designs:
+            designs[id(X), id(rows)] = prepare_design(X[rows])
+        if (id(target), id(rows)) not in slices:
+            slices[id(target), id(rows)] = target[rows]
+    return _grouped(problems, lambda problem: problem[0].shape[1], lambda batch: paths([
+        (designs[id(X), id(rows)], slices[id(target), id(rows)], values, fixed["l1_ratio"])
+        for X, target, rows, fixed, values, _ in batch]))
 
 
-def _fold_losses(X, target, family: str, cands: list[dict], cvs: list) -> list:
+def _fold_losses(family: str, cands: list[dict], cvs: list) -> list:
     """Held-out loss of every candidate on every inner fold, plus solver facts, per CV.
 
-    ``cvs`` holds one ``(seed, splits)`` per outer fold, ``splits`` its inner
-    folds as ``(training rows, test rows)`` of ``X``. Candidates that differ
-    only in the walked hyperparameter are one :func:`_paths` problem per inner
-    fold, seeded as the first of them, and every problem is solved in one
-    batch. The facts count the elastic-net solves that did not converge, or
-    the boosting fits and the trees each grew.
+    ``cvs`` holds one ``(X, target, seed, splits)`` per outer fold, ``splits``
+    its inner folds as ``(training rows, test rows)`` of ``X``. Candidates
+    that differ only in the walked hyperparameter are one :func:`_paths`
+    problem per inner fold, seeded as the first of them, and every problem of
+    every CV is solved in one batch. The facts count the elastic-net solves
+    that did not converge, or the boosting fits and the trees each grew.
     """
     walked = _WALKED[family]
     groups: dict = {}
     for ci, cand in enumerate(cands):
         groups.setdefault(tuple((k, v) for k, v in cand.items() if k != walked), []).append(ci)
     problems, scored = [], []
-    for c, (seed, splits) in enumerate(cvs):
+    for c, (X, target, seed, splits) in enumerate(cvs):
         for f, (tr, te) in enumerate(splits):
             for fixed, members in groups.items():
-                problems.append((tr, dict(fixed), [cands[ci][walked] for ci in members],
+                problems.append((X, target, tr, dict(fixed), [cands[ci][walked] for ci in members],
                                  derive_seed(seed, f"inner-{members[0]}-{f}")))
-                scored.append((c, f, te, members))
+                scored.append((c, f, X, target, te, members))
     boosting = family in (Family.GBT_REG, Family.GBT_CLF)
     out = [(np.empty((len(cands), len(splits))),
-            {"fits": 0, "trees": 0} if boosting else {"nonconverged": 0}) for _, splits in cvs]
-    for (c, f, te, members), models in zip(scored, _paths(X, target, family, problems)):
+            {"fits": 0, "trees": 0} if boosting else {"nonconverged": 0}) for *_, splits in cvs]
+    for (c, f, X, target, te, members), models in zip(scored, _paths(family, problems)):
         losses, facts = out[c]
-        X_te, target_te = X[te], target[te]
-        for ci, model in zip(members, models):
-            losses[ci, f] = _loss(family, model, X_te, target_te)
+        for ci, loss in zip(members, _losses(family, models, X[te], target[te])):
+            losses[ci, f] = loss
         if boosting:
             facts["fits"] += 1
             # the fit grew the trees of its largest count's model, whatever the value order
@@ -266,43 +308,76 @@ def _fold_losses(X, target, family: str, cands: list[dict], cvs: list) -> list:
     return out
 
 
-def _choose(X, target, spec: ModelSpec, folds: list) -> list[tuple[dict, dict]]:
-    """Phase 1: each ``(rows, seed)`` fold's choice and facts, every inner CV in one batch."""
+def _choose(spec: ModelSpec, jobs: list) -> list[list[tuple[dict, dict]]]:
+    """Phase 1: each job's per-fold choices and facts, every inner CV of every job in one batch."""
     cands = spec.candidates()
     classifier = spec.family in Family.CLASSIFIERS
-    out: list = [None] * len(folds)
+    out: list = [[None] * len(folds) for *_, folds in jobs]
     cvs, at = [], []
-    for j, (rows, seed) in enumerate(folds):
-        if len(cands) == 1:
-            out[j] = dict(cands[0]), {"inner_cv": None}
-        elif rows.size < 2 * _INNER_FOLDS:
-            # too little data to split meaningfully; fall back to the most
-            # regularized candidate rather than guessing from noise
-            out[j] = dict(max(cands, key=_reg_strength)), {"inner_cv": "skipped_small_n"}
-        else:
-            strat = target[rows] if classifier else None
-            plan = make_folds(rows.size, _INNER_FOLDS, a=strat,
-                              seed=derive_seed(seed, "inner-cv"))
-            cvs.append((seed, [(rows[plan.train_rows(f)], rows[plan.test_rows(f)])
-                               for f in range(plan.k)]))
-            at.append(j)
-    for j, (losses, facts) in zip(at, _fold_losses(X, target, spec.family, cands, cvs)):
+    for i, (X, target, folds) in enumerate(jobs):
+        for j, (rows, seed) in enumerate(folds):
+            if len(cands) == 1:
+                out[i][j] = dict(cands[0]), {"inner_cv": None}
+            elif rows.size < 2 * _INNER_FOLDS:
+                # too little data to split meaningfully; fall back to the most
+                # regularized candidate rather than guessing from noise
+                out[i][j] = dict(max(cands, key=_reg_strength)), {"inner_cv": "skipped_small_n"}
+            else:
+                strat = target[rows] if classifier else None
+                plan = make_folds(rows.size, _INNER_FOLDS, a=strat,
+                                  seed=derive_seed(seed, "inner-cv"))
+                cvs.append((X, target, seed, [(rows[plan.train_rows(f)], rows[plan.test_rows(f)])
+                                              for f in range(plan.k)]))
+                at.append((i, j))
+    for (i, j), (losses, facts) in zip(at, _fold_losses(spec.family, cands, cvs)):
         scores = [float(np.mean(row)) for row in losses]
         choice = cv_select(cands, scores)
-        out[j] = choice, {"inner_cv": {"scores": tuple(scores), **facts}}
+        out[i][j] = choice, {"inner_cv": {"scores": tuple(scores), **facts}}
     return out
 
 
-def _fit_models(X, target, spec: ModelSpec, folds) -> list[FittedModel]:
-    """Each fold's inner-CV choice, fitted on its rows as a one-value path seeded ``"final"``."""
-    folds = [(np.asarray(rows, dtype=np.intp), seed) for rows, seed in folds]
-    choices = _choose(X, target, spec, folds)
+def _fit_models(spec: ModelSpec, jobs: list) -> list[list[FittedModel]]:
+    """Each ``(X, target, folds)`` job's fold models: phase 1, then every final fit in one batch.
+
+    A fold's final fit is its inner-CV choice, fitted on its rows as a
+    one-value path seeded ``"final"``.
+    """
+    jobs = [(X, target, [(np.asarray(rows, dtype=np.intp), seed) for rows, seed in folds])
+            for X, target, folds in jobs]
+    choices = _choose(spec, jobs)
     walked = _WALKED[spec.family]
-    fitted = _paths(X, target, spec.family, [
-        (rows, chosen, [chosen[walked]], derive_seed(seed, "final"))
-        for (rows, seed), (chosen, _) in zip(folds, choices)])
-    return [FittedModel(family=spec.family, model=model, chosen=chosen, diagnostics=diag)
-            for (model,), (chosen, diag) in zip(fitted, choices)]
+    fitted = iter(_paths(spec.family, [
+        (X, target, rows, chosen, [chosen[walked]], derive_seed(seed, "final"))
+        for (X, target, folds), job in zip(jobs, choices)
+        for (rows, seed), (chosen, _) in zip(folds, job)]))
+    return [[FittedModel(family=spec.family, model=next(fitted)[0], chosen=chosen,
+                         diagnostics=diag) for chosen, diag in job] for job in choices]
+
+
+def fit_models(spec: ModelSpec, jobs: Sequence[tuple]) -> list[list[FittedModel]]:
+    """Fit ``spec`` once per ``(rows, seed)`` fold of every ``(X, target, folds)`` job.
+
+    A regressor's target is an outcome and a classifier's a 0/1 label, checked
+    as :func:`fit_outcome_models` and :func:`fit_propensity_models` check
+    them, for every job before any fit. All jobs are fitted together: one
+    solver batch for every fold's inner CV, then one for every final fit
+    (an elastic net makes one core call per column count, boosting one
+    :func:`fit_gbt_batch` call per ``X``). Each model is bit for bit its fold
+    fitted alone, and job j's models come back as list j, in fold order.
+    """
+    checked = []
+    for X, target, folds in jobs:
+        X = np.asarray(X, dtype=np.float64)
+        target = np.asarray(target, dtype=np.float64).reshape(-1)
+        if spec.family in Family.REGRESSORS:
+            if X.shape[0] != target.shape[0] or any(len(rows) < 2 for rows, _ in folds):
+                raise ValidationError("outcome fitting needs >= 2 aligned rows")
+        elif not np.all(np.isin(target, (0.0, 1.0))):
+            raise ValidationError("treatment labels must be 0/1")
+        elif any(target[rows].min() == target[rows].max() for rows, _ in folds):
+            raise ValidationError("propensity fitting requires both treatment arms")
+        checked.append((X, target, folds))
+    return _fit_models(spec, checked)
 
 
 def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
@@ -314,13 +389,11 @@ def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
     and fitted by its solver as it is: a constant target gives a model that
     predicts the fold mean, and a zero-penalty elastic net on a singular
     design keeps ``alpha = 0`` and converges to a least-squares solution.
+    This is :func:`fit_models` with one job.
     """
     if spec.family not in Family.REGRESSORS:
         raise ValueError(f"{spec.family!r} is not an outcome-regression family")
-    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64).reshape(-1)
-    if X.shape[0] != y.shape[0] or any(len(rows) < 2 for rows, _ in folds):
-        raise ValidationError("outcome fitting needs >= 2 aligned rows")
-    return _fit_models(X, y, spec, folds)
+    return fit_models(spec, [(X, y, folds)])[0]
 
 
 def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
@@ -334,16 +407,11 @@ def fit_propensity_models(X: np.ndarray, a: np.ndarray, spec: ModelSpec,
 
     Raises, before any fit, when a fold's rows hold only one class: a
     propensity on a single arm is never usable downstream, so this fails
-    loudly instead of degenerating.
+    loudly instead of degenerating. This is :func:`fit_models` with one job.
     """
     if spec.family not in Family.CLASSIFIERS:
         raise ValueError(f"{spec.family!r} is not a propensity family")
-    X, a = np.asarray(X, dtype=np.float64), np.asarray(a, dtype=np.float64).reshape(-1)
-    if not np.all(np.isin(a, (0.0, 1.0))):
-        raise ValidationError("treatment labels must be 0/1")
-    if any(a[rows].min() == a[rows].max() for rows, _ in folds):
-        raise ValidationError("propensity fitting requires both treatment arms")
-    return _fit_models(X, a, spec, folds)
+    return fit_models(spec, [(X, a, folds)])[0]
 
 
 def fit_propensity_model(X: np.ndarray, a: np.ndarray, spec: ModelSpec) -> FittedModel:

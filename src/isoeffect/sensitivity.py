@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "check_contour_grid",
     "contour_grid",
     "calibrate_detail",
+    "calibrate_fits",
     "audit",
 ]
 
@@ -226,17 +228,47 @@ def calibrate_detail(
     red_fits = crossfit_nuisances(reduced, outcome_spec or full_fits.outcome_spec,
                                   propensity_spec or full_fits.propensity_spec,
                                   k=full_fits.fold_plan.k, seed=full_fits.seed, clip=full_fits.clip)
-    a = dataset.a
-    w_full = weights_for(full_fits, a, kind)
-    w_red = weights_for(red_fits, a, kind)
-    red_sigma2 = sigma2_hat(dataset.y, red_fits.ghat_obs)
+    return calibrate_fits(full_fits, [red_fits], kind)[0]
+
+
+def calibrate_fits(
+    full_fits: NuisanceFits,
+    reduced_fits: Sequence[NuisanceFits],
+    kind: str = EstimandKind.IATE,
+) -> list[CalibrationResult]:
+    """Pair the fits of each weakened representation, already made, with ``full_fits``.
+
+    This is :func:`calibrate_detail` for fits made elsewhere, such as the
+    full representation and every reduction cross-fitted in one batch
+    (:func:`~isoeffect.estimator.crossfit_representations`). Each reduction
+    must have been fitted on the full fits' ``y`` and ``a`` with their fold
+    plan, so that the out-of-fold quantities pair row by row; that and
+    ``kind`` are checked before anything is computed.
+    """
+    if kind not in (EstimandKind.IATE, EstimandKind.IATT):
+        raise ValueError("calibration supports the iate and iatt estimands")
+    full = full_fits.dataset
+    for red in reduced_fits:
+        if not (np.array_equal(red.dataset.y, full.y) and np.array_equal(red.dataset.a, full.a)):
+            raise ValidationError("reduced fits' outcomes or treatments differ from the full fits'")
+        if not np.array_equal(red.fold_plan.assignment, full_fits.fold_plan.assignment):
+            raise ValidationError("reduced fits were dealt other folds than the full fits")
+    m_full = nu2_plugin(weights_for(full_fits, full.a, kind))
+    return [_calibration(full_fits, m_full, red, kind) for red in reduced_fits]
+
+
+def _calibration(full_fits: NuisanceFits, m_full: float, red_fits: NuisanceFits,
+                 kind: str) -> CalibrationResult:
+    """One reduction's strengths, given the full fits' weight second moment ``m_full``."""
+    reduced = red_fits.dataset
+    w_red = weights_for(red_fits, reduced.a, kind)
+    red_sigma2 = sigma2_hat(reduced.y, red_fits.ghat_obs)
     red_nu2 = nu2_hat(w_red)
     scale = _bound_scale(red_sigma2, red_nu2)
 
     diff = full_fits.ghat_obs - red_fits.ghat_obs
     c_y = float(np.sqrt(np.mean(diff * diff) / red_sigma2))
 
-    m_full = nu2_plugin(w_full)
     m_red = nu2_plugin(w_red)
     numer = m_full - m_red
     clamped = numer < 0

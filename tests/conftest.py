@@ -29,7 +29,7 @@ FAST_LOGISTIC = ModelSpec(Family.ELASTIC_LOGISTIC, {"C": [100.0], "l1_ratio": [0
 
 def inner_cv_choose(X, target, spec: ModelSpec, seed: int = 0) -> tuple[dict, dict]:
     """The hyperparameter choice and inner-CV facts of one fit on every row of ``X``."""
-    return _choose(X, target, spec, [(np.arange(len(target)), seed)])[0]
+    return _choose(spec, [(X, target, [(np.arange(len(target)), seed)])])[0][0]
 
 
 def assert_same_fitted(batch, solo):

@@ -21,7 +21,7 @@ from isoeffect.boosting import (
     fit_gbt_core,
 )
 from isoeffect.core import derive_seed, make_folds
-from isoeffect.nuisance import _INNER_FOLDS, Family, ModelSpec, _loss, cv_select
+from isoeffect.nuisance import _INNER_FOLDS, Family, ModelSpec, _losses, cv_select
 from reference_solvers import (
     best_split_exhaustive,
     reference_boost_regression,
@@ -310,6 +310,13 @@ def test_staged_raw_equals_separate_shorter_fit(classification):
     _assert_same_model(long.first(99), long)  # a count past the fitted trees keeps them all
     with pytest.raises(ValueError, match="non-negative"):
         long.first(-1)
+    # one walk of the 30 trees holds every prefix's score, in the order asked
+    walked = long.raw(X_new, [30, 0, 10, 99, 1])
+    assert walked.tobytes() == np.array([long.first(k).raw(X_new)
+                                         for k in (30, 0, 10, 99, 1)]).tobytes()
+    assert long.predict_proba(X_new, [10])[0].tobytes() == short.predict_proba(X_new).tobytes()
+    with pytest.raises(ValueError, match="non-negative"):
+        long.raw(X_new, [5, -1])
 
 
 def test_early_stop_ties_every_count_and_picks_fewer_trees():
@@ -403,16 +410,16 @@ def test_batch_fits_equal_solo_fits(classification):
         assert model.value.shape[1] == 1 << task.depth
 
 
-@pytest.mark.parametrize("family", [Family.GBT_REG, Family.GBT_CLF])
-def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
-    classifier = family == Family.GBT_CLF
-    X, y = _batch_data(classifier)
-    spec = ModelSpec(family)  # default grid: 4 (depth, rate) groups x 5 folds
-    chosen, diag = inner_cv_choose(X, y, spec, seed=3)
+def _solo_inner_cv(family, spec, X, y, seed):
+    """Inner-CV scores, fits and trees with every tree count scored by its own solo fit.
 
+    Each solo fit is seeded as its (depth, rate) group's first candidate, and
+    a group adds the trees of its largest fit.
+    """
+    classifier = family == Family.GBT_CLF
     cands = spec.candidates()
     plan = make_folds(len(y), _INNER_FOLDS, a=y if classifier else None,
-                      seed=derive_seed(3, "inner-cv"))
+                      seed=derive_seed(seed, "inner-cv"))
     groups: dict = {}
     for ci, cand in enumerate(cands):
         groups.setdefault((cand["depth"], cand["learning_rate"]), []).append(ci)
@@ -421,19 +428,28 @@ def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
     for (depth, rate), members in groups.items():
         for f in range(plan.k):
             tr, te = plan.train_rows(f), plan.test_rows(f)
-            # each count scored by its own solo fit, seeded as the group's first candidate
             solo = [fit_gbt_core(X[tr], y[tr], classifier, depth=depth,
                                  n_trees=cands[ci]["n_trees"], learning_rate=rate,
-                                 seed=derive_seed(3, f"inner-{members[0]}-{f}"))
+                                 seed=derive_seed(seed, f"inner-{members[0]}-{f}"))
                     for ci in members]
             for ci, model in zip(members, solo):
-                losses[ci, f] = _loss(family, model, X[te], y[te])
+                losses[ci, f] = _losses(family, [model], X[te], y[te])[0]
             trees += max(model.diagnostics["n_trees_fit"] for model in solo)
     scores = tuple(float(np.mean(row)) for row in losses)
+    return scores, len(groups) * plan.k, trees
+
+
+@pytest.mark.parametrize("family", [Family.GBT_REG, Family.GBT_CLF])
+def test_inner_cv_scores_equal_solo_fits_per_group_and_fold(family):
+    # a group's tree counts are scored from one walk of its longest fit's trees
+    X, y = _batch_data(family == Family.GBT_CLF)
+    spec = ModelSpec(family)  # default grid: 4 (depth, rate) groups x 5 folds
+    chosen, diag = inner_cv_choose(X, y, spec, seed=3)
+    scores, fits, trees = _solo_inner_cv(family, spec, X, y, seed=3)
     assert diag["inner_cv"]["scores"] == scores
-    assert chosen == cv_select(cands, scores)
+    assert chosen == cv_select(spec.candidates(), scores)
     assert "chosen" not in diag["inner_cv"]  # the choice is kept once, as FittedModel.chosen
-    assert diag["inner_cv"]["fits"] == len(groups) * plan.k == 20
+    assert diag["inner_cv"]["fits"] == fits == 20
     assert diag["inner_cv"]["trees"] == trees
 
 
@@ -446,6 +462,7 @@ def test_inner_cv_counts_each_fit_at_its_largest_tree_count_of_an_unsorted_grid(
     # model holds only 20 of them
     assert diag["inner_cv"]["fits"] == 10
     assert diag["inner_cv"]["trees"] == 500
+    assert (diag["inner_cv"]["scores"], 10, 500) == _solo_inner_cv(family, spec, X, y, seed=3)
 
 
 def test_lockstep_byte_bound_splits_batch_without_changing_models(monkeypatch):

@@ -17,6 +17,8 @@ from isoeffect import Dataset, SynthSpec, generate, write_csv
 from isoeffect.cli import main
 from isoeffect.featurize import Lexicon, featurize_texts
 
+from conftest import assert_same_fitted
+
 SPEC = {"n": 250, "d": 3, "rho": 0.5, "beta_a": 1.0, "seed": 4}
 
 
@@ -597,12 +599,14 @@ def test_calibration_rejects_general_estimand_before_fitting(
 def test_duplicate_reduction_labels_rejected_before_fitting(
         command, omit, label, data_csv, tmp_path, capsys, monkeypatch):
     import isoeffect.cli as cli
+    import isoeffect.nuisance as nuisance
 
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
     monkeypatch.setattr(cli, "estimate_effect", never)
     monkeypatch.setattr(cli, "calibrate_detail", never)
+    monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
     rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
                "--omit-features", omit])
     assert rc == 1
@@ -617,6 +621,7 @@ def test_duplicate_omitted_column_sets_rejected_before_fitting(
         command, omit, label, earlier, data_csv, tmp_path, capsys, monkeypatch):
     # distinct labels, one set of omitted columns: the same reduction twice
     import isoeffect.cli as cli
+    import isoeffect.nuisance as nuisance
 
     def never(*args, **kwargs):
         raise AssertionError("nothing may be featurized, masked or fitted")
@@ -624,6 +629,7 @@ def test_duplicate_omitted_column_sets_rejected_before_fitting(
     for name in ("estimate_effect", "calibrate_detail", "featurize_masked", "featurize_texts",
                  "mask_terms"):
         monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
     rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
                "--omit-features", omit])
     assert rc == 1
@@ -637,12 +643,14 @@ def test_gbt_reduction_without_columns_rejected_before_fitting(
         command, data_csv, tmp_path, capsys, monkeypatch):
     # boosting needs a feature column; the elastic net fits an intercept-only model
     import isoeffect.cli as cli
+    import isoeffect.nuisance as nuisance
 
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
     monkeypatch.setattr(cli, "estimate_effect", never)
     monkeypatch.setattr(cli, "calibrate_detail", never)
+    monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
     rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"), "--model", "gbt",
                "--omit-features", "x_0,x_0+x_1+x_2"])
     assert rc == 1
@@ -737,17 +745,23 @@ def test_calibrate_json(data_csv, tmp_path):
 def test_contour_with_nonpositive_nu2_exits_before_calibrating(data_csv, tmp_path, capsys,
                                                              monkeypatch):
     import isoeffect.cli as cli
+    import isoeffect.nuisance as nuisance
     import isoeffect.sensitivity as sensitivity
     from isoeffect import SensitivityParams, ValidationError, ovb_bounds
 
-    calls = []
+    calls, jobs = [], []
+    fit_models = nuisance._fit_models
     monkeypatch.setattr(sensitivity, "nu2_hat", lambda weights: -0.5)
     monkeypatch.setattr(cli, "calibrate_detail", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "calibrate_fits", lambda *a, **k: calls.append(a))
+    # every fit passes through it: the full data's outcome and propensity models only
+    monkeypatch.setattr(nuisance, "_fit_models",
+                        lambda spec, batch: jobs.append(len(batch)) or fit_models(spec, batch))
     out = tmp_path / "contour.csv"
     rc = main(["contour", "--data", data_csv, "--out", str(out), "--steps", "5",
                "--folds", "3", "--seed", "1", "--omit-features", "x_0"])
     assert rc == 1
-    assert calls == [] and not out.exists()
+    assert calls == [] and jobs == [1, 1] and not out.exists()
     # the library's message, the same one ovb_bounds gives
     with pytest.raises(ValidationError) as exc:
         ovb_bounds(1.0, 1.0, -0.5, SensitivityParams(0.5, 0.5))
@@ -916,6 +930,7 @@ def test_gbt_on_data_without_feature_columns_rejected_before_fitting(
 
 def _never_featurized_or_fitted(monkeypatch):
     import isoeffect.cli as cli
+    import isoeffect.nuisance as nuisance
 
     def never(*args, **kwargs):
         raise AssertionError("nothing may be featurized, masked or fitted")
@@ -923,6 +938,7 @@ def _never_featurized_or_fitted(monkeypatch):
     for name in ("estimate_effect", "calibrate_detail", "featurize_masked", "featurize_texts",
                  "mask_terms"):
         monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
 
 
 @pytest.mark.parametrize("command", ["calibrate", "contour"])
@@ -954,6 +970,95 @@ def test_invalid_mask_pattern_rejected_before_masking(
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _same_fits(got, want):
+    for name in ("ghat_obs", "ghat1", "ghat0", "p_hat", "pi1_by_fold"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.fold_plan.assignment.tobytes() == want.fold_plan.assignment.tobytes()
+    for batch, solo in zip(got.outcome_models + got.propensity_models,
+                           want.outcome_models + want.propensity_models):
+        assert_same_fitted(batch, solo)
+
+
+@pytest.mark.filterwarnings("ignore:weight second moment decreased")
+@pytest.mark.parametrize("case", ["two masks", "two widths", "gbt"])
+def test_calibrate_batch_equals_a_calibration_per_reduction(case, data_csv, text_corpus,
+                                                            tmp_path, monkeypatch):
+    # the full data and every reduction are cross-fitted in one batch; the estimate is
+    # estimate_effect's and each reduction's result calibrate_detail's, bit for bit
+    import isoeffect.cli as cli
+    from isoeffect import calibrate_detail, estimate_effect, load_csv
+    from isoeffect.nuisance import ModelSpec
+
+    text, schema, lex = text_corpus
+    data, schema, model, k, reductions = {
+        "two masks": (text, schema, "elastic", 3,
+                      ["--mask-patterns", "run*,protein", "--lexicon", lex]),
+        "two widths": (data_csv, None, "elastic", 3, ["--omit-features", "x_0,x_1+x_2"]),
+        "gbt": (data_csv, None, "gbt", 2, ["--omit-features", "x_0,x_1"]),
+    }[case]
+    recorded = []
+    calibrate_fits = cli.calibrate_fits
+
+    def record(full, reduced, kind):
+        recorded.append((full, reduced, calibrate_fits(full, reduced, kind)))
+        return recorded[-1][2]
+
+    monkeypatch.setattr(cli, "calibrate_fits", record)
+    out = tmp_path / "cal.json"
+    argv = ["--data", data, "--out", str(out), "--folds", str(k), "--seed", "1", "--model", model]
+    assert main(["calibrate", *argv, *([] if schema is None else ["--schema", schema]),
+                 *reductions]) == 0
+    (full, reduced, results), = recorded
+    assert len(reduced) == len(results) == 2
+
+    dataset = load_csv(data, cli._load_schema(schema))
+    outcome_spec, propensity_spec = (ModelSpec(family) for family in cli._MODELS[model])
+    est, fits, weights = estimate_effect(dataset, outcome_spec=outcome_spec,
+                                         propensity_spec=propensity_spec, k=k, seed=1,
+                                         return_parts=True)
+    _same_fits(full, fits)
+    report = isoeffect.audit(est, dataset, fits, weights)
+    expected = {"estimand": est.estimand, "tau_hat": est.tau_hat, "sigma2": report.sigma2,
+                "nu2": report.nu2, "calibrations": {}}
+    payload = json.loads(out.read_text())
+    for label, red, got in zip(payload["calibrations"], reduced, results):
+        want = calibrate_detail(dataset, fits, red.dataset.features)
+        assert (got.params, got.reduced_sigma2, got.reduced_nu2, got.bound_halfwidth) == (
+            want.params, want.reduced_sigma2, want.reduced_nu2, want.bound_halfwidth)
+        for name in ("tau_hat", "variance_hat", "standard_error", "ci95", "n", "diagnostics"):
+            assert getattr(got.reduced_estimate, name) == getattr(want.reduced_estimate, name)
+        assert got.reduced_estimate.influence.tobytes() == want.reduced_estimate.influence.tobytes()
+        expected["calibrations"][label] = {
+            "c_y": want.params.c_y, "c_d": want.params.c_d, "cd_clamped": want.params.cd_clamped,
+            "tau_hat_reduced": want.reduced_estimate.tau_hat,
+            "sigma2_reduced": want.reduced_sigma2, "nu2_reduced": want.reduced_nu2,
+            "bound_halfwidth": want.bound_halfwidth,
+        }
+    assert payload == cli._round12(expected)
+
+
+@pytest.mark.filterwarnings("ignore:weight second moment decreased")
+def test_calibrate_makes_one_solver_call_per_nuisance_and_phase(text_corpus, tmp_path,
+                                                                monkeypatch):
+    # masking keeps every lexicon column, so the full data and both reductions have one
+    # width: all their inner CVs are one call per nuisance, and all their final fits another
+    import isoeffect.nuisance as nuisance
+
+    calls = []
+    for name in ("enet_linear_paths", "enet_logistic_paths"):
+        def counted(problems, _name=name, _fn=getattr(nuisance, name)):
+            calls.append((_name, len(problems)))
+            return _fn(problems)
+        monkeypatch.setattr(nuisance, name, counted)
+    data, schema, lex = text_corpus
+    assert main(["calibrate", "--data", data, "--schema", schema, "--folds", "2", "--seed", "5",
+                 "--out", str(tmp_path / "cal.json"), "--mask-patterns", "run*,protein",
+                 "--lexicon", lex]) == 0
+    # 3 representations x 2 folds x 5 inner folds x 8 l1_ratio paths, then 3 x 2 final fits
+    assert calls == [("enet_linear_paths", 240), ("enet_linear_paths", 6),
+                     ("enet_logistic_paths", 240), ("enet_logistic_paths", 6)]
 
 
 def _comparable(value):

@@ -21,6 +21,7 @@ from isoeffect.elasticnet import (
     prepare_design,
     standardize_columns,
 )
+from isoeffect.nuisance import _L1_GRID
 import scalar_paths
 from reference_solvers import (
     enet_linear_objective,
@@ -349,7 +350,9 @@ def _mixed_batch(loss: str) -> list[tuple]:
     ends its grid at alpha=0, where the tolerance tightens to 1e-12.
     Logistic: problem 3 is separable with a margin, so its C=100 solve runs
     to the pass cap while the other problems converge. Problem 4 has an empty
-    grid and problem 5 repeats a penalty.
+    grid and problem 5 repeats a penalty. Problems 6-13 are the 8 default
+    ``l1_ratio`` paths of one prepared design and target, as an inner fold
+    gives, and problem 14 is that design with another target.
     """
     rng = np.random.default_rng(808)
     problems = []
@@ -378,6 +381,15 @@ def _mixed_batch(loss: str) -> list[tuple]:
         else:
             y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         problems.append((X, y, grid, 0.7))
+    X = rng.standard_normal((75, 3))
+    design = prepare_design(X)
+    eta = 0.2 + X @ np.array([0.6, -0.9, 0.0])
+    targets = [eta + 0.5 * rng.standard_normal(75) for _ in range(2)]
+    if loss == "logistic":
+        targets = [(t > 0.2).astype(float) for t in targets]
+    grid = (1e-2, 1.0, 1e-3) if loss == "linear" else (0.1, 10.0, 1.0)
+    problems += [(design, targets[0], grid, ratio) for ratio in _L1_GRID]
+    problems.append((design, targets[1], grid, 0.5))
     return problems
 
 

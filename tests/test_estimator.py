@@ -366,7 +366,9 @@ _GRIDS = {
 @pytest.mark.parametrize("kind", ["iate", "general"])
 def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypatch):
     # every fold of a nuisance is fitted in one inner-CV call and one final-fit
-    # call, and each fold's model is the one a fit on its training rows alone gives
+    # call, and each fold's model is the one a fit on its training rows alone gives;
+    # the propensity and corpus classifiers share a spec, and elastic nets of one
+    # width share the calls
     import isoeffect.nuisance as nuisance
 
     calls = []
@@ -384,8 +386,7 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
     if model == "gbt":
         assert calls == ["fit_gbt_batch"] * 2 * nuisances
     else:
-        assert calls == (["enet_linear_paths"] * 2
-                         + ["enet_logistic_paths"] * 2 * (nuisances - 1))
+        assert calls == ["enet_linear_paths"] * 2 + ["enet_logistic_paths"] * 2
     monkeypatch.undo()
 
     def alone(fit, X, target, spec, label):
@@ -408,6 +409,33 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
             assert_same_fitted(fits.general.corpus_models[f], alone(
                 fit_propensity_models, rows[train], is_target[train].astype(float),
                 propensity_spec, f"corpus-f{f}"))
+
+
+def test_crossfit_representations_equal_each_crossfit_alone(synth_small):
+    # one batch holds a general-estimand dataset and a narrower one without a corpus
+    from isoeffect import crossfit_representations
+
+    narrow = Dataset(y=synth_small.y, a=synth_small.a, features=synth_small.features[:, :2])
+    target = generate(SynthSpec(n=90, d=synth_small.features.shape[1], seed=43)).features
+    outcome_spec, propensity_spec = _GRIDS["elastic"]
+    batch = crossfit_representations([synth_small, narrow], outcome_spec, propensity_spec,
+                                     k=3, seed=6, target_features=[target, None])
+    alone = [crossfit_nuisances(synth_small, outcome_spec, propensity_spec, k=3, seed=6,
+                                target_features=target),
+             crossfit_nuisances(narrow, outcome_spec, propensity_spec, k=3, seed=6)]
+    for got, want in zip(batch, alone):
+        assert got.dataset is want.dataset and (got.general is None) == (want.general is None)
+        for name in ("ghat_obs", "ghat1", "ghat0", "p_hat", "pi1_by_fold"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for g, w in zip(got.outcome_models + got.propensity_models,
+                        want.outcome_models + want.propensity_models):
+            assert_same_fitted(g, w)
+    for name in ("target_ghat1", "target_ghat0", "target_p_hat", "target_prob_t",
+                 "source_prob_t", "frac_t_by_fold"):
+        got, want = getattr(batch[0].general, name), getattr(alone[0].general, name)
+        assert got.tobytes() == want.tobytes(), name
+    with pytest.raises(ValueError, match="1 target corpora for 2 datasets"):
+        crossfit_representations([synth_small, narrow], target_features=[target])
 
 
 def test_default_gbt_crossfit_grows_each_nuisance_in_two_lockstep_groups(monkeypatch):
@@ -447,8 +475,7 @@ def _never_fitted(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
-    monkeypatch.setattr(estimator, "fit_outcome_models", never)
-    monkeypatch.setattr(estimator, "fit_propensity_models", never)
+    monkeypatch.setattr(estimator, "fit_models", never)
 
 
 def test_estimand_validation(synth_small, monkeypatch):

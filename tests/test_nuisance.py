@@ -25,7 +25,7 @@ from isoeffect.nuisance import (
     FittedModel,
     ModelSpec,
     _INNER_FOLDS,
-    _loss,
+    _losses,
     _reg_strength,
     cv_select,
     default_grid,
@@ -203,7 +203,7 @@ def _per_candidate_choice(X, target, spec, seed):
                 model = fit_enet_logistic(X[tr], target[tr], cand["C"], cand["l1_ratio"])
             else:
                 model = fit_enet_linear(X[tr], target[tr], cand["alpha"], cand["l1_ratio"])
-            losses.append(_loss(spec.family, model, X[te], target[te]))
+            losses.extend(_losses(spec.family, [model], X[te], target[te]))
         scores.append(float(np.mean(losses)))
     return cv_select(cands, scores), scores
 
@@ -253,9 +253,8 @@ def test_path_inner_cv_equals_solo_paths(family):
         for f in range(plan.k):
             tr, te = plan.train_rows(f), plan.test_rows(f)
             fits = path(X[tr], target[tr], [cands[ci][penalty] for ci in members], ratio)
-            for ci, model in zip(members, fits):
-                losses[ci, f] = _loss(family, model, X[te], target[te])
-                nonconverged += not model.converged
+            losses[members, f] = _losses(family, fits, X[te], target[te])
+            nonconverged += sum(not model.converged for model in fits)
     scores = tuple(float(np.mean(row)) for row in losses)
     assert diag["inner_cv"]["scores"] == scores
     assert chosen == cv_select(cands, scores)

@@ -205,6 +205,22 @@ def test_calibration_rejects_another_dataset_of_the_same_size_before_refitting(
     assert fits.dataset is synth_small  # kept by reference, not copied
 
 
+@pytest.mark.parametrize("other", ["another seed", "other outcomes"])
+def test_calibrate_fits_rejects_reduced_fits_of_other_folds_or_rows(other, synth_small):
+    from isoeffect import calibrate_fits
+
+    fits = crossfit_nuisances(synth_small, outcome_spec=FAST_LINEAR,
+                              propensity_spec=FAST_LOGISTIC, seed=7)
+    reduced = Dataset(y=synth_small.y, a=synth_small.a, features=synth_small.features[:, 1:])
+    seed, message = 8, "other folds"  # another seed deals other folds
+    if other == "other outcomes":
+        reduced, seed, message = Dataset(y=reduced.y + 1.0, a=reduced.a,
+                                         features=reduced.features), 7, "outcomes or treatments"
+    red_fits = crossfit_nuisances(reduced, FAST_LINEAR, FAST_LOGISTIC, seed=seed)
+    with pytest.raises(ValidationError, match=message):
+        calibrate_fits(fits, [red_fits])
+
+
 def test_calibration_dropping_signal_moves_cy(synth_medium):
     fits = crossfit_nuisances(synth_medium, outcome_spec=FAST_LINEAR,
                               propensity_spec=FAST_LOGISTIC, seed=9)
