@@ -219,6 +219,13 @@ def _crossfit(opt: dict, datasets: Sequence[Dataset]) -> list[NuisanceFits]:
                                     seed=opt["seed"], clip=opt["clip"])
 
 
+def _audited(dataset: Dataset, fits: NuisanceFits, opt: dict):
+    """The run estimand's DR estimate from ``dataset``'s cross-fitted nuisances, and its audit."""
+    weights = weights_for(fits, dataset.a, opt["estimand"])
+    est = estimate_dr(fits, weights, dataset)
+    return est, audit(est, dataset, fits, weights)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -310,11 +317,12 @@ def _cmd_sweep(dataset: Dataset, opt: dict) -> int:
     if hi > dataset.d:
         raise ValueError(f"dims {hi} exceeds the {dataset.d} non-focal columns")
 
+    subs = [replace(dataset, features=dataset.features[:, :dims],
+                    feature_names=dataset.feature_names[:dims]) for dims in range(lo, hi + 1)]
     rows = []
-    for dims in range(lo, hi + 1):
-        sub = replace(dataset, features=dataset.features[:, :dims],
-                      feature_names=dataset.feature_names[:dims])
-        est, fits, weights, report = _estimate_with_audit(sub, opt)
+    # every dimension cross-fitted in one batch (only iate and iatt get here)
+    for dims, sub, fits in zip(range(lo, hi + 1), subs, _crossfit(opt, subs)):
+        est, report = _audited(sub, fits, opt)
         rows.append([
             str(dims), _fmt(est.tau_hat), _fmt(est.ci95[0]), _fmt(est.ci95[1]),
             _fmt(report.sigma2), _fmt(report.nu2), _fmt(report.rv),
@@ -347,9 +355,7 @@ def _cmd_calibrate(dataset: Dataset, opt: dict) -> int:
     _require_gbt_feature(dataset, opt)
     # the data and every reduction, cross-fitted in one batch (only iate and iatt get here)
     fits, *reduced = _crossfit(opt, [dataset, *(ds for _, ds in reductions)])
-    weights = weights_for(fits, dataset.a, opt["estimand"])
-    est = estimate_dr(fits, weights, dataset)
-    report = audit(est, dataset, fits, weights)
+    est, report = _audited(dataset, fits, opt)
     payload: dict = {
         "estimand": est.estimand,
         "tau_hat": est.tau_hat,

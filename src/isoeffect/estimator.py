@@ -14,7 +14,9 @@ predictions come from models trained on the other folds. The K fold models
 of a nuisance are fitted together, in one solver batch for all their inner
 cross-validations and one for all their final fits; a calibration's
 representations (the full features and each reduction) share those batches
-too (:func:`crossfit_representations`).
+too (:func:`crossfit_representations`). The two kinds of nuisance are
+independent, so on a host with two usable CPUs the outcome models are fitted
+in a forked child process while this one fits the classifiers.
 
 Standard errors come from the influence-function variance with 1/n CLT
 scaling (n + m stacked rows for the general estimand); ``ci95`` is the
@@ -23,11 +25,17 @@ usual two-sided normal interval.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import nuisance
 from .core import (
     Dataset,
     EstimandKind,
@@ -44,7 +52,7 @@ from .nuisance import (
     Family,
     FittedModel,
     ModelSpec,
-    fit_models,
+    check_jobs,
     fit_outcome_model,
     fit_propensity_model,
 )
@@ -161,8 +169,12 @@ def crossfit_representations(
     every dataset at once (:func:`~isoeffect.nuisance.fit_models`): one solver
     batch for all their inner CVs and one for all their final fits, where the
     propensity and corpus classifiers, which share a spec, share the batches
-    too. Every model, and so every prediction, is bit for bit the one a
-    cross-fit of its dataset alone gives.
+    too. Both nuisances' inputs are checked (:func:`~isoeffect.nuisance.check_jobs`,
+    outcome first) before either is fitted. The outcome models are fitted in
+    a forked child while this process fits the classifiers, where
+    :func:`_can_fork` allows, and inline otherwise; the same code runs on the
+    same inputs either way. Every model, and so every prediction, is bit for
+    bit the one a cross-fit of its dataset alone gives.
     """
     outcome_spec = outcome_spec or ModelSpec(Family.ELASTIC_LINEAR)
     propensity_spec = propensity_spec or ModelSpec(Family.ELASTIC_LOGISTIC)
@@ -171,16 +183,104 @@ def crossfit_representations(
         raise ValueError(f"{len(targets)} target corpora for {len(datasets)} datasets")
     splits = [_Split(dataset, target, k, seed) for dataset, target in zip(datasets, targets)]
     # the outcome model regresses y on [features, a]
-    outcome = fit_models(outcome_spec, [
+    outcome_jobs = check_jobs(outcome_spec, [
         (np.column_stack([s.dataset.features, s.a]), s.dataset.y, s.folds("outcome"))
         for s in splits])
-    classifiers = fit_models(propensity_spec, [
+    classifier_jobs = check_jobs(propensity_spec, [
         *((s.dataset.features, s.a, s.folds("propensity")) for s in splits),
         *((s.rows, s.is_target, s.folds("corpus")) for s in splits if s.is_target is not None)])
+    wait = _in_child(nuisance._fit_models, outcome_spec, outcome_jobs)
+    try:
+        classifiers = nuisance._fit_models(propensity_spec, classifier_jobs)
+    except BaseException as exc:
+        # an outcome error is raised first, with this one as its context; Ctrl-C ends the child
+        wait(kill=not isinstance(exc, Exception))
+        raise
+    outcome = wait()
     corpus = iter(classifiers[len(splits):])
     return [s.fits(om, pm, None if s.is_target is None else next(corpus),
                    outcome_spec, propensity_spec, clip)
             for s, om, pm in zip(splits, outcome, classifiers)]
+
+
+def _can_fork() -> bool:
+    """Whether :func:`_in_child` forks: a POSIX host, two usable CPUs, and Python before 3.12.
+
+    From 3.12 on, forking a process that runs threads (numpy's BLAS pool is
+    one) emits a ``DeprecationWarning``, so those versions fit inline.
+    """
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and sys.version_info < (3, 12))
+
+
+def _in_child(fn: Callable, *args) -> Callable:
+    """Start ``fn(*args)`` in a forked child while the caller works on; ``wait()`` gives its result.
+
+    The child inherits every input, so only the result (or the exception
+    ``fn`` raised) crosses back, pickled through a pipe, together with the
+    warnings ``fn`` issued, which ``wait`` re-issues here in order. ``wait``
+    reaps the child on every path; when the child ends without a result it
+    raises :class:`RuntimeError` naming its exit status or signal, and
+    ``wait(kill=True)`` ends it unread. The child always leaves by
+    ``os._exit``, so nothing of this process runs twice. Where
+    :func:`_can_fork` is False, ``fn`` runs at once, here.
+    """
+    if not _can_fork():
+        result = fn(*args)
+        return lambda kill=False: result
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: never returns
+        code = 1
+        try:
+            os.close(read_end)
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    outcome = True, fn(*args)
+                except Exception as exc:
+                    outcome = False, exc
+            issued = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            try:
+                payload = pickle.dumps((outcome, issued))
+            except Exception as exc:  # say why, rather than end without a result
+                payload = pickle.dumps(((False, RuntimeError(
+                    f"the child's outcome {outcome[1]!r:.200} cannot be pickled: {exc!r}")), []))
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    pipe = os.fdopen(read_end, "rb")
+
+    def wait(kill: bool = False):
+        with pipe:
+            try:
+                payload = b"" if kill else pipe.read()
+            except BaseException:
+                kill = True
+                raise
+            finally:
+                if kill:
+                    os.kill(pid, signal.SIGKILL)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # reaps the child
+        if kill:
+            return None
+        if code != 0:
+            how = f"exit status {code}" if code > 0 else "signal " + next(
+                (sig.name for sig in signal.Signals if sig == -code), str(-code))
+            raise RuntimeError(f"the child process running {fn.__name__} ended by {how} "
+                               "without a result")
+        (ok, result), issued = pickle.loads(payload)
+        for message, category, filename, lineno in issued:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if not ok:
+            raise result
+        return result
+
+    return wait
 
 
 class _Split:

@@ -8,9 +8,9 @@ resulting tokens.
 
 Featurization compiles the lexicon against the corpus vocabulary: each text
 is tokenized once, each distinct token is tested once against each category,
-and the category columns are counted from the token occurrences with
-``np.bincount``. The cost is one matcher call per (distinct token, category)
-rather than per (token occurrence, category).
+and the category columns are counted with ``np.bincount`` from the occurrences
+of the tokens that match some category. The cost is one matcher call per
+(distinct token, category) rather than per (token occurrence, category).
 Masking reuses that work: :func:`featurize_masked` featurizes under several
 masks from one tokenization, giving the tokens a mask matches zero weight.
 """
@@ -146,6 +146,9 @@ def featurize_masked(texts: Sequence[str], lexicon: Lexicon, masks: Sequence[Seq
     member = np.array([[match(w) for w in words] for match in matchers], dtype=np.float64)
     rows = np.repeat(np.arange(len(texts)), lengths)
     ids = np.asarray(ids, dtype=np.int64)
+    # a token that matches no category adds 0 to every count; the 0/1 sums stay exact
+    hit = member.any(axis=0)[ids]
+    rows, ids = rows[hit], ids[hit]
     out = []
     for match in hidden:
         kept = member * np.array([not match(w) for w in words], dtype=np.float64)

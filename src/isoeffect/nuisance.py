@@ -50,6 +50,7 @@ __all__ = [
     "FittedModel",
     "default_grid",
     "cv_select",
+    "check_jobs",
     "fit_models",
     "fit_outcome_model",
     "fit_outcome_models",
@@ -354,16 +355,12 @@ def _fit_models(spec: ModelSpec, jobs: list) -> list[list[FittedModel]]:
                          diagnostics=diag) for chosen, diag in job] for job in choices]
 
 
-def fit_models(spec: ModelSpec, jobs: Sequence[tuple]) -> list[list[FittedModel]]:
-    """Fit ``spec`` once per ``(rows, seed)`` fold of every ``(X, target, folds)`` job.
+def check_jobs(spec: ModelSpec, jobs: Sequence[tuple]) -> list[tuple]:
+    """The ``(X, target, folds)`` jobs as float arrays, after :func:`fit_models`'s input checks.
 
     A regressor's target is an outcome and a classifier's a 0/1 label, checked
     as :func:`fit_outcome_models` and :func:`fit_propensity_models` check
-    them, for every job before any fit. All jobs are fitted together: one
-    solver batch for every fold's inner CV, then one for every final fit
-    (an elastic net makes one core call per column count, boosting one
-    :func:`fit_gbt_batch` call per ``X``). Each model is bit for bit its fold
-    fitted alone, and job j's models come back as list j, in fold order.
+    them, job by job; the first failing check raises :class:`ValidationError`.
     """
     checked = []
     for X, target, folds in jobs:
@@ -377,7 +374,20 @@ def fit_models(spec: ModelSpec, jobs: Sequence[tuple]) -> list[list[FittedModel]
         elif any(target[rows].min() == target[rows].max() for rows, _ in folds):
             raise ValidationError("propensity fitting requires both treatment arms")
         checked.append((X, target, folds))
-    return _fit_models(spec, checked)
+    return checked
+
+
+def fit_models(spec: ModelSpec, jobs: Sequence[tuple]) -> list[list[FittedModel]]:
+    """Fit ``spec`` once per ``(rows, seed)`` fold of every ``(X, target, folds)`` job.
+
+    Every job is checked (:func:`check_jobs`) before any fit. All jobs are
+    fitted together: one solver batch for every fold's inner CV, then one for
+    every final fit (an elastic net makes one core call per column count,
+    boosting one :func:`fit_gbt_batch` call per ``X``). Each model is bit for
+    bit its fold fitted alone, and job j's models come back as list j, in
+    fold order.
+    """
+    return _fit_models(spec, check_jobs(spec, jobs))
 
 
 def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -47,6 +48,41 @@ def assert_same_fitted(batch, solo):
             assert got == want, name
         else:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+@pytest.fixture
+def inline(monkeypatch):
+    """Every nuisance fit of a cross-fit runs in this process, where patched seams see it.
+
+    On a host where :func:`isoeffect.estimator._in_child` forks, the outcome
+    models are fitted in a child process, whose calls a test cannot record.
+    """
+    import isoeffect.estimator as estimator
+
+    monkeypatch.setattr(estimator, "_can_fork", lambda: False)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Every cross-fit fits its outcome models in a forked child; yields the list of forks.
+
+    Checks on teardown that no child process outlived the test.
+    """
+    import isoeffect.estimator as estimator
+
+    if not hasattr(os, "fork") or sys.version_info >= (3, 12):
+        pytest.skip("the outcome fit forks only where os.fork exists, before Python 3.12")
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(estimator, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", counted)
+    yield forks
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped, is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -300,6 +300,7 @@ def test_sweep_rejects_bad_inputs(sweep_csv, tmp_path, capsys, monkeypatch):
         raise AssertionError("every bad input is caught before any fit")
 
     monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "crossfit_representations", never)  # sweep's one cross-fit
     data, schema = sweep_csv
     out = str(tmp_path / "s.csv")
     assert main(["sweep", "--data", data, "--schema", schema, "--focal", "nope",
@@ -324,12 +325,16 @@ def test_sweep_default_range_is_every_non_focal_column(sweep_csv, tmp_path, caps
 
     swept = []
 
-    def record(dataset, opt):
-        swept.append(dataset.d)
-        est = SimpleNamespace(tau_hat=1.0, ci95=(0.0, 2.0))
-        return est, None, None, SimpleNamespace(sigma2=1.0, nu2=1.0, rv=1.0)
+    def record(opt, datasets):  # every dimension is in the one cross-fit of the run
+        swept.extend(dataset.d for dataset in datasets)
+        return [None] * len(datasets)
 
-    monkeypatch.setattr(cli, "_estimate_with_audit", record)
+    def audited(dataset, fits, opt):
+        est = SimpleNamespace(tau_hat=1.0, ci95=(0.0, 2.0))
+        return est, SimpleNamespace(sigma2=1.0, nu2=1.0, rv=1.0)
+
+    monkeypatch.setattr(cli, "_crossfit", record)
+    monkeypatch.setattr(cli, "_audited", audited)
     data, schema = sweep_csv
     assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
                  "--out", str(tmp_path / "s.csv")]) == 0
@@ -348,13 +353,13 @@ def test_sweep_fits_nested_column_prefixes(sweep_csv, tmp_path, monkeypatch):
     import isoeffect.cli as cli
 
     fitted = []
-    real = cli.estimate_effect
+    real = cli.crossfit_representations
 
-    def recording(dataset, **kwargs):
-        fitted.append(dataset)
-        return real(dataset, **kwargs)
+    def recording(datasets, *args, **kwargs):
+        fitted.extend(datasets)
+        return real(datasets, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate_effect", recording)
+    monkeypatch.setattr(cli, "crossfit_representations", recording)
     data, schema = sweep_csv
     assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat",
                  "--dims", "2..4", "--folds", "2", "--out", str(tmp_path / "s.csv")]) == 0
@@ -365,6 +370,32 @@ def test_sweep_fits_nested_column_prefixes(sweep_csv, tmp_path, monkeypatch):
         assert np.array_equal(ds.a, wide.features[:, 0])
         assert np.array_equal(ds.y, wide.y)
         assert np.array_equal(ds.features, wide.features[:, 1:1 + ds.d])
+
+
+@pytest.mark.parametrize("model", ["elastic", "gbt"])
+def test_sweep_rows_equal_an_estimate_per_dimension(model, sweep_csv, tmp_path, forked):
+    # the dimensions share one cross-fit, and so one child, and each row is the
+    # one an estimate of that dimension alone gives
+    import isoeffect.cli as cli
+    from isoeffect import audit, estimate_effect, select_intervention
+    from isoeffect.nuisance import ModelSpec
+
+    data, schema = sweep_csv
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--data", data, "--schema", schema, "--focal", "treat", "--dims",
+                 "3..4", "--model", model, "--folds", "2", "--seed", "3", "--out", str(out)]) == 0
+    assert len(forked) == 1
+    wide = cli.load_csv(data, {"feature_columns": ["treat", "x_0", "x_1", "x_2", "x_3"]})
+    ds = select_intervention(wide, "treat")
+    specs = [ModelSpec(family) for family in cli._MODELS[model]]
+    rows = ["dims,tau_hat,ci_lo,ci_hi,sigma2,nu2,rv"]
+    for dims in (3, 4):
+        sub = Dataset(y=ds.y, a=ds.a, features=ds.features[:, :dims])
+        est, fits, weights = estimate_effect(sub, "iate", *specs, k=2, seed=3, return_parts=True)
+        report = audit(est, sub, fits, weights)
+        rows.append(",".join([str(dims)] + [cli._fmt(v) for v in (
+            est.tau_hat, *est.ci95, report.sigma2, report.nu2, report.rv)]))
+    assert out.read_text() == "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +774,7 @@ def test_calibrate_json(data_csv, tmp_path):
 
 
 def test_contour_with_nonpositive_nu2_exits_before_calibrating(data_csv, tmp_path, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, inline):
     import isoeffect.cli as cli
     import isoeffect.nuisance as nuisance
     import isoeffect.sensitivity as sensitivity
@@ -1041,7 +1072,7 @@ def test_calibrate_batch_equals_a_calibration_per_reduction(case, data_csv, text
 
 @pytest.mark.filterwarnings("ignore:weight second moment decreased")
 def test_calibrate_makes_one_solver_call_per_nuisance_and_phase(text_corpus, tmp_path,
-                                                                monkeypatch):
+                                                                monkeypatch, inline):
     # masking keeps every lexicon column, so the full data and both reductions have one
     # width: all their inner CVs are one call per nuisance, and all their final fits another
     import isoeffect.nuisance as nuisance

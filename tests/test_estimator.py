@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import os
+import signal
+import sys
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from isoeffect import (
     SynthSpec,
     ValidationError,
     crossfit_nuisances,
+    crossfit_representations,
     estimate_dr,
     estimate_effect,
     estimate_naive,
@@ -364,7 +369,7 @@ _GRIDS = {
 
 @pytest.mark.parametrize("model", ["elastic", "gbt"])
 @pytest.mark.parametrize("kind", ["iate", "general"])
-def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypatch):
+def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypatch, inline):
     # every fold of a nuisance is fitted in one inner-CV call and one final-fit
     # call, and each fold's model is the one a fit on its training rows alone gives;
     # the propensity and corpus classifiers share a spec, and elastic nets of one
@@ -438,7 +443,7 @@ def test_crossfit_representations_equal_each_crossfit_alone(synth_small):
         crossfit_representations([synth_small, narrow], target_features=[target])
 
 
-def test_default_gbt_crossfit_grows_each_nuisance_in_two_lockstep_groups(monkeypatch):
+def test_default_gbt_crossfit_grows_each_nuisance_in_two_lockstep_groups(monkeypatch, inline):
     # the first input set of the estimate-gbt benchmark at seed 21: n=400,
     # criterion 9's nonlinear spec plus a count column, the default GBT grids,
     # 2 folds. The 40 inner-CV fits of a nuisance differ in rows and cuts and
@@ -470,12 +475,12 @@ def replace_seed(spec: SynthSpec, seed: int) -> SynthSpec:
 
 
 def _never_fitted(monkeypatch):
-    import isoeffect.estimator as estimator
+    import isoeffect.nuisance as nuisance
 
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
-    monkeypatch.setattr(estimator, "fit_models", never)
+    monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
 
 
 def test_estimand_validation(synth_small, monkeypatch):
@@ -535,3 +540,206 @@ def test_general_estimator_guards(synth_small, tiny_dataset):
     # a target corpus is only meaningful for the general estimand
     with pytest.raises(ValueError, match="only meaningful"):
         estimate_effect(synth_small, kind="iate", target_features=np.zeros((10, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the outcome models fitted in a forked child
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_fits(got, want):
+    """Bit-for-bit equality of two cross-fits of one dataset, every model included."""
+    assert got.dataset is want.dataset
+    assert got.fold_plan.assignment.tobytes() == want.fold_plan.assignment.tobytes()
+    for name in ("ghat_obs", "ghat1", "ghat0", "p_hat", "pi1_by_fold"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    models = got.outcome_models + got.propensity_models
+    assert len(models) == len(want.outcome_models + want.propensity_models)
+    for g, w in zip(models, want.outcome_models + want.propensity_models):
+        assert_same_fitted(g, w)
+    assert ((got.outcome_spec, got.propensity_spec, got.seed, got.clip, got.diagnostics)
+            == (want.outcome_spec, want.propensity_spec, want.seed, want.clip, want.diagnostics))
+    assert (got.general is None) == (want.general is None)
+    if want.general is not None:
+        for f in fields(GeneralFits):
+            g, w = getattr(got.general, f.name), getattr(want.general, f.name)
+            if f.name == "corpus_models":
+                assert len(g) == len(w)
+                for gm, wm in zip(g, w):
+                    assert_same_fitted(gm, wm)
+            else:
+                assert g.tobytes() == w.tobytes(), f.name
+
+
+def _inline_and_forked(monkeypatch, forked, run):
+    """``run()`` with every fit in this process, then with the outcome fit in a child."""
+    import isoeffect.estimator as estimator
+
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_can_fork", lambda: False)
+        inline = run()
+    assert forked == []
+    return inline, run()
+
+
+@pytest.mark.parametrize("model", ["elastic", "gbt"])
+@pytest.mark.parametrize("kind", ["iate", "iatt", "general"])
+def test_forked_outcome_fit_equals_inline_fit(model, kind, synth_small, monkeypatch, forked):
+    outcome_spec, propensity_spec = _GRIDS[model]
+    target = generate(SynthSpec(n=90, d=synth_small.features.shape[1], seed=43)).features
+
+    def run():
+        return estimate_effect(synth_small, kind, outcome_spec, propensity_spec, k=3, seed=6,
+                               target_features=target if kind == "general" else None,
+                               return_parts=True)
+
+    (est_in, fits_in, _), (est, fits, _) = _inline_and_forked(monkeypatch, forked, run)
+    assert len(forked) == 1  # one child per cross-fit
+    _assert_same_fits(fits, fits_in)
+    assert est.influence.tobytes() == est_in.influence.tobytes()
+    assert (est.tau_hat, est.standard_error) == (est_in.tau_hat, est_in.standard_error)
+
+
+def test_forked_calibration_batch_equals_inline_batch(synth_small, monkeypatch, forked):
+    # the full features and two reductions of different widths, as `calibrate` fits them
+    outcome_spec, propensity_spec = _GRIDS["elastic"]
+    datasets = [synth_small] + [replace(synth_small, features=synth_small.features[:, keep],
+                                        feature_names=())
+                                for keep in ([0, 2, 3], [1, 2])]
+
+    def run():
+        return crossfit_representations(datasets, outcome_spec, propensity_spec, k=3, seed=6)
+
+    inline, batch = _inline_and_forked(monkeypatch, forked, run)
+    assert len(forked) == 1
+    for got, want in zip(batch, inline):
+        _assert_same_fits(got, want)
+
+
+@pytest.mark.parametrize("a, message", [
+    # 3 rows in 2 folds: one fold trains on a single row, which fails the
+    # outcome check (fewer than 2 rows) and the propensity check (one arm)
+    ([0, 1, 0], "outcome fitting needs >= 2 aligned rows"),
+    # 4 rows in 2 folds of 2: the fold holding the one treated row trains on
+    # two control rows, which fails the propensity check only
+    ([0, 0, 0, 1], "propensity fitting requires both treatment arms"),
+], ids=["both-fail", "propensity-fails"])
+@pytest.mark.parametrize("fork", [False, True], ids=["inline", "forked"])
+def test_input_checks_run_before_any_fit_outcome_first(fork, a, message, monkeypatch, request):
+    import isoeffect.estimator as estimator
+    import isoeffect.nuisance as nuisance
+
+    forks = request.getfixturevalue("forked") if fork else None
+    if not fork:
+        monkeypatch.setattr(estimator, "_can_fork", lambda: False)
+
+    def never(*args, **kwargs):
+        raise AssertionError("every input is checked before any fit")
+
+    monkeypatch.setattr(nuisance, "_fit_models", never)
+    n = len(a)
+    ds = Dataset(y=np.arange(n, dtype=float), a=np.array(a),
+                 features=np.arange(n, dtype=float).reshape(-1, 1))
+    with pytest.warns(UserWarning, match="unstratified"):
+        with pytest.raises(ValidationError, match=message):
+            crossfit_nuisances(ds, FAST_LINEAR, FAST_LOGISTIC, k=2)
+    assert forks in (None, [])
+
+
+def test_child_error_is_raised_before_the_parents(synth_small, monkeypatch, forked):
+    import isoeffect.nuisance as nuisance
+
+    def failing(spec, jobs):
+        raise ValueError(f"{spec.family} failed")
+
+    monkeypatch.setattr(nuisance, "_fit_models", failing)
+    with pytest.raises(ValueError, match="elastic_linear failed") as exc:
+        crossfit_nuisances(synth_small, FAST_LINEAR, FAST_LOGISTIC, k=2)
+    # the parent's own error, raised while the child ran, is its context
+    assert str(exc.value.__context__) == "elastic_logistic failed"
+    assert len(forked) == 1
+
+
+def test_child_that_dies_without_a_result_raises_in_the_parent(synth_small, monkeypatch,
+                                                               forked):
+    import isoeffect.nuisance as nuisance
+
+    fit = nuisance._fit_models
+
+    def dying(spec, jobs):
+        if spec.family == Family.ELASTIC_LINEAR:  # only in the child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(spec, jobs)
+
+    monkeypatch.setattr(nuisance, "_fit_models", dying)
+    with pytest.raises(RuntimeError, match="dying ended by signal SIGKILL without a result"):
+        crossfit_nuisances(synth_small, FAST_LINEAR, FAST_LOGISTIC, k=2)
+    assert len(forked) == 1
+
+
+def test_interrupt_in_the_parent_kills_and_reaps_the_child(synth_small, monkeypatch, forked):
+    import time
+
+    import isoeffect.nuisance as nuisance
+
+    def fit(spec, jobs):
+        if spec.family == Family.ELASTIC_LINEAR:  # the child would run for a minute
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(nuisance, "_fit_models", fit)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        crossfit_nuisances(synth_small, FAST_LINEAR, FAST_LOGISTIC, k=2)
+    assert time.monotonic() - start < 30 and len(forked) == 1  # the fixture checks the reaping
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["inline", "forked"])
+def test_outcome_fit_warnings_reach_the_caller_in_order(fork, synth_small, monkeypatch,
+                                                         request):
+    import isoeffect.estimator as estimator
+    import isoeffect.nuisance as nuisance
+
+    forks = request.getfixturevalue("forked") if fork else None
+    if not fork:
+        monkeypatch.setattr(estimator, "_can_fork", lambda: False)
+    fit = nuisance._fit_models
+
+    def warning(spec, jobs):
+        if spec.family == Family.ELASTIC_LINEAR:
+            warnings.warn_explicit("first", UserWarning, "fit.py", 7)
+            warnings.warn_explicit("second", RuntimeWarning, "fit.py", 3)
+        return fit(spec, jobs)
+
+    monkeypatch.setattr(nuisance, "_fit_models", warning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = crossfit_nuisances(synth_small, FAST_LINEAR, FAST_LOGISTIC, k=2)
+    assert [(str(w.message), w.category, w.filename, w.lineno) for w in caught] == [
+        ("first", UserWarning, "fit.py", 7), ("second", RuntimeWarning, "fit.py", 3)]
+    assert len(fits.outcome_models) == 2
+    assert forks in (None, [os.getpid()])
+    # the caller's filters decide: an error filter raises the first one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="first"):
+            crossfit_nuisances(synth_small, FAST_LINEAR, FAST_LOGISTIC, k=2)
+
+
+def test_outcome_fit_forks_only_on_two_cpus_before_python_3_12(monkeypatch):
+    from isoeffect.estimator import _can_fork
+
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no os.fork or os.sched_getaffinity on this platform")
+    cases = [({0, 1}, (3, 11, 7), True), ({0}, (3, 11, 7), False),
+             ({0, 1}, (3, 12, 0), False), ({0, 1, 2, 3}, (3, 13, 0), False),
+             ({3, 5}, (3, 10, 0), True)]
+    for cpus, version, forks in cases:
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            m.setattr(sys, "version_info", version)
+            assert _can_fork() is forks, (cpus, version)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        m.delattr(os, "fork")
+        assert _can_fork() is False
