@@ -39,16 +39,15 @@ from .estimator import (
     NuisanceFits,
     crossfit_representations,
     estimate_dr,
-    estimate_effect,
     estimate_naive,
     weights_for,
 )
+from .estimator import estimate_effect  # bench/spans.py wraps it
 from .featurize import _validate_pattern, featurize_masked, load_lexicon, select_intervention
-# no longer called here, but bench/spans.py wraps these names
-from .featurize import featurize_texts, mask_terms
+from .featurize import featurize_texts, mask_terms  # bench/spans.py wraps them
 from .nuisance import ClipPolicy, Family, ModelSpec
 from .sensitivity import audit, calibrate_fits, check_contour_grid, contour_grid, ovb_bounds
-from .sensitivity import calibrate_detail  # no longer called here; bench/spans.py wraps it
+from .sensitivity import calibrate_detail  # bench/spans.py wraps it
 from .synth import generate, oracle_tau, spec_from_json_file
 
 __all__ = ["build_parser", "main"]
@@ -213,10 +212,19 @@ def _reductions(dataset: Dataset, opt: dict) -> list[tuple[str, Dataset]]:
 
 
 def _crossfit(opt: dict, datasets: Sequence[Dataset]) -> list[NuisanceFits]:
-    """Every dataset cross-fitted in one batch, with the run's specs, folds, seed and clip."""
+    """Every dataset cross-fitted in one batch, with the run's specs, folds, seed and clip.
+
+    Under the general estimand each dataset is paired with the ``--target-data``
+    corpus, read by its feature names.
+    """
+    if opt["model"] == "gbt" and any(ds.d == 0 for ds in datasets):  # before any fit
+        raise ValidationError("the data has no feature column, and --model gbt needs at least one")
+    targets = None
+    if opt["estimand"] == EstimandKind.GENERAL:  # _check_flags made sure of --target-data
+        targets = [load_features_csv(opt["target_data"], ds.feature_names) for ds in datasets]
     outcome_spec, propensity_spec = opt["specs"]
     return crossfit_representations(datasets, outcome_spec, propensity_spec, k=opt["folds"],
-                                    seed=opt["seed"], clip=opt["clip"])
+                                    seed=opt["seed"], clip=opt["clip"], target_features=targets)
 
 
 def _audited(dataset: Dataset, fits: NuisanceFits, opt: dict):
@@ -252,33 +260,6 @@ def _cmd_synth(opt: dict) -> int:
     return 0
 
 
-def _require_gbt_feature(dataset: Dataset, opt: dict) -> None:
-    if dataset.d == 0 and opt["model"] == "gbt":  # before any fit
-        raise ValidationError("the data has no feature column, and --model gbt needs at least one")
-
-
-def _estimate_with_audit(dataset: Dataset, opt: dict):
-    _require_gbt_feature(dataset, opt)
-    outcome_spec, propensity_spec = opt["specs"]
-    kind = opt["estimand"]
-    target = None
-    if kind == EstimandKind.GENERAL:  # _check_flags made sure of --target-data
-        target = load_features_csv(opt["target_data"], dataset.feature_names)
-    est, fits, weights = estimate_effect(
-        dataset,
-        kind=kind,
-        outcome_spec=outcome_spec,
-        propensity_spec=propensity_spec,
-        k=opt["folds"],
-        seed=opt["seed"],
-        clip=opt["clip"],
-        target_features=target,
-        return_parts=True,
-    )
-    report = audit(est, dataset, fits, weights)
-    return est, fits, weights, report
-
-
 def _report_payload(dataset: Dataset, opt: dict, est, fits, report) -> dict:
     naive = estimate_naive(dataset)
     # only general-estimand fits carry corpus_clipped_frac
@@ -304,7 +285,8 @@ def _report_payload(dataset: Dataset, opt: dict, est, fits, report) -> dict:
 
 
 def _cmd_estimate(dataset: Dataset, opt: dict) -> int:
-    est, fits, _, report = _estimate_with_audit(dataset, opt)
+    fits, = _crossfit(opt, [dataset])
+    est, report = _audited(dataset, fits, opt)
     _write_json(opt["out"], _report_payload(dataset, opt, est, fits, report))
     return 0
 
@@ -333,7 +315,8 @@ def _cmd_sweep(dataset: Dataset, opt: dict) -> int:
 
 def _cmd_contour(dataset: Dataset, opt: dict) -> int:
     reductions = _reductions(dataset, opt)
-    est, fits, weights, report = _estimate_with_audit(dataset, opt)
+    fits, = _crossfit(opt, [dataset])
+    est, report = _audited(dataset, fits, opt)
     bound = (est.tau_hat, report.sigma2, report.nu2)
     # before any reduction is fitted: fails on nu2 <= 0
     grid = contour_grid(*bound, cy_max=opt["cy_max"], cd_max=opt["cd_max"], steps=opt["steps"])
@@ -352,7 +335,6 @@ def _cmd_contour(dataset: Dataset, opt: dict) -> int:
 
 def _cmd_calibrate(dataset: Dataset, opt: dict) -> int:
     reductions = _reductions(dataset, opt)
-    _require_gbt_feature(dataset, opt)
     # the data and every reduction, cross-fitted in one batch (only iate and iatt get here)
     fits, *reduced = _crossfit(opt, [dataset, *(ds for _, ds in reductions)])
     est, report = _audited(dataset, fits, opt)

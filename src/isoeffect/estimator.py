@@ -46,7 +46,7 @@ from .core import (
     derive_seed,
     make_folds,
 )
-# the one-fold fits are no longer called here; bench/spans.py wraps them by name
+# bench/spans.py wraps fit_outcome_model and fit_propensity_model by name
 from .nuisance import (
     ClipPolicy,
     Family,

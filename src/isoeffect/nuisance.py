@@ -18,8 +18,8 @@ per representation, so :func:`fit_models` fits every fold of several
 fold in one batch, then every final fit in another. A batch is one solver
 call per column count for elastic nets and one :func:`fit_gbt_batch` call per
 ``X`` for boosting. Each model is bit for bit the one a fit on its fold alone
-gives; :func:`fit_outcome_models` and :func:`fit_propensity_models` are the
-one-job case, and the single-model functions the one-fold case.
+gives; :func:`fit_outcome_model` and :func:`fit_propensity_model` are the
+case of one job with one fold.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# the single-fit seams are no longer called here; bench/spans.py wraps them by name
+# bench/spans.py wraps fit_gbt_core, fit_enet_linear and fit_enet_logistic by name
 from .boosting import GBTModel, GBTTask, fit_gbt_batch, fit_gbt_core
 from .core import ValidationError, derive_seed, make_folds
 from .elasticnet import (
@@ -53,9 +53,7 @@ __all__ = [
     "check_jobs",
     "fit_models",
     "fit_outcome_model",
-    "fit_outcome_models",
     "fit_propensity_model",
-    "fit_propensity_models",
 ]
 
 
@@ -96,7 +94,7 @@ class ModelSpec:
     ``hyper_grid=None`` selects :func:`default_grid`. A single-candidate grid
     skips inner cross-validation entirely; any other runs it over
     ``_INNER_FOLDS`` folds. The seeds come with the rows to fit (see
-    :func:`fit_outcome_models`), not with the spec.
+    :func:`fit_models`), not with the spec.
     """
 
     family: str
@@ -358,9 +356,10 @@ def _fit_models(spec: ModelSpec, jobs: list) -> list[list[FittedModel]]:
 def check_jobs(spec: ModelSpec, jobs: Sequence[tuple]) -> list[tuple]:
     """The ``(X, target, folds)`` jobs as float arrays, after :func:`fit_models`'s input checks.
 
-    A regressor's target is an outcome and a classifier's a 0/1 label, checked
-    as :func:`fit_outcome_models` and :func:`fit_propensity_models` check
-    them, job by job; the first failing check raises :class:`ValidationError`.
+    A regressor's target is an outcome, aligned with ``X`` and with at least
+    two rows per fold; a classifier's is a 0/1 label with both classes in
+    every fold's rows. Jobs are checked in order, and the first failing check
+    raises :class:`ValidationError`.
     """
     checked = []
     for X, target, folds in jobs:
@@ -390,40 +389,26 @@ def fit_models(spec: ModelSpec, jobs: Sequence[tuple]) -> list[list[FittedModel]
     return _fit_models(spec, check_jobs(spec, jobs))
 
 
-def fit_outcome_models(X: np.ndarray, y: np.ndarray, spec: ModelSpec,
-                       folds: Sequence[tuple]) -> list[FittedModel]:
-    """Fit the outcome regression ``g(features) ~ y`` once per ``(rows, seed)`` fold.
+def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
+    """The outcome regression ``g(features) ~ y``: :func:`fit_models` on every row, seed 0.
 
-    Fold j's model depends only on ``X[rows]``, ``y[rows]`` and its ``seed``:
-    it is bit for bit that fold fitted alone. Every fold is chosen by inner CV
-    and fitted by its solver as it is: a constant target gives a model that
-    predicts the fold mean, and a zero-penalty elastic net on a singular
-    design keeps ``alpha = 0`` and converges to a least-squares solution.
-    This is :func:`fit_models` with one job.
+    The fold is chosen by inner CV and fitted by its solver as it is: a
+    constant target gives a model that predicts its mean, and a zero-penalty
+    elastic net on a singular design keeps ``alpha = 0`` and converges to a
+    least-squares solution.
     """
     if spec.family not in Family.REGRESSORS:
         raise ValueError(f"{spec.family!r} is not an outcome-regression family")
-    return fit_models(spec, [(X, y, folds)])[0]
-
-
-def fit_outcome_model(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
-    """The outcome regression on every row: :func:`fit_outcome_models`, one fold, seed 0."""
-    return fit_outcome_models(X, y, spec, [(np.arange(np.size(y)), 0)])[0]
-
-
-def fit_propensity_models(X: np.ndarray, a: np.ndarray, spec: ModelSpec,
-                          folds: Sequence[tuple]) -> list[FittedModel]:
-    """Fit the propensity classifier ``P(a = 1 | features)`` per fold, as the outcome models.
-
-    Raises, before any fit, when a fold's rows hold only one class: a
-    propensity on a single arm is never usable downstream, so this fails
-    loudly instead of degenerating. This is :func:`fit_models` with one job.
-    """
-    if spec.family not in Family.CLASSIFIERS:
-        raise ValueError(f"{spec.family!r} is not a propensity family")
-    return fit_models(spec, [(X, a, folds)])[0]
+    return fit_models(spec, [(X, y, [(np.arange(np.size(y)), 0)])])[0][0]
 
 
 def fit_propensity_model(X: np.ndarray, a: np.ndarray, spec: ModelSpec) -> FittedModel:
-    """The propensity classifier on every row: :func:`fit_propensity_models`, one fold, seed 0."""
-    return fit_propensity_models(X, a, spec, [(np.arange(np.size(a)), 0)])[0]
+    """The propensity classifier ``P(a = 1 | features)`` on every row, as the outcome model.
+
+    Raises, before any fit, when the rows hold only one class: a propensity
+    on a single arm is never usable downstream, so this fails loudly instead
+    of degenerating.
+    """
+    if spec.family not in Family.CLASSIFIERS:
+        raise ValueError(f"{spec.family!r} is not a propensity family")
+    return fit_models(spec, [(X, a, [(np.arange(np.size(a)), 0)])])[0][0]

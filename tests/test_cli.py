@@ -185,6 +185,40 @@ def test_target_data_schema_and_size_errors(data_csv, tmp_path, capsys):
     assert "target corpus" in err
 
 
+@pytest.mark.parametrize("case", ["iate", "iatt", "general", "gbt-iatt"])
+def test_estimate_report_equals_the_library_pipeline(case, data_csv, tmp_path, forked):
+    # estimate cross-fits through the CLI's own seam, in one child, and writes the
+    # report that the library's one-shot estimate, audit and naive contrast give
+    import isoeffect.cli as cli
+    from isoeffect import audit, estimate_effect, estimate_naive, load_csv
+    from isoeffect.core import load_features_csv
+    from isoeffect.nuisance import ModelSpec
+
+    model, kind = ("gbt", "iatt") if case == "gbt-iatt" else ("elastic", case)
+    target_csv = tmp_path / "target.csv"
+    write_csv(generate(SynthSpec(**{**SPEC, "seed": 77})), target_csv)
+    flags = ["--target-data", str(target_csv)] if kind == "general" else []
+    out = tmp_path / "report.json"
+    assert _estimate(data_csv, out, "--estimand", kind, "--model", model, *flags) == 0
+    assert len(forked) == 1
+    dataset = load_csv(data_csv, None)
+    target = load_features_csv(str(target_csv), dataset.feature_names) if flags else None
+    specs = [ModelSpec(family) for family in cli._MODELS[model]]
+    est, fits, weights = estimate_effect(dataset, kind, *specs, k=3, seed=1,
+                                         target_features=target, return_parts=True)
+    report = audit(est, dataset, fits, weights)
+    diagnostics = {key: fits.diagnostics[key] for key in (
+        "p_min", "p_max", "clipped_frac", "pi1", "corpus_clipped_frac") if key in fits.diagnostics}
+    expected = {
+        "estimand": kind, "tau_hat": est.tau_hat, "se": est.standard_error,
+        "ci95": list(est.ci95), "n": dataset.n, "k": 3, "seed": 1,
+        "naive_tau": estimate_naive(dataset).tau_hat, "sigma2": report.sigma2,
+        "nu2": report.nu2, "nu2_plugin": report.nu2_plugin, "nu2_negative": report.nu2_negative,
+        "rv": report.rv, "diagnostics": {**diagnostics, "m_target": est.diagnostics["m_target"]},
+    }
+    assert out.read_text() == json.dumps(cli._round12(expected), indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -214,7 +248,7 @@ def _nothing_fitted(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
-    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "crossfit_representations", never)  # every command's one seam
 
 
 def _target_csv(tmp_path, name, edit):
@@ -299,7 +333,6 @@ def test_sweep_rejects_bad_inputs(sweep_csv, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("every bad input is caught before any fit")
 
-    monkeypatch.setattr(cli, "estimate_effect", never)
     monkeypatch.setattr(cli, "crossfit_representations", never)  # sweep's one cross-fit
     data, schema = sweep_csv
     out = str(tmp_path / "s.csv")
@@ -409,7 +442,7 @@ def _nothing_loaded_or_fitted(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("no data may be loaded and nothing fitted")
 
-    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "crossfit_representations", never)
     monkeypatch.setattr(cli, "load_csv", never)
     monkeypatch.setattr(cli, "featurize_masked", never)
 
@@ -514,7 +547,7 @@ def test_schema_reusing_a_column_rejected_before_fitting(
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
-    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "crossfit_representations", never)
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(schema))
     assert _estimate(data_csv, tmp_path / "r.json", "--schema", str(path)) == 1
@@ -615,7 +648,7 @@ def test_calibration_rejects_general_estimand_before_fitting(
     def never(*args, **kwargs):
         raise AssertionError("no data may be loaded and nothing fitted")
 
-    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "crossfit_representations", never)
     monkeypatch.setattr(cli, "load_csv", never)
     target = tmp_path / "target.csv"
     target.write_text("x_0,x_1,x_2\n0.5,0.1,0.2\n")
@@ -635,7 +668,7 @@ def test_duplicate_reduction_labels_rejected_before_fitting(
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
-    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "crossfit_representations", never)
     monkeypatch.setattr(cli, "calibrate_detail", never)
     monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
     rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
@@ -657,8 +690,8 @@ def test_duplicate_omitted_column_sets_rejected_before_fitting(
     def never(*args, **kwargs):
         raise AssertionError("nothing may be featurized, masked or fitted")
 
-    for name in ("estimate_effect", "calibrate_detail", "featurize_masked", "featurize_texts",
-                 "mask_terms"):
+    for name in ("crossfit_representations", "calibrate_detail", "featurize_masked",
+                 "featurize_texts", "mask_terms"):
         monkeypatch.setattr(cli, name, never)
     monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
     rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
@@ -679,7 +712,7 @@ def test_gbt_reduction_without_columns_rejected_before_fitting(
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
-    monkeypatch.setattr(cli, "estimate_effect", never)
+    monkeypatch.setattr(cli, "crossfit_representations", never)
     monkeypatch.setattr(cli, "calibrate_detail", never)
     monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
     rc = main([command, "--data", data_csv, "--out", str(tmp_path / "out"), "--model", "gbt",
@@ -741,7 +774,7 @@ def test_contour_rejects_bad_grid_before_fitting(data_csv, tmp_path, capsys, mon
     import isoeffect.cli as cli
 
     calls = []
-    monkeypatch.setattr(cli, "estimate_effect", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "crossfit_representations", lambda *a, **k: calls.append(a))
     out = tmp_path / "contour.csv"
     assert main(["contour", "--data", data_csv, "--out", str(out), "--folds", "3",
                  "--seed", "1", flag, value]) == 1
@@ -833,11 +866,11 @@ def test_model_flag_mapping(data_csv, tmp_path, monkeypatch):
 
     families = []
 
-    def record(dataset, **kwargs):
-        families.append((kwargs["outcome_spec"].family, kwargs["propensity_spec"].family))
+    def record(datasets, outcome_spec, propensity_spec, **kwargs):
+        families.append((outcome_spec.family, propensity_spec.family))
         raise ValueError("stop before fitting")
 
-    monkeypatch.setattr(cli, "estimate_effect", record)
+    monkeypatch.setattr(cli, "crossfit_representations", record)
     for model in ("elastic", "gbt"):
         assert _estimate(data_csv, tmp_path / "r.json", "--model", model) == 1
     assert families == [(Family.ELASTIC_LINEAR, Family.ELASTIC_LOGISTIC),
@@ -939,7 +972,7 @@ def test_gbt_on_data_without_feature_columns_rejected_before_fitting(
     def never(*args, **kwargs):
         raise AssertionError("nothing may be fitted")
 
-    for owner, name in ((cli, "estimate_effect"), (cli, "calibrate_detail"),
+    for owner, name in ((cli, "crossfit_representations"), (cli, "calibrate_detail"),
                         (nuisance, "_fit_models")):
         monkeypatch.setattr(owner, name, never)
     _, _, lex = text_corpus
@@ -966,8 +999,8 @@ def _never_featurized_or_fitted(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("nothing may be featurized, masked or fitted")
 
-    for name in ("estimate_effect", "calibrate_detail", "featurize_masked", "featurize_texts",
-                 "mask_terms"):
+    for name in ("crossfit_representations", "calibrate_detail", "featurize_masked",
+                 "featurize_texts", "mask_terms"):
         monkeypatch.setattr(cli, name, never)
     monkeypatch.setattr(nuisance, "_fit_models", never)  # every fit passes through it
 
@@ -1090,6 +1123,44 @@ def test_calibrate_makes_one_solver_call_per_nuisance_and_phase(text_corpus, tmp
     # 3 representations x 2 folds x 5 inner folds x 8 l1_ratio paths, then 3 x 2 final fits
     assert calls == [("enet_linear_paths", 240), ("enet_linear_paths", 6),
                      ("enet_logistic_paths", 240), ("enet_logistic_paths", 6)]
+
+
+@pytest.mark.filterwarnings("ignore:weight second moment decreased")
+def test_every_command_cross_fits_through_one_seam(data_csv, tmp_path, monkeypatch, inline):
+    # every command's nuisances are fitted by cli._crossfit's one call; contour fits
+    # its full data, checks nu2 while drawing the grid, and only then its reductions
+    import inspect
+
+    import isoeffect.cli as cli
+
+    events = []
+    crossfit, contour_grid = cli.crossfit_representations, cli.contour_grid
+
+    def recording(datasets, *args, **kwargs):
+        events.append(len(datasets))
+        return crossfit(datasets, *args, **kwargs)
+
+    def drawing(*args, **kwargs):
+        events.append("nu2")
+        return contour_grid(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "crossfit_representations", recording)
+    monkeypatch.setattr(cli, "contour_grid", drawing)
+    runs = [
+        (["estimate"], [1]),
+        (["sweep", "--focal", "x_0"], [2]),
+        (["calibrate", "--omit-features", "x_0,x_1+x_2"], [3]),
+        (["contour", "--steps", "3"], [1, "nu2"]),
+        (["contour", "--steps", "3", "--omit-features", "x_0,x_1+x_2"], [1, "nu2", 2]),
+    ]
+    for (command, *flags), expected in runs:
+        events.clear()
+        assert main([command, "--data", data_csv, "--out", str(tmp_path / "out"),
+                     "--folds", "2", "--seed", "1", *flags]) == 0
+        assert events == expected, command
+    source = inspect.getsource(cli)
+    assert source.count("crossfit_representations(") == 1
+    assert "crossfit_representations(" in inspect.getsource(cli._crossfit)
 
 
 def _comparable(value):

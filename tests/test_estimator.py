@@ -29,7 +29,7 @@ from isoeffect import (
 )
 from isoeffect.core import derive_seed
 from isoeffect.estimator import GeneralFits, NuisanceFits
-from isoeffect.nuisance import Family, ModelSpec, fit_outcome_models, fit_propensity_models
+from isoeffect.nuisance import Family, ModelSpec, fit_models
 
 
 def _zeroed(arr):
@@ -394,9 +394,10 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
         assert calls == ["enet_linear_paths"] * 2 + ["enet_logistic_paths"] * 2
     monkeypatch.undo()
 
-    def alone(fit, X, target, spec, label):
+    def alone(X, target, spec, label):
         # the rows fitted as the only fold, with that fold's derived seed
-        return fit(X, target, spec, [(np.arange(len(target)), derive_seed(seed, label))])[0]
+        fold = (np.arange(len(target)), derive_seed(seed, label))
+        return fit_models(spec, [(X, target, [fold])])[0][0]
 
     feats, y, a = synth_small.features, synth_small.y, synth_small.a.astype(float)
     design = np.column_stack([feats, a])
@@ -404,15 +405,15 @@ def test_crossfit_fold_models_equal_solo_fits(model, kind, synth_small, monkeypa
         tr = fits.fold_plan.train_rows(f)
         assert fits.outcome_models[f].diagnostics["inner_cv"]["scores"]
         assert_same_fitted(fits.outcome_models[f], alone(
-            fit_outcome_models, design[tr], y[tr], outcome_spec, f"outcome-f{f}"))
+            design[tr], y[tr], outcome_spec, f"outcome-f{f}"))
         assert_same_fitted(fits.propensity_models[f], alone(
-            fit_propensity_models, feats[tr], a[tr], propensity_spec, f"propensity-f{f}"))
+            feats[tr], a[tr], propensity_spec, f"propensity-f{f}"))
         if kind == "general":
             train = np.concatenate([fits.fold_plan.assignment, fits.general.target_assignment]) != f
             rows = np.vstack([feats, target])
             is_target = np.arange(len(rows)) >= synth_small.n
             assert_same_fitted(fits.general.corpus_models[f], alone(
-                fit_propensity_models, rows[train], is_target[train].astype(float),
+                rows[train], is_target[train].astype(float),
                 propensity_spec, f"corpus-f{f}"))
 
 

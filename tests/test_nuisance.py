@@ -29,10 +29,9 @@ from isoeffect.nuisance import (
     _reg_strength,
     cv_select,
     default_grid,
+    fit_models,
     fit_outcome_model,
-    fit_outcome_models,
     fit_propensity_model,
-    fit_propensity_models,
 )
 
 import scalar_paths
@@ -299,7 +298,7 @@ def test_constant_outcome_returns_intercept_only():
         for value in (2.5, -1e6, 1.0 / 3.0):
             y = np.full(60, value)
             folds = [(np.arange(40), 3), (np.arange(20, 60), 4)]
-            batch = fit_outcome_models(X, y, spec, folds)
+            batch, = fit_models(spec, [(X, y, folds)])
             for (rows, seed), model in zip(folds, batch):
                 assert set(model.diagnostics["inner_cv"]["scores"]) == {0.0}
                 assert model.chosen == max(spec.candidates(), key=_reg_strength)
@@ -308,7 +307,7 @@ def test_constant_outcome_returns_intercept_only():
                     assert model.model.diagnostics["n_trees_fit"] == 0
                 else:
                     assert not model.model.coef.any()
-                solo, = fit_outcome_models(X[rows], y[rows], spec, [(np.arange(rows.size), seed)])
+                (solo,), = fit_models(spec, [(X[rows], y[rows], [(np.arange(rows.size), seed)])])
                 assert_same_fitted(model, solo)
 
 
@@ -329,7 +328,7 @@ def test_zero_penalty_singular_design_keeps_alpha_zero():
         assert np.linalg.matrix_rank(np.column_stack([np.ones(300), X])) < X.shape[1] + 1
         y = X @ rng.standard_normal(X.shape[1]) + 0.3 * rng.standard_normal(300)
         rows = np.arange(20, 300)
-        fm, = fit_outcome_models(X, y, spec, [(rows, 5)])
+        (fm,), = fit_models(spec, [(X, y, [(rows, 5)])])
         assert fm.chosen["alpha"] == 0.0 and fm.model.alpha == 0.0, name
         assert fm.model.converged, name
         design = np.column_stack([np.ones(rows.size), X[rows]])
@@ -350,7 +349,7 @@ def test_batched_folds_equal_solo_fits_with_degenerate_folds():
     spec = ModelSpec(Family.ELASTIC_LINEAR, {"alpha": [0.0, 10.0], "l1_ratio": [0.5]})
     folds = [(np.arange(30), 11), (np.arange(60, 90), 12), (np.arange(30, 60), 13),
              (np.arange(90, 98), 14)]
-    batch = fit_outcome_models(X, y, spec, folds)
+    batch, = fit_models(spec, [(X, y, folds)])
     assert batch[0].chosen == {"alpha": 0.0, "l1_ratio": 0.5}  # the CV's choice stands
     assert batch[0].model.converged
     assert batch[1].chosen == {"alpha": 10.0, "l1_ratio": 0.5}  # a tie at 0 loss
@@ -358,7 +357,7 @@ def test_batched_folds_equal_solo_fits_with_degenerate_folds():
     assert batch[2].chosen == {"alpha": 0.0, "l1_ratio": 0.5}
     assert batch[3].diagnostics == {"inner_cv": "skipped_small_n"}
     for (rows, seed), model in zip(folds, batch):
-        solo, = fit_outcome_models(X[rows], y[rows], spec, [(np.arange(rows.size), seed)])
+        (solo,), = fit_models(spec, [(X[rows], y[rows], [(np.arange(rows.size), seed)])])
         assert_same_fitted(model, solo)
 
 
@@ -370,7 +369,7 @@ def test_batched_propensity_folds_validated_before_fitting(monkeypatch):
     a = np.array([0.0, 1.0] * 5)
     spec = ModelSpec(Family.ELASTIC_LOGISTIC)
     with pytest.raises(ValidationError, match="both treatment arms"):
-        fit_propensity_models(X, a, spec, [(np.arange(10), 1), (np.array([0, 2, 4]), 2)])
+        fit_models(spec, [(X, a, [(np.arange(10), 1), (np.array([0, 2, 4]), 2)])])
 
 
 def test_outcome_family_guard():
@@ -379,6 +378,23 @@ def test_outcome_family_guard():
         fit_outcome_model(X, np.zeros(4), ModelSpec(Family.ELASTIC_LOGISTIC))
     with pytest.raises(ValidationError):
         fit_outcome_model(np.zeros((1, 1)), np.zeros(1), ModelSpec(Family.ELASTIC_LINEAR))
+
+
+@pytest.mark.parametrize("fit, family, message", [
+    (fit_outcome_model, Family.ELASTIC_LOGISTIC, "is not an outcome-regression family"),
+    (fit_outcome_model, Family.GBT_CLF, "is not an outcome-regression family"),
+    (fit_propensity_model, Family.ELASTIC_LINEAR, "is not a propensity family"),
+    (fit_propensity_model, Family.GBT_REG, "is not a propensity family"),
+])
+def test_single_fit_family_checked_before_any_fit(fit, family, message, monkeypatch):
+    # a 0/1 target with both classes passes either nuisance's input checks, so only
+    # the family check stands between a wrong spec and a fit
+    import isoeffect.nuisance as nuisance
+
+    monkeypatch.setattr(nuisance, "_fit_models", lambda *args: pytest.fail("fitted"))
+    X = np.random.default_rng(2).standard_normal((10, 2))
+    with pytest.raises(ValueError, match=f"^'{family}' {message}$"):
+        fit(X, np.array([0.0, 1.0] * 5), ModelSpec(family))
 
 
 def test_propensity_single_class_raises():
@@ -448,11 +464,11 @@ def test_gbt_outcome_model_deterministic_seeding():
     y = X[:, 0] + 0.2 * rng.standard_normal(80)
     spec = ModelSpec(Family.GBT_REG, {"depth": [2], "n_trees": [30], "learning_rate": [0.1]})
     every = np.arange(80)
-    f1, = fit_outcome_models(X, y, spec, [(every, 7)])
-    f2, = fit_outcome_models(X, y, spec, [(every, 7)])
+    (f1,), = fit_models(spec, [(X, y, [(every, 7)])])
+    (f2,), = fit_models(spec, [(X, y, [(every, 7)])])
     np.testing.assert_array_equal(f1.predict(X), f2.predict(X))
     # the one-fold seam is seed 0, which draws other row subsamples than seed 7
     seam = fit_outcome_model(X, y, spec)
-    f0, = fit_outcome_models(X, y, spec, [(every, 0)])
+    (f0,), = fit_models(spec, [(X, y, [(every, 0)])])
     np.testing.assert_array_equal(seam.predict(X), f0.predict(X))
     assert not np.array_equal(seam.predict(X), f1.predict(X))
